@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Recompute growth rates and ending-letter proportions for a range of n,
 check the proved bounds, and report the deviation from the reference values
-frozen in the acceptance suite.
+published in the paper (spectral.GROWTH_TABLE).
 
 Usage: python scripts/reproduce_growth_table.py [--to N] [--tol T]
 """
@@ -9,13 +9,10 @@ Usage: python scripts/reproduce_growth_table.py [--to N] [--tol T]
 import argparse
 import sys
 import time
-from pathlib import Path
-
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 
 from braidlex import automaton as am
 from braidlex import spectral as sp
-from test_acceptance import GROWTH_TABLE
+from braidlex.spectral import GROWTH_TABLE
 
 
 def main() -> int:

@@ -13,6 +13,9 @@ import os
 from dataclasses import dataclass, field
 from math import comb
 
+import numpy as np
+from scipy.sparse import csr_matrix
+
 from .configs import (
     SegmentConfig,
     _apply,
@@ -202,6 +205,13 @@ class SparseBooleanMatrix:
             rows[p][q] = 1
         return rows
 
+    def to_csr(self) -> csr_matrix:
+        """The matrix as scipy CSR with float ones at the entries."""
+        pq = np.array(list(self.entries), dtype=np.int64).reshape(-1, 2)
+        return csr_matrix(
+            (np.ones(len(pq)), (pq[:, 0], pq[:, 1])), shape=(self.dim, self.dim)
+        )
+
 
 def incidence_matrix(a: Automaton, order: list[int] | None = None) -> SparseBooleanMatrix:
     """0/1 matrix with entry (p, q) = 1 iff some letter sends state p to q.
@@ -231,89 +241,65 @@ def incidence_matrix(a: Automaton, order: list[int] | None = None) -> SparseBool
 # recurrent / transient split
 # ---------------------------------------------------------------------------
 
-def _strongly_connected_components(a: Automaton) -> list[list[int]]:
-    """Tarjan, iterative."""
-    m = len(a.states)
-    n = a.n
-    indexv = [-1] * m
-    low = [0] * m
-    onstack = [False] * m
-    stack: list[int] = []
-    comps: list[list[int]] = []
-    counter = 0
-    for root in range(m):
-        if indexv[root] >= 0:
-            continue
-        work = [(root, 0)]
-        while work:
-            v, pi = work.pop()
-            if pi == 0:
-                indexv[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                onstack[v] = True
-            recurse = False
-            base = v * n
-            for i in range(pi, n):
-                t = a.transitions[base + i]
-                if t < 0:
-                    continue
-                if indexv[t] < 0:
-                    work.append((v, i + 1))
-                    work.append((t, 0))
-                    recurse = True
-                    break
-                if onstack[t]:
-                    low[v] = min(low[v], indexv[t])
-            if recurse:
-                continue
-            if low[v] == indexv[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    onstack[w] = False
-                    comp.append(w)
-                    if w == v:
-                        break
-                comps.append(comp)
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
-    return comps
-
-
 def recurrent_states(a: Automaton) -> list[int]:
     """Indices of states with i = 1, verified to be the unique closed SCC."""
-    predicate = sorted(s for s, c in enumerate(a.states) if c.i == 1)
-    comps = _strongly_connected_components(a)
-    comp_of = [0] * len(a.states)
-    for ci, comp in enumerate(comps):
-        for s in comp:
-            comp_of[s] = ci
-    closed = []
-    for ci, comp in enumerate(comps):
-        if all(
-            comp_of[t] == ci
-            for s in comp
-            for t in (a.target(s, r) for r in range(1, a.n + 1))
-            if t >= 0
-        ):
-            closed.append(ci)
-    if len(closed) != 1 or sorted(comps[closed[0]]) != predicate:
+    # csgraph is imported here rather than at module top: it adds about
+    # 0.12 s to importing the CLI, which every command would pay.
+    from scipy.sparse.csgraph import connected_components
+
+    m = len(a.states)
+    targets = np.asarray(a.transitions, dtype=np.int64)
+    live = targets >= 0
+    src = np.repeat(np.arange(m), a.n)[live]
+    dst = targets[live]
+    graph = csr_matrix((np.ones(len(src)), (src, dst)), shape=(m, m))
+    ncomp, label = connected_components(graph, directed=True, connection="strong")
+    from_label, to_label = label[src], label[dst]
+    has_exit = np.zeros(ncomp, dtype=bool)
+    has_exit[from_label[from_label != to_label]] = True
+    closed = np.flatnonzero(~has_exit)
+    predicate = np.array([c.i == 1 for c in a.states])
+    if len(closed) != 1 or not np.array_equal(label == closed[0], predicate):
         raise InternalConsistencyError(
             f"i=1 predicate and closed SCC disagree for n={a.n}"
         )
-    return predicate
+    return np.flatnonzero(predicate).tolist()
+
+
+def is_primitive(m: SparseBooleanMatrix) -> bool:
+    """True iff some boolean power of m is entrywise positive, in O(dim + nnz).
+
+    That holds iff the graph of m is strongly connected and aperiodic.  The
+    period is the gcd of level[p] + 1 - level[q] over all edges p -> q, with
+    BFS levels taken from vertex 0.
+    """
+    # Imported here for the same reason as in recurrent_states.
+    from scipy.sparse.csgraph import connected_components, shortest_path
+
+    if m.dim == 0:
+        return False
+    graph = m.to_csr()
+    ncomp, _ = connected_components(graph, directed=True, connection="strong")
+    if ncomp != 1:
+        return False
+    level = shortest_path(graph, unweighted=True, indices=0).astype(np.int64)
+    p, q = graph.nonzero()
+    return int(np.gcd.reduce(level[p] + 1 - level[q])) == 1
 
 
 def boolean_primitive(m: SparseBooleanMatrix, max_power: int | None = None) -> bool:
-    """True iff some boolean power m^k, k <= max_power (default 2*dim), is
-    entrywise positive."""
+    """True iff some boolean power m^k, k <= max_power, is entrywise positive.
+
+    The default cap is Wielandt's bound (dim - 1)^2 + 1, the largest
+    exponent a primitive matrix can need.  Bitset squaring costs dim^2 bits
+    per power, so this is a reference for tests; production code uses
+    is_primitive.
+    """
     dim = m.dim
     if dim == 0:
         return False
     if max_power is None:
-        max_power = 2 * dim
+        max_power = (dim - 1) ** 2 + 1
     full = (1 << dim) - 1
     base = [0] * dim
     for p, q in m.entries:
@@ -357,7 +343,7 @@ def recurrent_matrix(a: Automaton, order: list[int] | None = None) -> SparseBool
             if t >= 0:
                 entries.add((pos[s], pos[t]))
     m = SparseBooleanMatrix(len(order), frozenset(entries))
-    if not boolean_primitive(m):
+    if not is_primitive(m):
         raise InternalConsistencyError(f"recurrent matrix for n={a.n} is not primitive")
     return m
 

@@ -325,6 +325,9 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    # Exact counts run to thousands of digits, past the int -> str cap.
+    digit_cap = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
     except ConvergenceError as exc:
@@ -333,6 +336,8 @@ def main(argv: list[str] | None = None) -> int:
     except (BraidLexError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
+    finally:
+        sys.set_int_max_str_digits(digit_cap)
 
 
 if __name__ == "__main__":

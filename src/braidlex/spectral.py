@@ -13,12 +13,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_matrix
 
 from .automaton import (
     Automaton,
     SparseBooleanMatrix,
-    boolean_primitive,
+    is_primitive,
     recurrent_matrix,
     recurrent_states,
 )
@@ -28,6 +27,18 @@ from .errors import (
     ConvergenceError,
     SpectralPreconditionError,
 )
+
+# published growth table: n -> (lambda, P_a1, P_1)
+GROWTH_TABLE = {
+    2: (1.61803398874989535, 0.309016994387306732, 0.5),
+    3: (2.08679122278138296, 0.179072361848063216, 0.3736866329),
+    4: (2.39485036123379746, 0.134155252415486176, 0.3212817547),
+    5: (2.59937733237127854, 0.113418385255364101, 0.2948171798),
+    6: (2.73962959897194480, 0.102094618000846169, 0.2797014374),
+    7: (2.83910705543066832, 0.095188754079773799, 0.2702510632),
+    8: (2.91185367833772002, 0.090638078480376610, 0.2639248222),
+    9: (2.96648976449784296, 0.087464812090583224, 0.2594634699),
+}
 
 #: Every growth rate stays strictly below the limit of the sequence.
 GROWTH_RATE_CEILING = 3.233637
@@ -55,14 +66,6 @@ class ProportionReport:
     p_state_t11: float              # mass of the state (1,1,1,{})
 
 
-def _to_csr(m: SparseBooleanMatrix) -> csr_matrix:
-    if not m.entries:
-        return csr_matrix((m.dim, m.dim))
-    rows, cols = zip(*m.entries)
-    data = np.ones(len(rows))
-    return csr_matrix((data, (rows, cols)), shape=(m.dim, m.dim))
-
-
 def perron(
     R: SparseBooleanMatrix,
     tol: float = DEFAULT_TOL,
@@ -73,7 +76,7 @@ def perron(
     Stops when consecutive eigenvalue estimates differ by less than tol and
     the residual sup norm drops below tol; raises ConvergenceError otherwise.
     """
-    mat = _to_csr(R)
+    mat = R.to_csr()
     v = np.full(R.dim, 1.0 / R.dim)
     lam_prev = 0.0
     for it in range(1, max_iter + 1):
@@ -94,7 +97,7 @@ def perron(
 
 def spectral_radius_estimate(R: SparseBooleanMatrix, iterations: int = 2000) -> float:
     """Crude power-iteration estimate; zero-safe for nilpotent matrices."""
-    mat = _to_csr(R)
+    mat = R.to_csr()
     v = np.full(R.dim, 1.0 / max(R.dim, 1))
     est = 0.0
     for _ in range(iterations):
@@ -125,11 +128,6 @@ def proportions(a: Automaton, r: SpectralResult) -> ProportionReport:
     return ProportionReport(a.n, tuple(per), t11)
 
 
-def primitivity_check(R: SparseBooleanMatrix) -> bool:
-    """Definitional check: some boolean power up to 2*dim is entrywise positive."""
-    return boolean_primitive(R)
-
-
 def resolvent_nonneg_check(R: SparseBooleanMatrix, lam: float, term_tol: float = 1e-14) -> bool:
     """Truncated Neumann expansion of (lam I - R)^{-1}:
 
@@ -154,7 +152,7 @@ def resolvent_nonneg_check(R: SparseBooleanMatrix, lam: float, term_tol: float =
         total += term
     if bool(np.any(total < 0.0)):
         return False
-    if primitivity_check(R):
+    if is_primitive(R):
         return bool(np.all(total > 0.0))
     return True
 

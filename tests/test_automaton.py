@@ -1,5 +1,6 @@
 """Automaton construction, matrices, and exact counting."""
 
+import dataclasses
 import json
 
 import pytest
@@ -10,7 +11,7 @@ from braidlex import automaton as am
 from braidlex import matrixgen as mg
 from braidlex import oracle
 from braidlex.configs import SegmentConfig, unshift
-from braidlex.errors import BraidWordError, BuildLimitError
+from braidlex.errors import BraidWordError, BuildLimitError, InternalConsistencyError
 
 M2_DENSE = [
     [1, 1, 0, 0, 0],
@@ -148,6 +149,15 @@ class TestRecurrentStates:
                 for r in a.out_letters(s):
                     assert a.target(s, r) in rec
 
+    def test_second_closed_component_is_rejected(self, build_cached):
+        a = build_cached(2)
+        assert 0 not in am.recurrent_states(a)
+        # turn the transient initial state into a closed component of its own
+        looped = list(a.transitions)
+        looped[: a.n] = [0 if t >= 0 else -1 for t in looped[: a.n]]
+        with pytest.raises(InternalConsistencyError):
+            am.recurrent_states(dataclasses.replace(a, transitions=looped))
+
 
 class TestRecurrentMatrix:
     def test_r2_in_canonical_order(self, build_cached):
@@ -176,6 +186,39 @@ class TestBooleanPrimitive:
     def test_cycle_with_loop_is_primitive(self):
         m = am.SparseBooleanMatrix(2, frozenset({(0, 1), (1, 0), (0, 0)}))
         assert am.boolean_primitive(m)
+
+    @pytest.mark.parametrize("d", range(4, 9))
+    def test_wielandt_matrix_is_primitive(self, d):
+        # needs the (d - 1)^2 + 1 th power, more than 2d
+        assert am.boolean_primitive(wielandt(d))
+
+
+def wielandt(d: int) -> am.SparseBooleanMatrix:
+    """The cycle 0 -> 1 -> ... -> d-1 -> 0 plus the edge d-1 -> 1."""
+    cycle = {(p, (p + 1) % d) for p in range(d)}
+    return am.SparseBooleanMatrix(d, frozenset(cycle | {(d - 1, 1)}))
+
+
+FIXED_MATRICES = [
+    am.SparseBooleanMatrix(3, frozenset({(0, 0), (1, 1), (2, 2)})),  # identity
+    am.SparseBooleanMatrix(2, frozenset({(0, 1), (1, 0)})),  # 2-cycle
+    am.SparseBooleanMatrix(  # two disjoint primitive blocks
+        4, frozenset({(0, 1), (1, 0), (0, 0), (2, 3), (3, 2), (2, 2)})
+    ),
+    am.SparseBooleanMatrix(1, frozenset()),
+    am.SparseBooleanMatrix(1, frozenset({(0, 0)})),
+] + [wielandt(d) for d in range(4, 9)]
+
+
+class TestIsPrimitive:
+    @pytest.mark.parametrize("m", FIXED_MATRICES)
+    def test_agrees_with_boolean_powers(self, m):
+        assert am.is_primitive(m) == am.boolean_primitive(m)
+
+    def test_agrees_on_recurrent_matrices(self, build_cached):
+        for n in range(1, 9):
+            m = am.recurrent_matrix(build_cached(n))
+            assert am.is_primitive(m) == am.boolean_primitive(m)
 
 
 class TestCountWords:

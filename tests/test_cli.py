@@ -1,9 +1,11 @@
 """Command-line surface: outputs, formats, exit codes."""
 
 import json
+import sys
 
 import pytest
 
+from braidlex import automaton as am
 from braidlex import cli
 from braidlex.configs import SegmentConfig
 
@@ -75,6 +77,20 @@ class TestCount:
         assert code == 0
         assert "ending-with a1 2" in out
         assert "ending-with a2 2" in out
+
+    def test_total_past_the_int_str_digit_cap(self, capsys):
+        cap = sys.get_int_max_str_digits()
+        code, out, _ = run(capsys, "count", "3", "14000")
+        assert code == 0
+        assert sys.get_int_max_str_digits() == cap  # main restores the cap
+        _, total = am.count_words(am.build(3), 14000)
+        sys.set_int_max_str_digits(0)
+        try:
+            expected = str(total)
+        finally:
+            sys.set_int_max_str_digits(cap)
+        assert len(expected) == 4474
+        assert out.split("\n")[0] == f"total {expected}"
 
 
 class TestSpectrum:

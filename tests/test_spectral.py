@@ -100,11 +100,11 @@ class TestProportions:
 class TestPrimitivity:
     def test_recurrent_matrices_are_primitive(self, build_cached):
         for n in range(1, 10):
-            assert sp.primitivity_check(am.recurrent_matrix(build_cached(n)))
+            assert am.is_primitive(am.recurrent_matrix(build_cached(n)))
 
     def test_identity_is_not(self):
         ident = am.SparseBooleanMatrix(2, frozenset({(0, 0), (1, 1)}))
-        assert not sp.primitivity_check(ident)
+        assert not am.is_primitive(ident)
 
 
 class TestResolvent:
