@@ -43,11 +43,12 @@ def state_count_recurrence(n: int) -> int:
     return s[n]
 
 
-def fibonacci(m: int) -> int:
-    a, b = 0, 1
-    for _ in range(m):
-        a, b = b, a + b
-    return a
+def _fibonacci(m: int) -> list[int]:
+    """F_0 .. F_m."""
+    fib = [0, 1]
+    while len(fib) <= m:
+        fib.append(fib[-1] + fib[-2])
+    return fib[: m + 1]
 
 
 def state_count_formula(n: int) -> int:
@@ -55,9 +56,7 @@ def state_count_formula(n: int) -> int:
     s_n = sum_{i=1..n} (C(n+1-i, 2) + 1) * F_{2i}."""
     if n < 1:
         raise ValueError("n must be positive")
-    fib = [0, 1]
-    for _ in range(2 * n):
-        fib.append(fib[-1] + fib[-2])
+    fib = _fibonacci(2 * n)
     return sum((comb(n + 1 - i, 2) + 1) * fib[2 * i] for i in range(1, n + 1))
 
 
@@ -74,10 +73,7 @@ class StateCounts:
 def state_counts(n: int) -> StateCounts:
     s = [state_count_recurrence(m) for m in range(n + 1)]
     s_star = [0] + [s[m] - s[m - 1] for m in range(1, n + 1)]
-    fib = [0, 1]
-    for _ in range(max(0, 2 * n - 1)):
-        fib.append(fib[-1] + fib[-2])
-    return StateCounts(n, tuple(s), tuple(s_star), tuple(fib[: 2 * n + 1]))
+    return StateCounts(n, tuple(s), tuple(s_star), tuple(_fibonacci(2 * n)))
 
 
 # ---------------------------------------------------------------------------
@@ -175,42 +171,64 @@ def accepts(a: Automaton, w) -> bool:
 # incidence matrices
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SparseBooleanMatrix:
+    """Square 0/1 matrix kept as its nonzero coordinates.
+
+    ``entries`` is an (nnz, 2) int64 array of (row, col) pairs, sorted
+    row-major, each pair once.  The constructor accepts any sequence of
+    pairs, sorts it, and raises InternalConsistencyError for a pair outside
+    the matrix or a repeated pair.
+    """
+
     dim: int
-    entries: frozenset[tuple[int, int]]
+    entries: np.ndarray
 
     def __post_init__(self):
-        for p, q in self.entries:
-            if not (0 <= p < self.dim and 0 <= q < self.dim):
-                raise InternalConsistencyError(
-                    f"entry ({p}, {q}) outside a {self.dim}x{self.dim} matrix"
-                )
+        pq = np.asarray(self.entries, dtype=np.int64).reshape(-1, 2)
+        outside = ((pq < 0) | (pq >= self.dim)).any(axis=1)
+        if outside.any():
+            p, q = pq[outside][0].tolist()
+            raise InternalConsistencyError(
+                f"entry ({p}, {q}) outside a {self.dim}x{self.dim} matrix"
+            )
+        keys = np.sort(pq[:, 0] * self.dim + pq[:, 1])
+        repeated = keys[1:][keys[1:] == keys[:-1]]
+        if len(repeated):
+            p, q = divmod(int(repeated[0]), self.dim)
+            raise InternalConsistencyError(f"entry ({p}, {q}) given twice")
+        entries = np.column_stack(np.divmod(keys, self.dim))
+        entries.flags.writeable = False
+        object.__setattr__(self, "entries", entries)
 
     def row_sums(self) -> list[int]:
-        out = [0] * self.dim
-        for p, _ in self.entries:
-            out[p] += 1
-        return out
+        return np.bincount(self.entries[:, 0], minlength=self.dim).tolist()
 
     def col_sums(self) -> list[int]:
-        out = [0] * self.dim
-        for _, q in self.entries:
-            out[q] += 1
-        return out
+        return np.bincount(self.entries[:, 1], minlength=self.dim).tolist()
 
     def to_dense(self) -> list[list[int]]:
-        rows = [[0] * self.dim for _ in range(self.dim)]
-        for p, q in self.entries:
-            rows[p][q] = 1
-        return rows
+        dense = np.zeros((self.dim, self.dim), dtype=np.int8)
+        dense[self.entries[:, 0], self.entries[:, 1]] = 1
+        return dense.tolist()
 
     def to_csr(self) -> csr_matrix:
         """The matrix as scipy CSR with float ones at the entries."""
-        pq = np.array(list(self.entries), dtype=np.int64).reshape(-1, 2)
-        return csr_matrix(
-            (np.ones(len(pq)), (pq[:, 0], pq[:, 1])), shape=(self.dim, self.dim)
-        )
+        p, q = self.entries.T
+        return csr_matrix((np.ones(len(p)), (p, q)), shape=(self.dim, self.dim))
+
+
+def _edges(a: Automaton, order: list[int]) -> np.ndarray:
+    """The transitions between the states listed in ``order``, as an
+    (nnz, 2) array of (source, target) positions in ``order``, sources
+    ascending."""
+    m = len(a.states)
+    # pos[m] = -1 also catches the forbidden targets, which are -1
+    pos = np.full(m + 1, -1, dtype=np.int64)
+    pos[order] = np.arange(len(order))
+    targets = pos[np.asarray(a.transitions, dtype=np.int64).reshape(m, a.n)[order]]
+    live = targets >= 0
+    return np.column_stack((np.nonzero(live)[0], targets[live]))
 
 
 def incidence_matrix(a: Automaton, order: list[int] | None = None) -> SparseBooleanMatrix:
@@ -220,21 +238,10 @@ def incidence_matrix(a: Automaton, order: list[int] | None = None) -> SparseBool
     """
     m = len(a.states)
     if order is None:
-        pos = range(m)
-    else:
-        if sorted(order) != list(range(m)):
-            raise ValueError("order must be a permutation of all state indices")
-        pos = [0] * m
-        for p, s in enumerate(order):
-            pos[s] = p
-    entries = set()
-    for s in range(m):
-        base = s * a.n
-        for r in range(a.n):
-            t = a.transitions[base + r]
-            if t >= 0:
-                entries.add((pos[s], pos[t]))
-    return SparseBooleanMatrix(m, frozenset(entries))
+        order = list(range(m))
+    elif sorted(order) != list(range(m)):
+        raise ValueError("order must be a permutation of all state indices")
+    return SparseBooleanMatrix(m, _edges(a, order))
 
 
 # ---------------------------------------------------------------------------
@@ -248,10 +255,7 @@ def recurrent_states(a: Automaton) -> list[int]:
     from scipy.sparse.csgraph import connected_components
 
     m = len(a.states)
-    targets = np.asarray(a.transitions, dtype=np.int64)
-    live = targets >= 0
-    src = np.repeat(np.arange(m), a.n)[live]
-    dst = targets[live]
+    src, dst = _edges(a, list(range(m))).T
     graph = csr_matrix((np.ones(len(src)), (src, dst)), shape=(m, m))
     ncomp, label = connected_components(graph, directed=True, connection="strong")
     from_label, to_label = label[src], label[dst]
@@ -283,7 +287,7 @@ def is_primitive(m: SparseBooleanMatrix) -> bool:
     if ncomp != 1:
         return False
     level = shortest_path(graph, unweighted=True, indices=0).astype(np.int64)
-    p, q = graph.nonzero()
+    p, q = m.entries.T
     return int(np.gcd.reduce(level[p] + 1 - level[q])) == 1
 
 
@@ -302,7 +306,7 @@ def boolean_primitive(m: SparseBooleanMatrix, max_power: int | None = None) -> b
         max_power = (dim - 1) ** 2 + 1
     full = (1 << dim) - 1
     base = [0] * dim
-    for p, q in m.entries:
+    for p, q in m.entries.tolist():
         base[p] |= 1 << q
     rows = list(base)
     for _ in range(max_power):
@@ -334,15 +338,7 @@ def recurrent_matrix(a: Automaton, order: list[int] | None = None) -> SparseBool
         order = rec
     elif sorted(order) != rec:
         raise ValueError("order must be a permutation of the recurrent states")
-    pos = {s: p for p, s in enumerate(order)}
-    entries = set()
-    for s in order:
-        base = s * a.n
-        for r in range(a.n):
-            t = a.transitions[base + r]
-            if t >= 0:
-                entries.add((pos[s], pos[t]))
-    m = SparseBooleanMatrix(len(order), frozenset(entries))
+    m = SparseBooleanMatrix(len(order), _edges(a, order))
     if not is_primitive(m):
         raise InternalConsistencyError(f"recurrent matrix for n={a.n} is not primitive")
     return m
@@ -375,9 +371,9 @@ def count_words(a: Automaton, k: int) -> tuple[list[int], int]:
     return counts, sum(counts)
 
 
-def ending_letter_counts(a: Automaton, k: int) -> dict[int, int]:
-    """Exact count of length-k representatives ending with each letter."""
-    counts, _ = count_words(a, k)
+def ending_letter_counts(a: Automaton, k: int, counts: list[int]) -> dict[int, int]:
+    """Exact count of length-k representatives ending with each letter, from
+    the per-state counts that count_words(a, k) returns."""
     out = {r: 0 for r in range(1, a.n + 1)}
     if k == 0:
         return out

@@ -91,16 +91,14 @@ def cmd_states(args) -> int:
 
 def cmd_matrix(args) -> int:
     n = args.n
+    a = am.build(n) if args.which != "R-appendix" or args.check else None
     if args.which == "M":
-        a = am.build(n)
         m = am.incidence_matrix(a, mg.canonical_full_ordering(a))
     elif args.which == "R":
-        a = am.build(n)
         m = am.recurrent_matrix(a, mg.canonical_ordering(a))
     else:  # R-appendix: the directly generated matrix
         m = mg.build_R_direct(n)
     if args.check:
-        a = am.build(n)
         diffs = mg.crosscheck_generated(a)
         if diffs:
             p, q, side = diffs[0]
@@ -119,7 +117,7 @@ def cmd_count(args) -> int:
     print(f"total {total}")
     print("per-state", " ".join(str(counts[s]) for s in order))
     if args.by_letter:
-        per = am.ending_letter_counts(a, args.k)
+        per = am.ending_letter_counts(a, args.k, counts)
         for r in range(1, args.n + 1):
             print(f"ending-with a{r} {per[r]}")
     return EXIT_OK

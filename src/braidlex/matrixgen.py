@@ -22,9 +22,12 @@ n-1 (the transient states) before the recurrent block.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from math import comb
 from typing import Sequence
+
+import numpy as np
 
 from .automaton import Automaton, SparseBooleanMatrix, StateCounts, state_counts
 from .configs import SegmentConfig, shift, shift_black
@@ -56,27 +59,27 @@ def compute_H(j: int, counts: StateCounts | None = None) -> HVector:
 
 
 def submatrix(
-    entries: set[tuple[int, int]],
+    entries: array,
     j: int,
     H: Sequence[int],
     s: int,
     closed: bool,
     counts: StateCounts,
 ) -> None:
-    """Insert the 1-entries of the size-j block whose upper-left corner is at
-    offset s, into ``entries`` (0-based coordinate pairs).
+    """Append the 1-entries of the size-j block whose upper-left corner is at
+    offset s to ``entries``, a flat buffer of 0-based (row, col) pairs.
 
     ``closed`` selects between the block's own arrows (True) and the arrows
     of a black-shifted copy, whose would-be first-letter arrows leave the
     block into the enclosing one (False).  Matrix positions are 1-based in
-    the arithmetic below, converted on insertion.
+    the arithmetic below, converted on appending.
     """
     if j < 1:
         return
     ss = counts.s_star
 
     def put(p: int, q: int) -> None:
-        entries.add((p - 1, q - 1))
+        entries.extend((p - 1, q - 1))
 
     if closed:
         for i in range(1, j + 1):
@@ -121,9 +124,9 @@ def build_R_direct(n: int) -> SparseBooleanMatrix:
         raise ValueError("n must be positive")
     counts = state_counts(n)
     H = compute_H(max(1, n - 1), counts)
-    entries: set[tuple[int, int]] = set()
+    entries = array("q")
     submatrix(entries, n, H.values, 0, True, counts)
-    return SparseBooleanMatrix(counts.s_star[n], frozenset(entries))
+    return SparseBooleanMatrix(counts.s_star[n], np.frombuffer(entries, dtype=np.int64))
 
 
 # ---------------------------------------------------------------------------
@@ -165,26 +168,24 @@ def canonical_full_configs(n: int) -> list[SegmentConfig]:
     return out
 
 
-def canonical_ordering(a: Automaton) -> list[int]:
-    """Map canonical recurrent positions to BFS state indices."""
+def _bfs_indices(a: Automaton, configs: list[SegmentConfig]) -> list[int]:
     order = []
-    for c in canonical_star_configs(a.n):
+    for c in configs:
         idx = a.index.get(c)
         if idx is None:
             raise InternalConsistencyError(f"canonical config {c} missing from automaton")
         order.append(idx)
     return order
+
+
+def canonical_ordering(a: Automaton) -> list[int]:
+    """Map canonical recurrent positions to BFS state indices."""
+    return _bfs_indices(a, canonical_star_configs(a.n))
 
 
 def canonical_full_ordering(a: Automaton) -> list[int]:
     """Map canonical full positions (transients first) to BFS state indices."""
-    order = []
-    for c in canonical_full_configs(a.n):
-        idx = a.index.get(c)
-        if idx is None:
-            raise InternalConsistencyError(f"canonical config {c} missing from automaton")
-        order.append(idx)
-    return order
+    return _bfs_indices(a, canonical_full_configs(a.n))
 
 
 # ---------------------------------------------------------------------------
@@ -197,9 +198,14 @@ def diff_matrices(
     """Coordinates present in exactly one matrix, sorted; empty means equal."""
     if first.dim != second.dim:
         raise ValueError(f"dimension mismatch: {first.dim} vs {second.dim}")
-    out = [(p, q, "only-in-first") for p, q in first.entries - second.entries]
-    out += [(p, q, "only-in-second") for p, q in second.entries - first.entries]
-    return sorted(out)
+    # each matrix holds a pair at most once, so a pair seen once is in one only
+    both = np.concatenate((first.entries, second.entries))
+    side = np.repeat(
+        ["only-in-first", "only-in-second"], [len(first.entries), len(second.entries)]
+    )
+    pairs, at, seen = np.unique(both, axis=0, return_index=True, return_counts=True)
+    once = seen == 1
+    return [(p, q, s) for (p, q), s in zip(pairs[once].tolist(), side[at[once]].tolist())]
 
 
 def crosscheck_generated(a: Automaton) -> list[tuple[int, int, str]]:
@@ -213,12 +219,10 @@ def crosscheck_generated(a: Automaton) -> list[tuple[int, int, str]]:
 
 
 def to_matrix_market(m: SparseBooleanMatrix) -> str:
-    lines = [
-        "%%MatrixMarket matrix coordinate integer general",
-        f"{m.dim} {m.dim} {len(m.entries)}",
-    ]
-    lines.extend(f"{p + 1} {q + 1} 1" for p, q in sorted(m.entries))
-    return "\n".join(lines) + "\n"
+    nnz = len(m.entries)
+    header = f"%%MatrixMarket matrix coordinate integer general\n{m.dim} {m.dim} {nnz}\n"
+    # one format over all entries: no per-line string or pair object
+    return header + ("%d %d 1\n" * nnz) % tuple((m.entries + 1).ravel().tolist())
 
 
 def to_csv(m: SparseBooleanMatrix) -> str:

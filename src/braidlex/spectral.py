@@ -142,7 +142,7 @@ def resolvent_nonneg_check(R: SparseBooleanMatrix, lam: float, term_tol: float =
         raise SpectralPreconditionError(
             f"lambda={lam} is not safely above the spectral radius estimate {est}"
         )
-    dense = np.array(R.to_dense(), dtype=float)
+    dense = R.to_csr().toarray()
     term = np.eye(R.dim) / lam
     total = term.copy()
     while True:

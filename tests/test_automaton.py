@@ -115,6 +115,23 @@ class TestAccepts:
         assert am.accepts(build_cached(3), w) == oracle.is_representative(w, 3)
 
 
+class TestSparseBooleanMatrix:
+    def test_entries_are_sorted_row_major(self):
+        m = am.SparseBooleanMatrix(3, [(2, 0), (0, 2), (1, 1), (0, 1)])
+        assert m.entries.tolist() == [[0, 1], [0, 2], [1, 1], [2, 0]]
+        assert m.row_sums() == [2, 1, 1]
+        assert m.col_sums() == [1, 2, 1]
+
+    @pytest.mark.parametrize("pair", [(0, 2), (2, 0), (-1, 0), (0, -1)])
+    def test_entry_outside_the_matrix_is_rejected(self, pair):
+        with pytest.raises(InternalConsistencyError, match="outside"):
+            am.SparseBooleanMatrix(2, [(0, 0), pair])
+
+    def test_repeated_entry_is_rejected(self):
+        with pytest.raises(InternalConsistencyError, match=r"\(1, 0\) given twice"):
+            am.SparseBooleanMatrix(2, [(1, 0), (0, 1), (1, 0)])
+
+
 class TestIncidenceMatrix:
     def test_m2_in_canonical_order(self, build_cached):
         a = build_cached(2)
@@ -176,15 +193,15 @@ class TestRecurrentMatrix:
 
 class TestBooleanPrimitive:
     def test_identity_is_not_primitive(self):
-        ident = am.SparseBooleanMatrix(2, frozenset({(0, 0), (1, 1)}))
+        ident = am.SparseBooleanMatrix(2, [(0, 0), (1, 1)])
         assert not am.boolean_primitive(ident)
 
     def test_cycle_is_not_primitive(self):
-        cycle = am.SparseBooleanMatrix(2, frozenset({(0, 1), (1, 0)}))
+        cycle = am.SparseBooleanMatrix(2, [(0, 1), (1, 0)])
         assert not am.boolean_primitive(cycle)
 
     def test_cycle_with_loop_is_primitive(self):
-        m = am.SparseBooleanMatrix(2, frozenset({(0, 1), (1, 0), (0, 0)}))
+        m = am.SparseBooleanMatrix(2, [(0, 1), (1, 0), (0, 0)])
         assert am.boolean_primitive(m)
 
     @pytest.mark.parametrize("d", range(4, 9))
@@ -195,18 +212,18 @@ class TestBooleanPrimitive:
 
 def wielandt(d: int) -> am.SparseBooleanMatrix:
     """The cycle 0 -> 1 -> ... -> d-1 -> 0 plus the edge d-1 -> 1."""
-    cycle = {(p, (p + 1) % d) for p in range(d)}
-    return am.SparseBooleanMatrix(d, frozenset(cycle | {(d - 1, 1)}))
+    cycle = [(p, (p + 1) % d) for p in range(d)]
+    return am.SparseBooleanMatrix(d, cycle + [(d - 1, 1)])
 
 
 FIXED_MATRICES = [
-    am.SparseBooleanMatrix(3, frozenset({(0, 0), (1, 1), (2, 2)})),  # identity
-    am.SparseBooleanMatrix(2, frozenset({(0, 1), (1, 0)})),  # 2-cycle
+    am.SparseBooleanMatrix(3, [(0, 0), (1, 1), (2, 2)]),  # identity
+    am.SparseBooleanMatrix(2, [(0, 1), (1, 0)]),  # 2-cycle
     am.SparseBooleanMatrix(  # two disjoint primitive blocks
-        4, frozenset({(0, 1), (1, 0), (0, 0), (2, 3), (3, 2), (2, 2)})
+        4, [(0, 1), (1, 0), (0, 0), (2, 3), (3, 2), (2, 2)]
     ),
-    am.SparseBooleanMatrix(1, frozenset()),
-    am.SparseBooleanMatrix(1, frozenset({(0, 0)})),
+    am.SparseBooleanMatrix(1, []),
+    am.SparseBooleanMatrix(1, [(0, 0)]),
 ] + [wielandt(d) for d in range(4, 9)]
 
 
@@ -251,9 +268,10 @@ class TestCountWords:
 
     def test_ending_letter_counts(self, build_cached):
         a = build_cached(2)
-        assert am.ending_letter_counts(a, 2) == {1: 2, 2: 2}
-        per = am.ending_letter_counts(a, 50)
-        assert sum(per.values()) == am.count_words(a, 50)[1]
+        assert am.ending_letter_counts(a, 2, am.count_words(a, 2)[0]) == {1: 2, 2: 2}
+        counts, total = am.count_words(a, 50)
+        per = am.ending_letter_counts(a, 50, counts)
+        assert sum(per.values()) == total
 
 
 class TestExports:

@@ -51,6 +51,16 @@ class TestMatrix:
         assert code == 0
         assert "agree" in out
 
+    @pytest.mark.parametrize("which", ["M", "R", "R-appendix"])
+    def test_check_builds_the_automaton_once(self, capsys, monkeypatch, which):
+        calls = []
+        build = am.build
+        monkeypatch.setattr(am, "build", lambda n: calls.append(n) or build(n))
+        code, out, _ = run(capsys, "matrix", "3", "--which", which, "--check")
+        assert code == 0
+        assert "agree" in out
+        assert calls == [3]
+
     def test_write_to_file(self, capsys, tmp_path):
         target = tmp_path / "m.mm"
         code, _, _ = run(capsys, "matrix", "2", "--out", str(target))
@@ -77,6 +87,17 @@ class TestCount:
         assert code == 0
         assert "ending-with a1 2" in out
         assert "ending-with a2 2" in out
+
+    def test_by_letter_of_the_empty_word(self, capsys):
+        code, out, _ = run(capsys, "count", "2", "0", "--by-letter")
+        assert code == 0
+        assert out.split("\n") == [
+            "total 1",
+            "per-state 1 0 0 0 0",
+            "ending-with a1 0",
+            "ending-with a2 0",
+            "",
+        ]
 
     def test_total_past_the_int_str_digit_cap(self, capsys):
         cap = sys.get_int_max_str_digits()

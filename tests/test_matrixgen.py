@@ -1,5 +1,8 @@
 """Direct matrix generator, canonical orderings, and cross-validation."""
 
+import hashlib
+from array import array
+
 import pytest
 
 from braidlex import automaton as am
@@ -8,6 +11,11 @@ from braidlex.configs import SegmentConfig
 from braidlex.errors import InternalConsistencyError
 
 R2_ENTRIES = {(0, 0), (0, 2), (1, 0), (2, 3), (3, 1), (3, 3)}
+
+
+def pairs(buf: array) -> list[tuple[int, int]]:
+    """The (row, col) pairs of a flat buffer filled by submatrix, sorted."""
+    return sorted(zip(buf[::2], buf[1::2]))
 
 
 class TestComputeH:
@@ -35,35 +43,35 @@ class TestComputeH:
 class TestSubmatrix:
     def test_j2_closed_fills_r2(self):
         counts = am.state_counts(2)
-        entries: set[tuple[int, int]] = set()
+        entries = array("q")
         mg.submatrix(entries, 2, mg.compute_H(1).values, 0, True, counts)
-        assert entries == R2_ENTRIES
+        assert pairs(entries) == sorted(R2_ENTRIES)
 
     def test_j1_closed_is_a_self_loop(self):
         counts = am.state_counts(1)
-        entries: set[tuple[int, int]] = set()
+        entries = array("q")
         mg.submatrix(entries, 1, (0,), 0, True, counts)
-        assert entries == {(0, 0)}
+        assert pairs(entries) == [(0, 0)]
 
     def test_j1_open_points_past_the_block(self):
         # the single state of a black-shifted size-1 block exits to the cell
         # right after it: s_1* + 1 in 1-based terms
         counts = am.state_counts(2)
-        entries: set[tuple[int, int]] = set()
+        entries = array("q")
         mg.submatrix(entries, 1, (0,), 0, False, counts)
-        assert entries == {(0, 1)}
+        assert pairs(entries) == [(0, 1)]
 
     def test_guard_on_nonpositive_size(self):
-        entries: set[tuple[int, int]] = set()
+        entries = array("q")
         mg.submatrix(entries, 0, (0,), 0, False, am.state_counts(1))
-        assert entries == set()
+        assert pairs(entries) == []
 
 
 class TestBuildRDirect:
     def test_n2(self):
         m = mg.build_R_direct(2)
         assert m.dim == 4
-        assert m.entries == frozenset(R2_ENTRIES)
+        assert set(map(tuple, m.entries.tolist())) == R2_ENTRIES
 
     def test_n1(self):
         assert mg.build_R_direct(1).to_dense() == [[1]]
@@ -125,11 +133,17 @@ class TestCanonicalOrdering:
         with pytest.raises(InternalConsistencyError):
             mg.canonical_ordering(broken)
 
+    def test_missing_config_is_reported_by_the_full_ordering(self, build_cached):
+        a = build_cached(2)
+        broken = am.Automaton(3, a.states, a.index, a.transitions, a.final_letters)
+        with pytest.raises(InternalConsistencyError):
+            mg.canonical_full_ordering(broken)
+
 
 class TestDiffAndExport:
     def test_diff_reports_both_directions(self):
-        a = am.SparseBooleanMatrix(2, frozenset({(0, 0)}))
-        b = am.SparseBooleanMatrix(2, frozenset({(1, 1)}))
+        a = am.SparseBooleanMatrix(2, [(0, 0)])
+        b = am.SparseBooleanMatrix(2, [(1, 1)])
         assert mg.diff_matrices(a, b) == [
             (0, 0, "only-in-first"),
             (1, 1, "only-in-second"),
@@ -144,6 +158,20 @@ class TestDiffAndExport:
         assert lines[1] == "4 4 6"
         assert lines[2] == "1 1 1"
         assert len(lines) == 2 + 6
+
+    def test_n9_matrix_market_digests(self, build_cached):
+        # pinned output: a change of matrix representation must keep the
+        # Matrix Market files byte-identical
+        def digest(m):
+            return hashlib.sha256(mg.to_matrix_market(m).encode()).hexdigest()
+
+        a = build_cached(9)
+        assert digest(mg.build_R_direct(9)) == (
+            "650f3147307d871025904120ad05e519880adea242338e69c4e10e242ba6b686"
+        )
+        assert digest(am.incidence_matrix(a, mg.canonical_full_ordering(a))) == (
+            "9ab1a12da89982a5f0944b11520b3bdf13e80aaf4c5501a118b9c8298ef69e3e"
+        )
 
     def test_csv(self):
         assert mg.to_csv(mg.build_R_direct(1)) == "1\n"
