@@ -350,24 +350,22 @@ def recurrent_matrix(a: Automaton, order: list[int] | None = None) -> SparseBool
 
 def count_words(a: Automaton, k: int) -> tuple[list[int], int]:
     """First row of M^k as exact integers: per-state counts of length-k
-    representatives ending at each state, plus their total."""
+    representatives ending at each state, plus their total.
+
+    Each step is the sparse product e_0 M^j -> e_0 M^(j+1) over the edge
+    arrays of incidence_matrix, on object vectors of Python ints.
+    """
     if k < 0:
         raise ValueError("k must be nonnegative")
     m = len(a.states)
-    n = a.n
-    counts = [0] * m
+    src, dst = _edges(a, list(range(m))).T
+    counts = np.zeros(m, dtype=object)
     counts[0] = 1
     for _ in range(k):
-        nxt = [0] * m
-        for s, c in enumerate(counts):
-            if not c:
-                continue
-            base = s * n
-            for r in range(n):
-                t = a.transitions[base + r]
-                if t >= 0:
-                    nxt[t] += c
+        nxt = np.zeros(m, dtype=object)
+        np.add.at(nxt, dst, counts[src])
         counts = nxt
+    counts = counts.tolist()
     return counts, sum(counts)
 
 
@@ -386,6 +384,13 @@ def ending_letter_counts(a: Automaton, k: int, counts: list[int]) -> dict[int, i
 # exports
 # ---------------------------------------------------------------------------
 
+def _arrows(a: Automaton) -> list[tuple[int, int, int]]:
+    """Every transition as (source, letter, target), sources ascending, then
+    letters.  The letter of an arrow is its target's final letter."""
+    src, dst = _edges(a, list(range(len(a.states)))).T.tolist()
+    return [(s, a.final_letters[t], t) for s, t in zip(src, dst)]
+
+
 def to_json(a: Automaton) -> str:
     doc = {
         "n": a.n,
@@ -400,12 +405,7 @@ def to_json(a: Automaton) -> str:
             }
             for c in a.states
         ],
-        "transitions": [
-            [s, r, a.target(s, r)]
-            for s in range(len(a.states))
-            for r in range(1, a.n + 1)
-            if a.target(s, r) >= 0
-        ],
+        "transitions": _arrows(a),
     }
     return json.dumps(doc, indent=2)
 
@@ -415,10 +415,7 @@ def to_dot(a: Automaton) -> str:
     for s, c in enumerate(a.states):
         shape = "doublecircle" if s == 0 else "circle"
         lines.append(f'  q{s} [label="{c}" shape={shape}];')
-    for s in range(len(a.states)):
-        for r in range(1, a.n + 1):
-            t = a.target(s, r)
-            if t >= 0:
-                lines.append(f'  q{s} -> q{t} [label="a{r}"];')
+    for s, r, t in _arrows(a):
+        lines.append(f'  q{s} -> q{t} [label="a{r}"];')
     lines.append("}")
     return "\n".join(lines)

@@ -46,6 +46,15 @@ GROWTH_RATE_CEILING = 3.233637
 P1_FLOOR = 1 / 8
 #: Uniform lower bound for the proportion ending at the state (1,1,1,{}).
 P_STATE_FLOOR = 1 / 32
+#: The proved bounds that bound_report checks, by name, in its order.
+BOUNDS = (
+    "P_1 > 1/8",
+    "P_a1 > 1/32",
+    f"lambda < {GROWTH_RATE_CEILING}",
+    "P_1 = lambda * P_a1",
+    "lambda strictly increasing",
+    "P_1 strictly decreasing",
+)
 
 DEFAULT_TOL = 1e-13
 DEFAULT_MAX_ITER = 100_000
@@ -189,41 +198,23 @@ def analyze(
     return SpectralAnalysis(a.n, res, proportions(a, res))
 
 
-@dataclass
-class BoundReport:
-    rows: list[GrowthRow]
-    checks: list[tuple[str, bool]]
-
-    @property
-    def all_ok(self) -> bool:
-        return all(ok for _, ok in self.checks)
-
-
-def bound_report(rows: list[GrowthRow], product_tol: float = 1e-10) -> BoundReport:
+def bound_report(rows: list[GrowthRow], product_tol: float = 1e-10) -> None:
     """Verify the proved bounds on consecutive growth rows; raise
     BoundViolationError naming the first failing bound."""
+    p1_floor, pa1_floor, ceiling, product, increasing, decreasing = BOUNDS
     rows = sorted(rows, key=lambda r: r.n)
     for row in rows:
         if not row.p_1 > P1_FLOOR:
-            raise BoundViolationError("P_1 > 1/8", row.n, row.p_1)
+            raise BoundViolationError(p1_floor, row.n, row.p_1)
         if not row.p_a1 > P_STATE_FLOOR:
-            raise BoundViolationError("P_a1 > 1/32", row.n, row.p_a1)
+            raise BoundViolationError(pa1_floor, row.n, row.p_a1)
         if not row.lam < GROWTH_RATE_CEILING:
-            raise BoundViolationError(f"lambda < {GROWTH_RATE_CEILING}", row.n, row.lam)
+            raise BoundViolationError(ceiling, row.n, row.lam)
         if abs(row.p_1 - row.lam * row.p_a1) > product_tol:
-            raise BoundViolationError("P_1 = lambda * P_a1", row.n, row.p_1 - row.lam * row.p_a1)
+            raise BoundViolationError(product, row.n, row.p_1 - row.lam * row.p_a1)
     for prev, cur in zip(rows, rows[1:]):
         if cur.n == prev.n + 1:
             if not cur.lam > prev.lam:
-                raise BoundViolationError("lambda strictly increasing", cur.n, cur.lam)
+                raise BoundViolationError(increasing, cur.n, cur.lam)
             if not cur.p_1 < prev.p_1:
-                raise BoundViolationError("P_1 strictly decreasing", cur.n, cur.p_1)
-    checks = [
-        ("P_1 > 1/8", True),
-        ("P_a1 > 1/32", True),
-        (f"lambda < {GROWTH_RATE_CEILING}", True),
-        ("P_1 = lambda * P_a1", True),
-        ("lambda strictly increasing", True),
-        ("P_1 strictly decreasing", True),
-    ]
-    return BoundReport(rows, checks)
+                raise BoundViolationError(decreasing, cur.n, cur.p_1)

@@ -1,6 +1,7 @@
 """Automaton construction, matrices, and exact counting."""
 
 import dataclasses
+import hashlib
 import json
 
 import pytest
@@ -289,3 +290,12 @@ class TestExports:
         assert dot.startswith("digraph")
         assert dot.count("->") == 8
         assert '[label="a1"]' in dot
+
+    @pytest.mark.parametrize("export, digest", [
+        (am.to_json, "f89d5081911cb2a10cdd2c47fd95908f05a2889a2fd9d6cc5b568d6c74dc3e1c"),
+        (am.to_dot, "2cbafe8a45ff0e3bb0f7f4426db229db1de0bc8c903d3863bea2f1982017dc9f"),
+    ])
+    def test_n7_text_is_pinned(self, build_cached, export, digest):
+        # sha256 of the text the per-(state, letter) target loops wrote
+        text = export(build_cached(7))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest

@@ -1,5 +1,6 @@
 """Command-line surface: outputs, formats, exit codes."""
 
+import hashlib
 import json
 import sys
 
@@ -7,6 +8,8 @@ import pytest
 
 from braidlex import automaton as am
 from braidlex import cli
+from braidlex import matrixgen as mg
+from braidlex import spectral as sp
 from braidlex.configs import SegmentConfig
 
 
@@ -53,13 +56,20 @@ class TestMatrix:
 
     @pytest.mark.parametrize("which", ["M", "R", "R-appendix"])
     def test_check_builds_the_automaton_once(self, capsys, monkeypatch, which):
-        calls = []
-        build = am.build
-        monkeypatch.setattr(am, "build", lambda n: calls.append(n) or build(n))
-        code, out, _ = run(capsys, "matrix", "3", "--which", which, "--check")
+        # ... and each matrix of the diff once: --check reuses the one it emits
+        calls = {"build": 0, "recurrent_states": 0, "build_R_direct": 0}
+        for module, name in ((am, "build"), (am, "recurrent_states"), (mg, "build_R_direct")):
+            fn = getattr(module, name)
+
+            def counted(*args, fn=fn, name=name):
+                calls[name] += 1
+                return fn(*args)
+
+            monkeypatch.setattr(module, name, counted)
+        code, out, _ = run(capsys, "matrix", "6", "--which", which, "--check")
         assert code == 0
         assert "agree" in out
-        assert calls == [3]
+        assert calls == {"build": 1, "recurrent_states": 1, "build_R_direct": 1}
 
     def test_write_to_file(self, capsys, tmp_path):
         target = tmp_path / "m.mm"
@@ -98,6 +108,18 @@ class TestCount:
             "ending-with a2 0",
             "",
         ]
+
+    @pytest.mark.parametrize("argv, digest", [
+        (("count", "9", "400", "--by-letter"),
+         "75e62989b9fc494a971200e72c53b58da862c1077948783269e2e795ec0760f0"),
+        (("count", "3", "14000"),
+         "7f66ff8f92a075cd4956abfc9c96a7583d7692ca609e46637b553010f92d121b"),
+    ])
+    def test_output_is_pinned(self, capsys, argv, digest):
+        # sha256 of the output of the pure-Python state-by-state loop
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_total_past_the_int_str_digit_cap(self, capsys):
         cap = sys.get_int_max_str_digits()
@@ -144,6 +166,13 @@ class TestTable:
         assert abs(float(lines[1].split()[1]) - 1.618033988749895) < 1e-12
         assert sum(1 for line in lines if line.startswith("bound")) == 6
         assert all(line.endswith("ok") for line in lines if line.startswith("bound"))
+
+    def test_bound_violation_exit_code(self, capsys, monkeypatch):
+        monkeypatch.setattr(sp, "GROWTH_RATE_CEILING", 2.0)
+        code, out, err = run(capsys, "table", "--from", "2", "--to", "3")
+        assert code == 5
+        assert "bound lambda < " in err and "violated at n=3" in err
+        assert "bound" not in out
 
 
 class TestVerify:

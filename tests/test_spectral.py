@@ -127,7 +127,7 @@ class TestResolvent:
 class TestBoundReport:
     def test_accepts_good_rows(self, build_cached):
         rows = [sp.analyze(build_cached(n)).row for n in (2, 3, 4)]
-        assert sp.bound_report(rows).all_ok
+        sp.bound_report(rows)  # raises BoundViolationError on a failing bound
 
     def test_rejects_small_p1(self):
         rows = [sp.GrowthRow(2, 1.618033988749895, 0.3090169943749474, 0.5),
