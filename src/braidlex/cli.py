@@ -25,6 +25,9 @@ EXIT_NO_CONVERGENCE = 4
 EXIT_VERIFY_FAILED = 5
 EXIT_BAD_INPUT = 6
 
+# dense CSV peaks at about 9.5 bytes per cell: 2^27 cells is about 1.3 GB
+CSV_CELL_BUDGET = 1 << 27
+
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
@@ -92,6 +95,11 @@ def cmd_states(args) -> int:
 
 def cmd_matrix(args) -> int:
     n = args.n
+    if args.format == "csv":
+        dim = am.state_count_formula(n) if args.which == "M" else am.state_counts(n).s_star[n]
+        if dim * dim > CSV_CELL_BUDGET:
+            raise ValueError(f"--format csv of a {dim}x{dim} matrix is past the "
+                             f"budget of {CSV_CELL_BUDGET} cells; use --format mm")
     a = am.build(n) if args.which != "R-appendix" or args.check else None
     if args.which == "M":
         m = am.incidence_matrix(a, mg.canonical_full_ordering(a))

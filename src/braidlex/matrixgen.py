@@ -23,7 +23,6 @@ n-1 (the transient states) before the recurrent block.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
 from math import comb
 from typing import Sequence
 
@@ -34,17 +33,11 @@ from .configs import SegmentConfig, shift, shift_black
 from .errors import InternalConsistencyError
 
 
-@dataclass(frozen=True)
-class HVector:
+def compute_H(j: int, counts: StateCounts | None = None) -> tuple[int, ...]:
     """Positions (0-based offsets from a block's anchor state) of the source
-    states of the horizontal arrows between consecutive embedded blocks."""
+    states of the horizontal arrows between consecutive embedded blocks.
 
-    j: int
-    values: tuple[int, ...]
-
-
-def compute_H(j: int, counts: StateCounts | None = None) -> HVector:
-    """H(1) = [0]; H(m) = H(m-1) concatenated with H(m-1) + x_m, where
+    H(1) = [0]; H(m) = H(m-1) concatenated with H(m-1) + x_m, where
     x_m = s*_m - s*_{m-1} - m.  Length 2^(j-1)."""
     if j < 1:
         raise ValueError("j must be positive")
@@ -55,7 +48,7 @@ def compute_H(j: int, counts: StateCounts | None = None) -> HVector:
     for m in range(2, j + 1):
         x = ss[m] - ss[m - 1] - m
         h += [e + x for e in h]
-    return HVector(j, tuple(h))
+    return tuple(h)
 
 
 def submatrix(
@@ -125,7 +118,7 @@ def build_R_direct(n: int) -> SparseBooleanMatrix:
     counts = state_counts(n)
     H = compute_H(max(1, n - 1), counts)
     entries = array("q")
-    submatrix(entries, n, H.values, 0, True, counts)
+    submatrix(entries, n, H, 0, True, counts)
     return SparseBooleanMatrix(counts.s_star[n], np.frombuffer(entries, dtype=np.int64))
 
 
@@ -206,16 +199,6 @@ def diff_matrices(
     pairs, at, seen = np.unique(both, axis=0, return_index=True, return_counts=True)
     once = seen == 1
     return [(p, q, s) for (p, q), s in zip(pairs[once].tolist(), side[at[once]].tolist())]
-
-
-def crosscheck_generated(a: Automaton) -> list[tuple[int, int, str]]:
-    """Diff of the directly generated matrix against the BFS recurrent matrix
-    under the canonical ordering (direct first, BFS second)."""
-    from .automaton import recurrent_matrix
-
-    direct = build_R_direct(a.n)
-    bfs = recurrent_matrix(a, canonical_ordering(a))
-    return diff_matrices(direct, bfs)
 
 
 def to_matrix_market(m: SparseBooleanMatrix) -> str:

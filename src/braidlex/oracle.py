@@ -7,9 +7,10 @@ Everything here works straight from the defining relations
 
 with no automaton knowledge: equivalence classes by closure under single
 rewrites, the maximal lexicographic representative as the plain maximum of
-the class, prefix order by exhaustive search, and minimal forbidden prefixes
-by candidate enumeration.  Deliberately desk-scale; it exists to validate
-the rest of the package.
+the class, prefix order and the max-lex test by right subword reversing
+(Dehornoy, "Complete positive group presentations", J. Algebra 268, 2003;
+Garside 1969), and minimal forbidden prefixes by candidate enumeration.
+Deliberately desk-scale; it exists to validate the rest of the package.
 
 Words are tuples of generator indices at the API; the hot loops run on
 ``bytes`` (letters fit in one byte and bytes compare lexicographically).
@@ -59,24 +60,36 @@ def _closure(w: bytes) -> frozenset[bytes]:
     return frozenset(seen)
 
 
-@lru_cache(maxsize=1 << 18)
-def _closure_cached(w: bytes) -> frozenset[bytes]:
-    return _closure(w)
+def _quotient(x: int, w: bytes) -> bytes | None:
+    """A word for a_x^-1 w, or None when a_x does not left-divide w.  Right
+    reversing: x^-1 x -> e, x^-1 y -> y x^-1 if |x - y| > 1, else y x y^-1 x^-1."""
+    for p, y in enumerate(w):
+        if y == x:
+            return w[:p] + w[p + 1:]
+        if y == x - 1 or y == x + 1:
+            q = _quotient(x, w[p + 1:])
+            if q is not None:
+                q = _quotient(y, q)
+            return None if q is None else w[:p] + bytes((y, x)) + q
+    return None
+
+
+def _divides(u: bytes, w: bytes) -> bool:
+    """True iff the braid of u left-divides the braid of w."""
+    for x in u:
+        w = _quotient(x, w)
+        if w is None:
+            return False
+    return True
 
 
 def _exceeds(w: bytes) -> bool:
-    """True iff some word equivalent to w is lexicographically greater."""
-    seen = {w}
-    stack = [w]
-    while stack:
-        u = stack.pop()
-        for v in _rewrites(u):
-            if v not in seen:
-                if v > w:
-                    return True
-                seen.add(v)
-                stack.append(v)
-    return False
+    """True iff some word equivalent to w is lexicographically greater, that
+    is (the monoid is cancellative) some letter r > w[i] left-divides w[i:]."""
+    return any(
+        _quotient(r, w[i:]) is not None
+        for i in range(len(w) - 1) for r in set(w[i + 1:]) if r > w[i]
+    )
 
 
 def equivalence_class(w: Iterable[int], n: int) -> frozenset[Word]:
@@ -122,15 +135,7 @@ def is_prefix(w1: Iterable[int], w2: Iterable[int], n: int) -> bool:
     """True iff the braid of w1 left-divides the braid of w2."""
     w1 = check_word(w1, n)
     w2 = check_word(w2, n)
-    if len(w1) > len(w2):
-        return False
-    return _is_prefix_bytes(bytes(w1), bytes(w2))
-
-
-def _is_prefix_bytes(b1: bytes, b2: bytes) -> bool:
-    cls1 = _closure_cached(b1)
-    m = len(b1)
-    return any(u[:m] in cls1 for u in _closure_cached(b2))
+    return _divides(bytes(w1), bytes(w2))
 
 
 def _is_run_or_pair(v: bytes) -> bool:
@@ -154,7 +159,7 @@ def minimal_forbidden_prefixes(w: Iterable[int], n: int) -> frozenset[Word]:
     found: list[bytes] = []
     for ell in range(1, n + 2):
         for v in sorted(_language_bytes(n, ell)):
-            if any(_is_prefix_bytes(f, v) for f in found):
+            if any(_divides(f, v) for f in found):
                 continue
             if _exceeds(big + v):
                 found.append(v)

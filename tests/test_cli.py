@@ -2,7 +2,10 @@
 
 import hashlib
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -13,10 +16,25 @@ from braidlex import spectral as sp
 from braidlex.configs import SegmentConfig
 
 
+ROOT = Path(__file__).resolve().parent.parent
+
+
 def run(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def test_import_leaves_csgraph_unloaded():
+    # every command's start-up time pays for what `import braidlex.cli` loads;
+    # csgraph is imported inside the two functions that use it
+    probe = "import sys, braidlex.cli; print('scipy.sparse.csgraph' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
 
 
 class TestStates:
@@ -70,6 +88,20 @@ class TestMatrix:
         assert code == 0
         assert "agree" in out
         assert calls == {"build": 1, "recurrent_states": 1, "build_R_direct": 1}
+
+    @pytest.mark.parametrize("n, which", [("11", "R"), ("10", "M"), ("10", "R-appendix")])
+    def test_dense_csv_past_the_cell_budget_refuses_before_building(
+        self, capsys, monkeypatch, n, which
+    ):
+        def never(*args, **kwargs):
+            raise AssertionError("built a matrix past the CSV cell budget")
+
+        monkeypatch.setattr(am, "build", never)
+        monkeypatch.setattr(mg, "build_R_direct", never)
+        code, out, err = run(capsys, "matrix", n, "--which", which, "--format", "csv")
+        assert code == 6
+        assert out == ""
+        assert f"budget of {cli.CSV_CELL_BUDGET} cells" in err
 
     def test_write_to_file(self, capsys, tmp_path):
         target = tmp_path / "m.mm"

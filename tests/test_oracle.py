@@ -1,5 +1,6 @@
 """Brute-force monoid operations: worked values and defining properties."""
 
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -69,6 +70,12 @@ class TestEnumerateLanguage:
             assert oracle.is_representative(m[cut:], 3)
 
 
+def closure_prefix(u, w, classes):
+    """Reference prefix test from the definition: some word of the class of w
+    starts with a word of the class of u."""
+    return any(v[: len(u)] in classes[u] for v in classes[w])
+
+
 class TestIsPrefix:
     def test_literal_prefix(self):
         assert oracle.is_prefix((1,), (1, 2, 1), 2)
@@ -79,6 +86,47 @@ class TestIsPrefix:
 
     def test_non_prefix(self):
         assert not oracle.is_prefix((2, 2), (1, 2, 1), 2)
+
+    def test_through_the_adjacent_rule(self):
+        # x^-1 y reverses to y x y^-1 x^-1 when |x - y| = 1
+        assert oracle.is_prefix((2, 1), (1, 2, 1), 2)
+        assert not oracle.is_prefix((1, 2), (2, 1), 2)
+        assert not oracle.is_prefix((1,), (2, 1, 1), 2)
+        assert oracle.is_prefix((2, 3), (3, 2, 1, 3, 2), 3)
+
+    def test_through_commuting_letters(self):
+        assert oracle.is_prefix((3,), (1, 3), 3)
+        assert not oracle.is_prefix((3, 1), (1, 2, 3, 1), 3)
+        assert oracle.is_prefix((3, 1, 1), (1, 1, 3), 3)
+
+    def test_longer_word_is_never_a_prefix(self):
+        assert not oracle.is_prefix((1, 1), (1,), 1)
+        assert not oracle.is_prefix((1,), (), 1)
+
+    @pytest.mark.parametrize("n, max_len", [(2, 6), (3, 5), (4, 4)])
+    def test_agrees_with_the_closure_definition(self, n, max_len):
+        reps = [w for k in range(max_len + 1) for w in oracle.enumerate_language(n, k)]
+        classes = {w: oracle.equivalence_class(w, n) for w in reps}
+        for u in reps:
+            for w in reps:
+                if len(u) <= len(w):
+                    assert oracle.is_prefix(u, w, n) == closure_prefix(u, w, classes), (u, w)
+
+
+class TestIsRepresentative:
+    def test_worked_values(self):
+        assert not oracle.is_representative((1, 2, 1), 2)
+        assert oracle.is_representative((2, 1, 2), 2)
+        assert not oracle.is_representative((1, 3), 3)
+        assert oracle.is_representative((3, 1), 3)
+        # the suffix a_2 a_3 a_2 = a_3 a_2 a_3 starts with the larger a_3
+        assert not oracle.is_representative((1, 2, 3, 2), 3)
+
+    @pytest.mark.parametrize("n, max_len", [(1, 8), (2, 8), (3, 7), (4, 6)])
+    def test_iff_max_lex_is_itself(self, n, max_len):
+        for k in range(max_len + 1):
+            for w in product(range(1, n + 1), repeat=k):
+                assert oracle.is_representative(w, n) == (oracle.max_lex(w, n) == w), w
 
 
 class TestMinimalForbiddenPrefixes:
