@@ -16,13 +16,7 @@ from math import comb
 import numpy as np
 from scipy.sparse import csr_matrix
 
-from .configs import (
-    SegmentConfig,
-    _apply,
-    _marks,
-    final_letter,
-    initial_config,
-)
+from .configs import SegmentConfig, final_letter, initial_config, successors
 from .errors import BraidWordError, BuildLimitError, InternalConsistencyError
 
 DEFAULT_BUILD_LIMIT = 14
@@ -125,22 +119,19 @@ def build(n: int, max_n: int | None = None) -> Automaton:
     transitions: list[int] = []
     qi = 0
     while qi < len(states):
-        c = states[qi]
-        blacks, segs = _marks(c, n)
-        square = c.j
-        base = len(transitions)
-        transitions.extend([-1] * n)
-        for r in range(1, n + 1):
-            if r in blacks:
-                continue
-            t = _apply(blacks, segs, square, r, n)
+        row = [-1] * n
+        # targets are plain tuples; the index finds their SegmentConfig key
+        # by tuple hashing and equality, so only new states are wrapped
+        for r, t in successors(states[qi], n):
             ti = index.get(t)
             if ti is None:
                 ti = len(states)
+                t = SegmentConfig._make(t)
                 index[t] = ti
                 states.append(t)
-                finals.append(t.j)
-            transitions[base + r - 1] = ti
+                finals.append(r)
+            row[r - 1] = ti
+        transitions.extend(row)
         qi += 1
     expected = state_count_formula(n)
     if len(states) != expected:

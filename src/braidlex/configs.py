@@ -13,13 +13,17 @@ S holds the segments whose left endpoint lies left of the square; k records
 what sits immediately right of the square (black circle, segment end, or
 nothing).  The two-letter element a_{j+1} a_j is implicit in (j, k) and is
 never drawn.
+
+``successors(c, n)`` is the one letter-transition rule: every permitted
+letter with its target.  ``transition``, ``permitted_letters`` and the BFS
+of ``automaton.build`` all read it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .errors import (
     ConfigError,
@@ -32,8 +36,10 @@ Segment = tuple[int, int]
 Word = tuple[int, ...]
 
 
-@dataclass(frozen=True, order=True)
-class SegmentConfig:
+class SegmentConfig(NamedTuple):
+    """Hashed, compared and ordered as the plain tuple (i, j, k, segments),
+    so a dict keyed by configurations also finds a plain tuple."""
+
     i: int
     j: int
     k: int
@@ -118,7 +124,7 @@ def final_letter(c: SegmentConfig) -> int:
 
 
 # ---------------------------------------------------------------------------
-# diagram marks and the letter-transition rules
+# diagram marks and the letter-transition rule
 # ---------------------------------------------------------------------------
 
 def _marks(c: SegmentConfig, n: int) -> tuple[set[int], list[Segment]]:
@@ -158,47 +164,51 @@ def _parse(n: int, square: int, blacks: set[int], segs: list[Segment]) -> Segmen
     return SegmentConfig(i, square, k, s_left)
 
 
-def _apply(blacks: set[int], segs: list[Segment], square: int, r: int, n: int) -> SegmentConfig:
-    """Read letter r from the diagram (square, blacks, segs); r must be permitted.
+def successors(c: SegmentConfig, n: int) -> list[tuple[int, tuple]]:
+    """(r, target) for every permitted letter r, ascending, each target a
+    plain (i, j, k, segments) tuple.
 
-    A black circle at r-1 is the degenerate run [r-1, r-1] and extends to
-    [r-1, r], exactly as a segment ending at r-1 does.
+    The permitted letters are 1..i-1, the segment starts, j, and j+1 unless
+    it is black (k = j+1) or past n.  Reading r moves the square to r:
+
+      * r < i goes to (r, r, r, {}), whatever c is;
+      * otherwise i stays, the segments starting left of r stay, and a black
+        circle at r-1 (the degenerate run [r-1, r-1]) becomes the run
+        [r-1, r];
+      * r at a segment start [r, q] drops that segment and the later ones,
+        and [r, q] becomes what sits right of the new square: k = q;
+      * r = j keeps every segment, with nothing right of the square: k = j;
+      * r = j+1 extends the segments ending at the square to j+1, and
+        k becomes max(k, j+1).
     """
-    nb = {p for p in blacks if p < r - 1}
-    ns: list[Segment] = []
-    for p, q in segs:
-        if q == r - 1:
-            ns.append((p, r))
-        elif p < r <= q:
-            ns.append((p, q))
-        elif p == r:
-            if r + 1 < q:
-                ns.append((r + 1, q))
-            else:
-                nb.add(q)
-    if r - 1 in blacks:
-        ns.append((r - 1, r))
-    if square == r - 1:
-        nb.add(r - 1)
-    if r + 2 <= n:
-        nb.update(range(r + 2, n + 1))
-    return _parse(n, r, nb, ns)
+    i, j, k, segs = c
+    out: list[tuple[int, tuple]] = [(r, (r, r, r, ())) for r in range(1, i)]
+    last = i - 1  # the previous segment start; cell r-1 is black iff last < r-1
+    for m, (p, q) in enumerate(segs):
+        left = segs[:m] + ((p - 1, p),) if last < p - 1 else segs[:m]
+        out.append((p, (i, p, q, left)))
+        last = p
+    left = segs + ((j - 1, j),) if last < j - 1 else segs
+    out.append((j, (i, j, j, left)))
+    if j < n and k != j + 1:
+        grown = tuple((p, max(q, j + 1)) for p, q in segs)
+        out.append((j + 1, (i, j + 1, max(k, j + 1), grown)))
+    return out
 
 
 def permitted_letters(c: SegmentConfig, n: int) -> set[int]:
     """Letters with no black circle, i.e. single letters not in psi(c, n)."""
-    blacks, _ = _marks(c, n)
-    return set(range(1, n + 1)) - blacks
+    return {r for r, _ in successors(c, n)}
 
 
 def transition(c: SegmentConfig, r: int, n: int) -> SegmentConfig:
     """Target configuration after reading the permitted letter r."""
     if not 1 <= r <= n:
         raise ForbiddenLetterError(f"letter {r} outside alphabet 1..{n}")
-    blacks, segs = _marks(c, n)
-    if r in blacks:
-        raise ForbiddenLetterError(f"letter {r} is forbidden at {c}")
-    return _apply(blacks, segs, c.j, r, n)
+    for letter, t in successors(c, n):
+        if letter == r:
+            return SegmentConfig._make(t)
+    raise ForbiddenLetterError(f"letter {r} is forbidden at {c}")
 
 
 # ---------------------------------------------------------------------------

@@ -137,27 +137,34 @@ def _bar_embed(c: SegmentConfig, i: int) -> SegmentConfig:
     )
 
 
+def _star_levels(n: int) -> list[list[SegmentConfig]]:
+    """Canonical recurrent orderings of every size 0..n, built bottom-up:
+    each level reuses the smaller levels instead of recomputing them."""
+    levels: list[list[SegmentConfig]] = [[]]
+    for m in range(1, n + 1):
+        out = [SegmentConfig(1, 1, k, ()) for k in range(1, m + 1)]
+        out.extend(shift_black(c, m) for c in levels[m - 1])
+        for i in range(1, m):
+            out.extend(_bar_embed(c, i) for c in levels[i])
+            out.extend(
+                SegmentConfig(1, i + 1, k, ((1, i + 1),)) for k in range(i + 2, m + 1)
+            )
+        levels.append(out)
+    return levels
+
+
 def canonical_star_configs(m: int) -> list[SegmentConfig]:
     """Recurrent states of the size-m automaton in canonical order."""
-    if m < 1:
-        return []
-    out = [SegmentConfig(1, 1, k, ()) for k in range(1, m + 1)]
-    out.extend(shift_black(c, m) for c in canonical_star_configs(m - 1))
-    for i in range(1, m):
-        out.extend(_bar_embed(c, i) for c in canonical_star_configs(i))
-        out.extend(
-            SegmentConfig(1, i + 1, k, ((1, i + 1),)) for k in range(i + 2, m + 1)
-        )
-    return out
+    return _star_levels(m)[m] if m >= 1 else []
 
 
 def canonical_full_configs(n: int) -> list[SegmentConfig]:
     """All states in canonical order: white-shifted size-(n-1) ordering (the
     transient copy) followed by the recurrent block."""
-    if n < 1:
-        return []
-    out = [shift(c, n) for c in canonical_full_configs(n - 1)]
-    out.extend(canonical_star_configs(n))
+    out: list[SegmentConfig] = []
+    for m, level in enumerate(_star_levels(n)[1:], start=1):
+        out = [shift(c, m) for c in out]
+        out.extend(level)
     return out
 
 

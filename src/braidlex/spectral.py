@@ -10,6 +10,7 @@ and strictly dominant.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -126,15 +127,14 @@ def proportions(a: Automaton, r: SpectralResult) -> ProportionReport:
     if len(rec) != len(r.v):
         raise ValueError("spectral result does not match the recurrent block")
     per = [0.0] * a.n
-    t11 = None
-    t11_config = SegmentConfig(1, 1, 1, ())
     for row, s in enumerate(rec):
         per[a.final_letters[s] - 1] += float(r.v[row])
-        if a.states[s] == t11_config:
-            t11 = float(r.v[row])
-    if t11 is None:
+    # rec is ascending, so the row of t11 is found by bisection
+    t11 = a.index.get(SegmentConfig(1, 1, 1, ()), -1)
+    row = bisect_left(rec, t11)
+    if row == len(rec) or rec[row] != t11:
         raise ValueError("state (1,1,1,{}) not found among recurrent states")
-    return ProportionReport(a.n, tuple(per), t11)
+    return ProportionReport(a.n, tuple(per), float(r.v[row]))
 
 
 def resolvent_nonneg_check(R: SparseBooleanMatrix, lam: float, term_tol: float = 1e-14) -> bool:

@@ -71,6 +71,31 @@ class TestBuild:
             am.build(15)
         assert len(am.build(3, max_n=3)) == 18
 
+    # sha256 of the BFS transition table and of the states in insertion
+    # order; export, a.index and `matrix --which M` rely on this order
+    BFS_DIGESTS = {
+        9: (
+            "6f306daeb766d328bcfbeb1ddd51b38537c54159eb8d21812322881ed3203b91",
+            "6cc6c8c8449baaafff54da127e69fa1e98390ad8e260efc676cfc1bd0fde9888",
+        ),
+        10: (
+            "d1d8e76d4fe49749f10a36bcad71dd0f17a44ea562fc13777fd2ee35f6f097f8",
+            "902b0ebf7b18b32205492e881ea04b39eeec8561b3f06586b859b49fac17d5c5",
+        ),
+    }
+
+    @pytest.mark.parametrize("n", sorted(BFS_DIGESTS))
+    def test_bfs_order_is_pinned(self, build_cached, n):
+        a = build_cached(n)
+        transitions = ",".join(map(str, a.transitions))
+        states = "\n".join(map(str, a.states))
+        assert (
+            hashlib.sha256(transitions.encode()).hexdigest(),
+            hashlib.sha256(states.encode()).hexdigest(),
+        ) == self.BFS_DIGESTS[n]
+        assert all(type(c) is SegmentConfig for c in a.states)
+        assert all(a.index[c] == s for s, c in enumerate(a.states))
+
     def test_single_incoming_label(self, build_cached):
         for n in (2, 3, 4, 5):
             a = build_cached(n)

@@ -15,6 +15,72 @@ from braidlex.errors import (
 # exhaustive scale for the checks below; 161 configs at n=5
 EXHAUSTIVE_N = 5
 EXPECTED_COUNTS = {1: 1, 2: 5, 3: 18, 4: 56, 5: 161}
+# exhaustive scale for the fused rule against the reference; 3,156 at n=8
+SUCCESSORS_N = 8
+
+
+def ref_apply(blacks, segs, square, r, n):
+    """Reference letter rule on the explicit diagram (square, blacks, segs),
+    the set-based form that configs.successors fuses; r must be permitted.
+
+    A black circle at r-1 is the degenerate run [r-1, r-1] and extends to
+    [r-1, r], exactly as a segment ending at r-1 does.
+    """
+    nb = {p for p in blacks if p < r - 1}
+    ns = []
+    for p, q in segs:
+        if q == r - 1:
+            ns.append((p, r))
+        elif p < r <= q:
+            ns.append((p, q))
+        elif p == r:
+            if r + 1 < q:
+                ns.append((r + 1, q))
+            else:
+                nb.add(q)
+    if r - 1 in blacks:
+        ns.append((r - 1, r))
+    if square == r - 1:
+        nb.add(r - 1)
+    if r + 2 <= n:
+        nb.update(range(r + 2, n + 1))
+    return cf._parse(n, r, nb, ns)
+
+
+class TestSegmentConfig:
+    WORKED = [
+        (SegmentConfig(1, 2, 3, ((1, 2),)), "(1,2,3,{[1-2]})"),
+        (SegmentConfig(2, 2, 2), "(2,2,2,{})"),
+        (SegmentConfig(1, 3, 4, ((1, 4), (2, 3))), "(1,3,4,{[1-4];[2-3]})"),
+    ]
+
+    def test_hash_is_the_field_tuple_hash(self):
+        for c in cf.all_configs(4):
+            assert hash(c) == hash((c.i, c.j, c.k, c.segments))
+
+    def test_str_and_repr(self):
+        for c, text in self.WORKED:
+            assert str(c) == text
+        assert repr(self.WORKED[0][0]) == "SegmentConfig(i=1, j=2, k=3, segments=((1, 2),))"
+        assert repr(self.WORKED[1][0]) == "SegmentConfig(i=2, j=2, k=2, segments=())"
+
+    def test_sorted_by_the_field_tuple(self):
+        configs = list(cf.all_configs(5))[::-1]
+        assert sorted(configs) == sorted(
+            configs, key=lambda c: (c.i, c.j, c.k, c.segments)
+        )
+
+    def test_immutable(self):
+        c = SegmentConfig(1, 1, 1)
+        with pytest.raises(AttributeError):
+            c.i = 2
+
+    def test_segments_default_to_empty(self):
+        assert SegmentConfig(1, 1, 1).segments == ()
+
+    def test_a_plain_tuple_finds_the_config_key(self):
+        index = {SegmentConfig(1, 2, 2, ((1, 2),)): 7}
+        assert index[(1, 2, 2, ((1, 2),))] == 7
 
 
 class TestValidate:
@@ -121,12 +187,26 @@ class TestTransition:
         assert cf.transition(SegmentConfig(1, 2, 2), 2, 2) == SegmentConfig(
             1, 2, 2, ((1, 2),)
         )
+        assert type(cf.transition(SegmentConfig(1, 2, 2), 2, 2)) is SegmentConfig
 
     def test_forbidden_letter_raises(self):
         with pytest.raises(ForbiddenLetterError):
             cf.transition(SegmentConfig(1, 2, 2), 1, 2)
         with pytest.raises(ForbiddenLetterError):
             cf.transition(SegmentConfig(2, 2, 2), 3, 2)
+
+    def test_successors_match_the_reference_rule(self):
+        for n in range(1, SUCCESSORS_N + 1):
+            for c in cf.all_configs(n):
+                blacks, segs = cf._marks(c, n)
+                permitted = set(range(1, n + 1)) - blacks
+                expected = [
+                    (r, ref_apply(blacks, segs, c.j, r, n)) for r in sorted(permitted)
+                ]
+                assert cf.successors(c, n) == expected, c
+                for r in blacks | {0, n + 1}:
+                    with pytest.raises(ForbiddenLetterError):
+                        cf.transition(c, r, n)
 
     def test_closure_and_final_letter(self):
         for n in range(1, EXHAUSTIVE_N + 1):

@@ -1,5 +1,6 @@
 """Perron-Frobenius analysis: eigenvalues, proportions, bounds."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -69,6 +70,12 @@ class TestProportions:
         assert rep.per_letter == pytest.approx((0.5, 0.5), abs=1e-12)
         # exact value is 1/(2 phi)
         assert abs(rep.p_state_t11 - 1 / (2 * PHI)) < 1e-12
+
+    def test_t11_missing_from_the_index_is_reported(self, build_cached):
+        a = build_cached(3)
+        res = sp.perron(am.recurrent_matrix(a))
+        with pytest.raises(ValueError, match=r"\(1,1,1,\{\}\)"):
+            sp.proportions(dataclasses.replace(a, index={}), res)
 
     def test_n9_letter_one(self, build_cached):
         an = sp.analyze(build_cached(9))
