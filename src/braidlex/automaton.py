@@ -2,8 +2,10 @@
 
 States are segment configurations discovered by breadth-first closure from
 the initial configuration (n, n, n, {}); state 0 is the initial state and
-indices follow insertion order.  All counting is done in exact arbitrary
-precision integers.
+indices follow insertion order.  Counting is exact: count_words keeps each
+state's count as int64 limbs holding base-2^32 digits, advances all of them
+by one int64 sparse product per step, and carries only when the next
+product could pass 2^63 - 1, so it returns arbitrary precision integers.
 """
 
 from __future__ import annotations
@@ -339,24 +341,61 @@ def recurrent_matrix(a: Automaton, order: list[int] | None = None) -> SparseBool
 # exact counting
 # ---------------------------------------------------------------------------
 
+_LIMB_BITS = 32
+_LIMB_MASK = (1 << _LIMB_BITS) - 1
+_INT64_MAX = (1 << 63) - 1
+
+
+def _carry(x: np.ndarray) -> np.ndarray:
+    """Normalise an (m, L) int64 array of nonnegative base-2^32 digits,
+    least significant first, until every digit is below 2^32.  Each pass
+    moves every digit's carry one column up, and the top column's carry, if
+    any, becomes a new column; the array returned may be x itself, changed
+    in place."""
+    while True:
+        c = x >> _LIMB_BITS
+        if not c.any():
+            return x
+        x &= _LIMB_MASK
+        x[:, 1:] += c[:, :-1]
+        if c[:, -1].any():
+            x = np.concatenate((x, c[:, -1:]), axis=1)
+
+
 def count_words(a: Automaton, k: int) -> tuple[list[int], int]:
     """First row of M^k as exact integers: per-state counts of length-k
     representatives ending at each state, plus their total.
 
-    Each step is the sparse product e_0 M^j -> e_0 M^(j+1) over the edge
-    arrays of incidence_matrix, on object vectors of Python ints.
+    The counts are an (m, L) int64 array of base-2^32 digits, least
+    significant first, starting at L = 1, and each step is one int64 sparse
+    product with the transpose of M, built once from the same edge arrays
+    as incidence_matrix.  A step multiplies the largest digit by at most D,
+    the largest in-degree, so the digits are carried (every digit below
+    2^32 again) just before a product whose bound could pass 2^63 - 1, and
+    once at the end.
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
     m = len(a.states)
     src, dst = _edges(a, list(range(m))).T
-    counts = np.zeros(m, dtype=object)
-    counts[0] = 1
+    mt = csr_matrix((np.ones(len(src), dtype=np.int64), (dst, src)), shape=(m, m))
+    d = int(np.bincount(dst, minlength=m).max())
+    x = np.zeros((m, 1), dtype=np.int64)
+    x[0, 0] = 1
+    # no digit of x exceeds bound; as D < 2^31, a carried x has room for a step
+    bound = 1
     for _ in range(k):
-        nxt = np.zeros(m, dtype=object)
-        np.add.at(nxt, dst, counts[src])
-        counts = nxt
-    counts = counts.tolist()
+        if bound * d > _INT64_MAX:
+            x = _carry(x)
+            bound = _LIMB_MASK
+        x = mt @ x
+        bound *= d
+    x = _carry(x)
+    raw = x.astype("<u4").tobytes()
+    width = 4 * x.shape[1]
+    counts = [
+        int.from_bytes(raw[i : i + width], "little") for i in range(0, len(raw), width)
+    ]
     return counts, sum(counts)
 
 

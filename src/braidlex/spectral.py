@@ -59,6 +59,9 @@ BOUNDS = (
 
 DEFAULT_TOL = 1e-13
 DEFAULT_MAX_ITER = 100_000
+#: perron gives up once the residual has set no new minimum for this many
+#: steps: tol is then below what double precision reaches on the matrix.
+STALL_STEPS = 1000
 
 
 @dataclass
@@ -84,11 +87,14 @@ def perron(
     """Left power iteration from the uniform vector, L1-normalized each step.
 
     Stops when consecutive eigenvalue estimates differ by less than tol and
-    the residual sup norm drops below tol; raises ConvergenceError otherwise.
+    the residual sup norm drops below tol.  Raises ConvergenceError after
+    max_iter steps, or sooner once the residual has set no new minimum for
+    STALL_STEPS steps.
     """
     mat = R.to_csr()
     v = np.full(R.dim, 1.0 / R.dim)
     lam_prev = 0.0
+    best, best_it = float("inf"), 0
     for it in range(1, max_iter + 1):
         w = v @ mat
         lam = float(w.sum())  # = ||w||_1 since w >= 0 and ||v||_1 = 1
@@ -99,6 +105,14 @@ def perron(
         if abs(lam - lam_prev) < tol and residual < tol:
             return SpectralResult(lam, v, it, residual)
         lam_prev = lam
+        if residual < best:
+            best, best_it = residual, it
+        elif it - best_it >= STALL_STEPS:
+            raise ConvergenceError(
+                f"residual {best:.3e} from step {best_it} not improved in "
+                f"{STALL_STEPS} iterations (tol {tol:.3e})",
+                residual=residual,
+            )
     raise ConvergenceError(
         f"no convergence after {max_iter} iterations (residual {residual:.3e})",
         residual=residual,

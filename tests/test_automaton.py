@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 from braidlex import automaton as am
 from braidlex import matrixgen as mg
 from braidlex import oracle
-from braidlex.configs import SegmentConfig, unshift
+from braidlex.configs import SegmentConfig, initial_config, unshift
 from braidlex.errors import BraidWordError, BuildLimitError, InternalConsistencyError
 
 M2_DENSE = [
@@ -264,7 +265,81 @@ class TestIsPrimitive:
             assert am.is_primitive(m) == am.boolean_primitive(m)
 
 
+def ref_count_words(a, k):
+    """The first row of M^k by scatter-adds on object vectors of Python ints."""
+    m = len(a.states)
+    src, dst = am._edges(a, list(range(m))).T
+    counts = np.zeros(m, dtype=object)
+    counts[0] = 1
+    for _ in range(k):
+        nxt = np.zeros(m, dtype=object)
+        np.add.at(nxt, dst, counts[src])
+        counts = nxt
+    counts = counts.tolist()
+    return counts, sum(counts)
+
+
+def one_state_automaton(n):
+    """Every letter loops on the only state: n^k words of length k, and the
+    largest count after each step equals the deferral bound of count_words."""
+    return am.Automaton(n, [initial_config(n)], {}, [0] * n, [n])
+
+
+def digits_value(x):
+    """The integers an (m, L) array of base-2^32 digits stands for."""
+    return [sum(int(d) << (32 * i) for i, d in enumerate(row)) for row in x]
+
+
+@pytest.fixture
+def carries(monkeypatch):
+    """Record the width of each array _carry is given, and check that no
+    digit in it wrapped past 2^63 - 1."""
+    calls = []
+    carry = am._carry
+
+    def recording(x):
+        assert x.min() >= 0, "a digit passed 2^63 - 1 before the carry"
+        calls.append(x.shape[1])
+        return carry(x)
+
+    monkeypatch.setattr(am, "_carry", recording)
+    return calls
+
+
 class TestCountWords:
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_matches_the_reference(self, build_cached, n):
+        a = build_cached(n)
+        for k in (0, 1, 2, 7, 50, 200):
+            assert am.count_words(a, k) == ref_count_words(a, k), k
+
+    def test_long_words_on_many_limbs(self, build_cached):
+        a = build_cached(2)
+        counts, total = am.count_words(a, 3000)
+        assert (counts, total) == ref_count_words(a, 3000)
+        assert total.bit_length() > 32 * 60
+
+    def test_in_degree_one_never_forces_a_carry(self, build_cached, carries):
+        assert am.count_words(build_cached(1), 5000) == ([1], 1)
+        assert carries == [1]  # only the final one
+
+    @pytest.mark.parametrize("n, s", [(2, 62), (3, 39), (7, 22)])
+    def test_carry_deferral_is_exact(self, carries, n, s):
+        # n^s <= 2^63 - 1 < n^(s+1), and the count after s steps is n^s,
+        # the bound itself: s steps need no carry before the final one, and
+        # step s + 1 needs one just before it
+        assert n**s <= 2**63 - 1 < n ** (s + 1)
+        a = one_state_automaton(n)
+        assert am.count_words(a, s) == ([n**s], n**s)
+        assert carries == [1]
+        carries.clear()
+        assert am.count_words(a, s + 1) == ([n ** (s + 1)], n ** (s + 1))
+        assert carries == [1, 2]  # the first carry widened the counts
+
+    def test_negative_length_is_rejected(self, build_cached):
+        with pytest.raises(ValueError):
+            am.count_words(build_cached(2), -1)
+
     def test_m2_power_50_first_row(self, build_cached):
         a = build_cached(2)
         counts, total = am.count_words(a, 50)
@@ -298,6 +373,36 @@ class TestCountWords:
         counts, total = am.count_words(a, 50)
         per = am.ending_letter_counts(a, 50, counts)
         assert sum(per.values()) == total
+
+
+class TestCarry:
+    def test_top_digit_near_2_62_gets_a_new_column(self):
+        x = np.array([[2**62 + 5], [7]], dtype=np.int64)
+        out = am._carry(x)
+        assert out.tolist() == [[5, 2**30], [7, 0]]
+
+    def test_carry_ripples_across_digits(self):
+        top = 2**32 - 1
+        x = np.array([[2**32, top, top, top], [1, 2, 3, 4]], dtype=np.int64)
+        out = am._carry(x)
+        assert out.tolist() == [[0, 0, 0, 0, 1], [1, 2, 3, 4, 0]]
+
+    def test_all_zero_stays_one_column(self):
+        assert am._carry(np.zeros((3, 1), dtype=np.int64)).shape == (3, 1)
+
+    @settings(deadline=None, max_examples=50)
+    @given(st.lists(
+        st.lists(st.integers(0, 2**63 - 1), min_size=3, max_size=3),
+        min_size=1, max_size=4,
+    ))
+    def test_value_kept_and_digits_below_2_32(self, rows):
+        x = np.array(rows, dtype=np.int64)
+        before = digits_value(x)
+        out = am._carry(x.copy())
+        assert digits_value(out) == before
+        assert out.max() < 2**32
+        # a digit below 2^63 spans at most two base-2^32 digits
+        assert out.shape[1] <= x.shape[1] + 1
 
 
 class TestExports:

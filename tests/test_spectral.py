@@ -52,6 +52,13 @@ class TestPerron:
             sp.perron(am.recurrent_matrix(build_cached(3)), max_iter=2)
         assert exc.value.residual is not None
 
+    def test_unreachable_tol_stops_when_the_residual_stalls(self, build_cached):
+        # in double precision the n = 5 residual bottoms out near 3e-17 by
+        # step 151, so the run ends STALL_STEPS later, not at max_iter
+        with pytest.raises(ConvergenceError, match="not improved") as exc:
+            sp.perron(am.recurrent_matrix(build_cached(5)), tol=1e-30, max_iter=5000)
+        assert 0 < exc.value.residual < 1e-15
+
     @settings(deadline=None, max_examples=15)
     @given(data=st.data())
     def test_eigenvalue_invariant_under_reordering(self, build_cached, data):
