@@ -58,18 +58,17 @@ def state_count_formula(n: int) -> int:
 
 @dataclass(frozen=True)
 class StateCounts:
-    """Precomputed s_i, s_i* = s_i - s_{i-1}, and Fibonacci numbers."""
+    """Precomputed s_i and s_i* = s_i - s_{i-1}."""
 
     n: int
     s: tuple[int, ...]        # s[0..n]
     s_star: tuple[int, ...]   # s_star[0] = 0, s_star[i] = s[i] - s[i-1]
-    fib: tuple[int, ...]      # F_0 .. F_{2n}
 
 
 def state_counts(n: int) -> StateCounts:
     s = [state_count_recurrence(m) for m in range(n + 1)]
     s_star = [0] + [s[m] - s[m - 1] for m in range(1, n + 1)]
-    return StateCounts(n, tuple(s), tuple(s_star), tuple(_fibonacci(2 * n)))
+    return StateCounts(n, tuple(s), tuple(s_star))
 
 
 # ---------------------------------------------------------------------------
@@ -82,7 +81,6 @@ class Automaton:
     states: list[SegmentConfig]
     index: dict[SegmentConfig, int] = field(repr=False)
     transitions: list[int] = field(repr=False)  # flat (state, letter) -> state, -1 if forbidden
-    final_letters: list[int] = field(repr=False)
 
     def __len__(self) -> int:
         return len(self.states)
@@ -100,24 +98,30 @@ class Automaton:
         ]
 
 
-def build(n: int, max_n: int | None = None) -> Automaton:
-    """Breadth-first closure from the initial configuration.
-
-    Raises BuildLimitError past the guard (default 14, env BRAIDLEX_MAX_N),
-    and InternalConsistencyError if the discovered state count disagrees with
-    the closed-form count.
-    """
+def check_build_limit(n: int) -> None:
+    """Raise ValueError for n < 1, and BuildLimitError for n past the guard
+    (default 14, env BRAIDLEX_MAX_N) that build and the direct generator
+    share."""
     if n < 1:
         raise ValueError("n must be positive")
-    limit = max_n if max_n is not None else int(os.environ.get(BUILD_LIMIT_ENV, DEFAULT_BUILD_LIMIT))
+    limit = int(os.environ.get(BUILD_LIMIT_ENV, DEFAULT_BUILD_LIMIT))
     if n > limit:
         raise BuildLimitError(
             f"n={n} exceeds the build limit {limit}; set {BUILD_LIMIT_ENV} to override"
         )
+
+
+def build(n: int) -> Automaton:
+    """Breadth-first closure from the initial configuration.
+
+    Raises past the guard of check_build_limit, and InternalConsistencyError
+    if the discovered state count disagrees with the closed-form count.
+    The states reached by letter r have j = r, and the initial state j = n.
+    """
+    check_build_limit(n)
     init = initial_config(n)
     states = [init]
     index = {init: 0}
-    finals = [n]
     transitions: list[int] = []
     qi = 0
     while qi < len(states):
@@ -131,7 +135,6 @@ def build(n: int, max_n: int | None = None) -> Automaton:
                 t = SegmentConfig._make(t)
                 index[t] = ti
                 states.append(t)
-                finals.append(r)
             row[r - 1] = ti
         transitions.extend(row)
         qi += 1
@@ -140,7 +143,7 @@ def build(n: int, max_n: int | None = None) -> Automaton:
         raise InternalConsistencyError(
             f"BFS found {len(states)} states for n={n}, formula gives {expected}"
         )
-    return Automaton(n, states, index, transitions, finals)
+    return Automaton(n, states, index, transitions)
 
 
 def state_after(a: Automaton, w) -> int | None:
@@ -284,25 +287,23 @@ def is_primitive(m: SparseBooleanMatrix) -> bool:
     return int(np.gcd.reduce(level[p] + 1 - level[q])) == 1
 
 
-def boolean_primitive(m: SparseBooleanMatrix, max_power: int | None = None) -> bool:
-    """True iff some boolean power m^k, k <= max_power, is entrywise positive.
+def boolean_primitive(m: SparseBooleanMatrix) -> bool:
+    """True iff some boolean power m^k, k <= (dim - 1)^2 + 1, is entrywise
+    positive.
 
-    The default cap is Wielandt's bound (dim - 1)^2 + 1, the largest
-    exponent a primitive matrix can need.  Bitset squaring costs dim^2 bits
-    per power, so this is a reference for tests; production code uses
-    is_primitive.
+    The cap is Wielandt's bound, the largest exponent a primitive matrix can
+    need.  Bitset squaring costs dim^2 bits per power, so this is a
+    reference for tests; production code uses is_primitive.
     """
     dim = m.dim
     if dim == 0:
         return False
-    if max_power is None:
-        max_power = (dim - 1) ** 2 + 1
     full = (1 << dim) - 1
     base = [0] * dim
     for p, q in m.entries.tolist():
         base[p] |= 1 << q
     rows = list(base)
-    for _ in range(max_power):
+    for _ in range((dim - 1) ** 2 + 1):
         if all(r == full for r in rows):
             return True
         nxt = [0] * dim
@@ -406,7 +407,7 @@ def ending_letter_counts(a: Automaton, k: int, counts: list[int]) -> dict[int, i
     if k == 0:
         return out
     for s, c in enumerate(counts):
-        out[a.final_letters[s]] += c
+        out[a.states[s].j] += c
     return out
 
 
@@ -416,9 +417,9 @@ def ending_letter_counts(a: Automaton, k: int, counts: list[int]) -> dict[int, i
 
 def _arrows(a: Automaton) -> list[tuple[int, int, int]]:
     """Every transition as (source, letter, target), sources ascending, then
-    letters.  The letter of an arrow is its target's final letter."""
+    letters.  The letter of an arrow is its target's square position j."""
     src, dst = _edges(a, list(range(len(a.states)))).T.tolist()
-    return [(s, a.final_letters[t], t) for s, t in zip(src, dst)]
+    return [(s, a.states[t].j, t) for s, t in zip(src, dst)]
 
 
 def to_json(a: Automaton) -> str:

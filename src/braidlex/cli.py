@@ -116,7 +116,7 @@ def cmd_matrix(args) -> int:
             p, q, side = diffs[0]
             print(f"mismatch at ({p}, {q}): {side}", file=sys.stderr)
             return EXIT_MATRIX_MISMATCH
-        print(f"generated and BFS matrices agree for n={n} ({m.dim}x{m.dim})")
+        print(f"generated and BFS matrices agree for n={n} ({direct.dim}x{direct.dim})")
     text = mg.to_csv(m) if args.format == "csv" else mg.to_matrix_market(m)
     _emit(text, args.out)
     return EXIT_OK
@@ -135,12 +135,8 @@ def cmd_count(args) -> int:
     return EXIT_OK
 
 
-def _analyze(n: int, tol: float) -> sp.SpectralAnalysis:
-    return sp.analyze(am.build(n), tol=tol)
-
-
 def cmd_spectrum(args) -> int:
-    an = _analyze(args.n, args.tol)
+    an = sp.analyze(am.build(args.n), tol=args.tol)
     row = an.row
     print(f"n {args.n}")
     print(f"lambda {row.lam:.17f}")
@@ -156,11 +152,15 @@ def cmd_table(args) -> int:
         d_lam, d_pa1, d_p1 = (int(x) for x in args.digits.split(","))
     except ValueError:
         raise ValueError(f"--digits wants three comma-separated ints, got {args.digits!r}")
+    if min(d_lam, d_pa1, d_p1) < 1:
+        raise ValueError(f"--digits wants every digit count at least 1, got {args.digits!r}")
+    if args.start > args.stop:
+        raise ValueError(f"--from {args.start} is past --to {args.stop}")
     rows = []
     w_lam, w_pa1, w_p1 = d_lam + 2, d_pa1 + 3, d_p1 + 2
     print(f"{'n':>2}  {'lambda':<{w_lam}} {'P_a1':<{w_pa1}} {'P_1':<{w_p1}}")
     for n in range(args.start, args.stop + 1):
-        an = _analyze(n, args.tol)
+        an = sp.analyze(am.build(n), tol=args.tol)
         rows.append(an.row)
         print(
             f"{n:>2}  {an.row.lam:<{w_lam}.{d_lam - 1}f} "
@@ -177,17 +177,15 @@ def cmd_verify(args) -> int:
     a = am.build(n)
     failures: list[str] = []
 
+    # the accepted words of length k, each with the state it reaches
+    frontier = [((), 0)]
     for k in range(args.max_len + 1):
+        if k:
+            frontier = [
+                (w + (r,), a.target(s, r)) for w, s in frontier for r in a.out_letters(s)
+            ]
         expected = oracle.enumerate_language(n, k)
-        got = set()
-        stack = [((), 0)]
-        while stack:
-            w, s = stack.pop()
-            if len(w) == k:
-                got.add(w)
-                continue
-            for r in a.out_letters(s):
-                stack.append((w + (r,), a.target(s, r)))
+        got = {w for w, _ in frontier}
         ok = got == expected
         print(f"language k={k}: {'pass' if ok else 'FAIL'} ({len(expected)} words)")
         if not ok:

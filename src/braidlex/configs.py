@@ -95,26 +95,17 @@ def validate(c: SegmentConfig, n: int) -> bool:
 def psi(c: SegmentConfig, n: int) -> frozenset[Word]:
     """The set of braids (as canonical words) named by the configuration.
 
-    Union of: one increasing run per segment of S; the forbidden single
-    letters; and the part right of the square determined by (j, k).
+    Read off the diagram: the letter a_r for each black circle r, the run
+    a_p ... a_q for each drawn segment [p, q], and the implicit a_{j+1} a_j
+    unless the square is at n or has a black circle right of it.
     """
     if not validate(c, n):
         raise ConfigError(f"invalid segment configuration {c} for n={n}")
-    out: set[Word] = {tuple(range(p, q + 1)) for p, q in c.segments}
-    seg_starts = {p for p, _ in c.segments}
-    j, k = c.j, c.k
-    for r in range(c.i, n + 1):
-        if r not in seg_starts and r != j and r != j + 1:
-            out.add((r,))
-    if k == j == n:
-        pass
-    elif k == j:  # j < n
-        out.add((j + 1, j))
-    elif k == j + 1:
-        out.add((j + 1,))
-    else:
-        out.add((j + 1, j))
-        out.add(tuple(range(j + 1, k + 1)))
+    blacks, segs = _marks(c, n)
+    out: set[Word] = {(r,) for r in blacks}
+    out.update(tuple(range(p, q + 1)) for p, q in segs)
+    if c.j < n and c.k != c.j + 1:
+        out.add((c.j + 1, c.j))
     return frozenset(out)
 
 

@@ -28,12 +28,18 @@ from typing import Sequence
 
 import numpy as np
 
-from .automaton import Automaton, SparseBooleanMatrix, StateCounts, state_counts
+from .automaton import (
+    Automaton,
+    SparseBooleanMatrix,
+    StateCounts,
+    check_build_limit,
+    state_counts,
+)
 from .configs import SegmentConfig, shift, shift_black
 from .errors import InternalConsistencyError
 
 
-def compute_H(j: int, counts: StateCounts | None = None) -> tuple[int, ...]:
+def compute_H(j: int) -> tuple[int, ...]:
     """Positions (0-based offsets from a block's anchor state) of the source
     states of the horizontal arrows between consecutive embedded blocks.
 
@@ -41,9 +47,7 @@ def compute_H(j: int, counts: StateCounts | None = None) -> tuple[int, ...]:
     x_m = s*_m - s*_{m-1} - m.  Length 2^(j-1)."""
     if j < 1:
         raise ValueError("j must be positive")
-    if counts is None or counts.n < j:
-        counts = state_counts(j)
-    ss = counts.s_star
+    ss = state_counts(j).s_star
     h = [0]
     for m in range(2, j + 1):
         x = ss[m] - ss[m - 1] - m
@@ -112,11 +116,11 @@ def submatrix(
 
 
 def build_R_direct(n: int) -> SparseBooleanMatrix:
-    """Recurrent incidence matrix generated without the automaton."""
-    if n < 1:
-        raise ValueError("n must be positive")
+    """Recurrent incidence matrix generated without the automaton, under
+    the same size guard as automaton.build."""
+    check_build_limit(n)
     counts = state_counts(n)
-    H = compute_H(max(1, n - 1), counts)
+    H = compute_H(max(1, n - 1))
     entries = array("q")
     submatrix(entries, n, H, 0, True, counts)
     return SparseBooleanMatrix(counts.s_star[n], np.frombuffer(entries, dtype=np.int64))

@@ -56,6 +56,8 @@ BOUNDS = (
     "lambda strictly increasing",
     "P_1 strictly decreasing",
 )
+#: Largest |P_1 - lambda * P_a1| that bound_report accepts.
+PRODUCT_TOL = 1e-10
 
 DEFAULT_TOL = 1e-13
 DEFAULT_MAX_ITER = 100_000
@@ -89,8 +91,11 @@ def perron(
     Stops when consecutive eigenvalue estimates differ by less than tol and
     the residual sup norm drops below tol.  Raises ConvergenceError after
     max_iter steps, or sooner once the residual has set no new minimum for
-    STALL_STEPS steps.
+    STALL_STEPS steps.  Raises ValueError unless tol > 0, which also
+    refuses NaN.
     """
+    if not tol > 0:
+        raise ValueError(f"tol must be positive, got {tol}")
     mat = R.to_csr()
     v = np.full(R.dim, 1.0 / R.dim)
     lam_prev = 0.0
@@ -119,21 +124,6 @@ def perron(
     )
 
 
-def spectral_radius_estimate(R: SparseBooleanMatrix, iterations: int = 2000) -> float:
-    """Crude power-iteration estimate; zero-safe for nilpotent matrices."""
-    mat = R.to_csr()
-    v = np.full(R.dim, 1.0 / max(R.dim, 1))
-    est = 0.0
-    for _ in range(iterations):
-        w = v @ mat
-        s = float(w.sum())
-        if s == 0.0:
-            return 0.0
-        est = s
-        v = w / s
-    return est
-
-
 def proportions(a: Automaton, r: SpectralResult) -> ProportionReport:
     """Ending-letter proportions from a spectral result for recurrent_matrix(a)
     in its default (sorted-index) row order."""
@@ -142,7 +132,7 @@ def proportions(a: Automaton, r: SpectralResult) -> ProportionReport:
         raise ValueError("spectral result does not match the recurrent block")
     per = [0.0] * a.n
     for row, s in enumerate(rec):
-        per[a.final_letters[s] - 1] += float(r.v[row])
+        per[a.states[s].j - 1] += float(r.v[row])
     # rec is ascending, so the row of t11 is found by bisection
     t11 = a.index.get(SegmentConfig(1, 1, 1, ()), -1)
     row = bisect_left(rec, t11)
@@ -151,26 +141,27 @@ def proportions(a: Automaton, r: SpectralResult) -> ProportionReport:
     return ProportionReport(a.n, tuple(per), float(r.v[row]))
 
 
-def resolvent_nonneg_check(R: SparseBooleanMatrix, lam: float, term_tol: float = 1e-14) -> bool:
+def resolvent_nonneg_check(R: SparseBooleanMatrix, lam: float) -> bool:
     """Truncated Neumann expansion of (lam I - R)^{-1}:
 
         lam^{-1} I + lam^{-2} R + lam^{-3} R^2 + ...
 
-    summed until the term sup norm falls below term_tol.  True iff every
-    entry of the sum is nonnegative, and strictly positive when R is
-    primitive.  Requires lam safely above the spectral radius.
+    summed until the term sup norm falls below 1e-14.  True iff every entry
+    of the sum is nonnegative, and strictly positive when R is primitive.
+    Requires lam safely above the spectral radius, taken from the
+    eigenvalues of the dense matrix: this is a check for small R.
     """
-    est = spectral_radius_estimate(R)
-    if lam <= est + 1e-6:
-        raise SpectralPreconditionError(
-            f"lambda={lam} is not safely above the spectral radius estimate {est}"
-        )
     dense = R.to_csr().toarray()
+    rho = float(np.abs(np.linalg.eigvals(dense)).max(initial=0.0))
+    if lam <= rho + 1e-6:
+        raise SpectralPreconditionError(
+            f"lambda={lam} is not safely above the spectral radius {rho}"
+        )
     term = np.eye(R.dim) / lam
     total = term.copy()
     while True:
         term = (term @ dense) / lam
-        if float(np.max(np.abs(term))) < term_tol:
+        if float(np.max(np.abs(term))) < 1e-14:
             break
         total += term
     if bool(np.any(total < 0.0)):
@@ -205,14 +196,12 @@ class SpectralAnalysis:
         )
 
 
-def analyze(
-    a: Automaton, tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER
-) -> SpectralAnalysis:
-    res = perron(recurrent_matrix(a), tol=tol, max_iter=max_iter)
+def analyze(a: Automaton, tol: float = DEFAULT_TOL) -> SpectralAnalysis:
+    res = perron(recurrent_matrix(a), tol=tol)
     return SpectralAnalysis(a.n, res, proportions(a, res))
 
 
-def bound_report(rows: list[GrowthRow], product_tol: float = 1e-10) -> None:
+def bound_report(rows: list[GrowthRow]) -> None:
     """Verify the proved bounds on consecutive growth rows; raise
     BoundViolationError naming the first failing bound."""
     p1_floor, pa1_floor, ceiling, product, increasing, decreasing = BOUNDS
@@ -224,7 +213,7 @@ def bound_report(rows: list[GrowthRow], product_tol: float = 1e-10) -> None:
             raise BoundViolationError(pa1_floor, row.n, row.p_a1)
         if not row.lam < GROWTH_RATE_CEILING:
             raise BoundViolationError(ceiling, row.n, row.lam)
-        if abs(row.p_1 - row.lam * row.p_a1) > product_tol:
+        if abs(row.p_1 - row.lam * row.p_a1) > PRODUCT_TOL:
             raise BoundViolationError(product, row.n, row.p_1 - row.lam * row.p_a1)
     for prev, cur in zip(rows, rows[1:]):
         if cur.n == prev.n + 1:

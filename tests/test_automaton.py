@@ -48,8 +48,6 @@ class TestStateCounts:
         c = am.state_counts(5)
         assert c.s == (0, 1, 5, 18, 56, 161)
         assert c.s_star == (0, 1, 4, 13, 38, 105)
-        assert c.fib[:7] == (0, 1, 1, 2, 3, 5, 8)
-        assert all(c.fib[i + 1] == c.fib[i] + c.fib[i - 1] for i in range(1, 2 * 5))
 
 
 class TestBuild:
@@ -65,12 +63,15 @@ class TestBuild:
     def test_initial_state(self, build_cached):
         a = build_cached(3)
         assert a.states[0] == SegmentConfig(3, 3, 3)
-        assert a.final_letters[0] == 3
+        assert a.states[0].j == 3
 
-    def test_build_limit_guard(self):
+    def test_build_limit_guard(self, monkeypatch):
         with pytest.raises(BuildLimitError):
             am.build(15)
-        assert len(am.build(3, max_n=3)) == 18
+        monkeypatch.setenv(am.BUILD_LIMIT_ENV, "3")
+        with pytest.raises(BuildLimitError, match="n=4 exceeds the build limit 3"):
+            am.build(4)
+        assert len(am.build(3)) == 18
 
     # sha256 of the BFS transition table and of the states in insertion
     # order; export, a.index and `matrix --which M` rely on this order
@@ -105,7 +106,7 @@ class TestBuild:
                 for r in a.out_letters(s):
                     incoming.setdefault(a.target(s, r), set()).add(r)
             for q, labels in incoming.items():
-                assert labels == {a.final_letters[q]}
+                assert labels == {a.states[q].j}
 
     def test_transient_block_is_previous_automaton(self, build_cached):
         # states with i > 1 form a shifted copy of the size-(n-1) automaton
@@ -282,7 +283,7 @@ def ref_count_words(a, k):
 def one_state_automaton(n):
     """Every letter loops on the only state: n^k words of length k, and the
     largest count after each step equals the deferral bound of count_words."""
-    return am.Automaton(n, [initial_config(n)], {}, [0] * n, [n])
+    return am.Automaton(n, [initial_config(n)], {}, [0] * n)
 
 
 def digits_value(x):

@@ -89,6 +89,18 @@ class TestMatrix:
         assert "agree" in out
         assert calls == {"build": 1, "recurrent_states": 1, "build_R_direct": 1}
 
+    def test_m_check_reports_the_compared_size(self, capsys):
+        # --check compares the two R matrices, 13x13 at n = 3, not M's 18x18
+        code, out, _ = run(capsys, "matrix", "3", "--which", "M", "--check")
+        assert code == 0
+        assert out.split("\n")[0] == "generated and BFS matrices agree for n=3 (13x13)"
+
+    def test_appendix_past_the_build_limit_refuses(self, capsys):
+        code, out, err = run(capsys, "matrix", "15", "--which", "R-appendix")
+        assert code == 6
+        assert out == ""
+        assert "n=15 exceeds the build limit" in err
+
     @pytest.mark.parametrize("n, which", [("11", "R"), ("10", "M"), ("10", "R-appendix")])
     def test_dense_csv_past_the_cell_budget_refuses_before_building(
         self, capsys, monkeypatch, n, which
@@ -188,6 +200,13 @@ class TestSpectrum:
         assert code == 4
         assert "error" in err
 
+    @pytest.mark.parametrize("tol", ["-1", "nan"])
+    def test_bad_tol_exit_code(self, capsys, tol):
+        code, out, err = run(capsys, "spectrum", "3", "--tol", tol)
+        assert code == 6
+        assert out == ""
+        assert "tol must be positive" in err
+
 
 class TestTable:
     def test_short_table(self, capsys):
@@ -198,6 +217,18 @@ class TestTable:
         assert abs(float(lines[1].split()[1]) - 1.618033988749895) < 1e-12
         assert sum(1 for line in lines if line.startswith("bound")) == 6
         assert all(line.endswith("ok") for line in lines if line.startswith("bound"))
+
+    def test_empty_range_refuses_before_printing(self, capsys):
+        code, out, err = run(capsys, "table", "--from", "5", "--to", "2")
+        assert code == 6
+        assert out == ""
+        assert "--from 5 is past --to 2" in err
+
+    def test_zero_digits_refuse_before_printing(self, capsys):
+        code, out, err = run(capsys, "table", "--digits", "0,18,10")
+        assert code == 6
+        assert out == ""
+        assert "at least 1" in err
 
     def test_bound_violation_exit_code(self, capsys, monkeypatch):
         monkeypatch.setattr(sp, "GROWTH_RATE_CEILING", 2.0)

@@ -15,7 +15,7 @@ from braidlex.errors import (
 # exhaustive scale for the checks below; 161 configs at n=5
 EXHAUSTIVE_N = 5
 EXPECTED_COUNTS = {1: 1, 2: 5, 3: 18, 4: 56, 5: 161}
-# exhaustive scale for the fused rule against the reference; 3,156 at n=8
+# exhaustive scale for successors and psi against their references; 3,156 at n=8
 SUCCESSORS_N = 8
 
 
@@ -45,6 +45,27 @@ def ref_apply(blacks, segs, square, r, n):
     if r + 2 <= n:
         nb.update(range(r + 2, n + 1))
     return cf._parse(n, r, nb, ns)
+
+
+def ref_psi(c, n):
+    """Reference forbidden-prefix set, case by case on (j, k) instead of
+    from the diagram marks that configs.psi reads."""
+    out = {tuple(range(p, q + 1)) for p, q in c.segments}
+    seg_starts = {p for p, _ in c.segments}
+    j, k = c.j, c.k
+    for r in range(c.i, n + 1):
+        if r not in seg_starts and r != j and r != j + 1:
+            out.add((r,))
+    if k == j == n:
+        pass
+    elif k == j:  # j < n
+        out.add((j + 1, j))
+    elif k == j + 1:
+        out.add((j + 1,))
+    else:
+        out.add((j + 1, j))
+        out.add(tuple(range(j + 1, k + 1)))
+    return frozenset(out)
 
 
 class TestSegmentConfig:
@@ -131,6 +152,11 @@ class TestPsi:
     def test_invalid_config_raises(self):
         with pytest.raises(ConfigError):
             cf.psi(SegmentConfig(1, 2, 3, ((2, 3),)), 3)
+
+    def test_equals_reference_on_all_configs(self):
+        for n in range(1, SUCCESSORS_N + 1):
+            for c in cf.all_configs(n):
+                assert cf.psi(c, n) == ref_psi(c, n), c
 
     def test_injective_on_all_configs(self):
         for n in range(1, EXHAUSTIVE_N + 1):

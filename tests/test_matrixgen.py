@@ -8,7 +8,7 @@ import pytest
 from braidlex import automaton as am
 from braidlex import matrixgen as mg
 from braidlex.configs import SegmentConfig
-from braidlex.errors import InternalConsistencyError
+from braidlex.errors import BuildLimitError, InternalConsistencyError
 
 R2_ENTRIES = {(0, 0), (0, 2), (1, 0), (2, 3), (3, 1), (3, 3)}
 
@@ -76,6 +76,14 @@ class TestBuildRDirect:
     def test_n1(self):
         assert mg.build_R_direct(1).to_dense() == [[1]]
 
+    def test_shares_the_build_limit(self, monkeypatch):
+        monkeypatch.setenv(am.BUILD_LIMIT_ENV, "3")
+        with pytest.raises(BuildLimitError):
+            mg.build_R_direct(4)
+        assert mg.build_R_direct(3).dim == 13
+        with pytest.raises(ValueError):
+            mg.build_R_direct(0)
+
     def test_matches_bfs_small(self, build_cached):
         for n in range(1, 7):
             a = build_cached(n)
@@ -131,13 +139,13 @@ class TestCanonicalOrdering:
 
     def test_missing_config_is_reported(self, build_cached):
         a = build_cached(2)
-        broken = am.Automaton(3, a.states, a.index, a.transitions, a.final_letters)
+        broken = am.Automaton(3, a.states, a.index, a.transitions)
         with pytest.raises(InternalConsistencyError):
             mg.canonical_ordering(broken)
 
     def test_missing_config_is_reported_by_the_full_ordering(self, build_cached):
         a = build_cached(2)
-        broken = am.Automaton(3, a.states, a.index, a.transitions, a.final_letters)
+        broken = am.Automaton(3, a.states, a.index, a.transitions)
         with pytest.raises(InternalConsistencyError):
             mg.canonical_full_ordering(broken)
 

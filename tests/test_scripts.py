@@ -1,4 +1,4 @@
-"""Smoke runs of the two experiment scripts, each in a fresh interpreter."""
+"""Smoke run of the experiment script in a fresh interpreter."""
 
 import os
 import subprocess
@@ -14,14 +14,6 @@ def run_script(name, *argv):
         [sys.executable, str(ROOT / "scripts" / name), *argv],
         capture_output=True, text=True, env=env, timeout=120,
     )
-
-
-def test_crosscheck_generators():
-    proc = run_script("crosscheck_generators.py", "--to", "4")
-    assert proc.returncode == 0, proc.stderr
-    rows = proc.stdout.strip().split("\n")
-    assert [row.split(":")[0] for row in rows] == ["n=1", "n=2", "n=3", "n=4"]
-    assert all(" entry diffs=0 " in row and " ok (" in row for row in rows)
 
 
 def test_reproduce_growth_table():

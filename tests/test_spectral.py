@@ -137,6 +137,12 @@ class TestResolvent:
         with pytest.raises(SpectralPreconditionError):
             sp.resolvent_nonneg_check(am.recurrent_matrix(build_cached(2)), 1.0)
 
+    def test_precondition_just_above_growth_rate(self, build_cached):
+        # within 1e-6 of the spectral radius is refused, not expanded
+        R = am.recurrent_matrix(build_cached(3))
+        with pytest.raises(SpectralPreconditionError):
+            sp.resolvent_nonneg_check(R, sp.perron(R).lam + 1e-7)
+
 
 class TestBoundReport:
     def test_accepts_good_rows(self, build_cached):
