@@ -18,7 +18,7 @@ from math import comb
 import numpy as np
 from scipy.sparse import csr_matrix
 
-from .configs import SegmentConfig, final_letter, initial_config, successors
+from .configs import SegmentConfig, initial_config, successors
 from .errors import BraidWordError, BuildLimitError, InternalConsistencyError
 
 DEFAULT_BUILD_LIMIT = 14
@@ -432,7 +432,7 @@ def to_json(a: Automaton) -> str:
                 "j": c.j,
                 "k": c.k,
                 "S": [list(seg) for seg in c.segments],
-                "final_letter": final_letter(c),
+                "final_letter": c.j,
             }
             for c in a.states
         ],

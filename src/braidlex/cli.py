@@ -148,24 +148,19 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_table(args) -> int:
-    try:
-        d_lam, d_pa1, d_p1 = (int(x) for x in args.digits.split(","))
-    except ValueError:
-        raise ValueError(f"--digits wants three comma-separated ints, got {args.digits!r}")
-    if min(d_lam, d_pa1, d_p1) < 1:
-        raise ValueError(f"--digits wants every digit count at least 1, got {args.digits!r}")
+    # refuse bad input before the header, and before any build
     if args.start > args.stop:
         raise ValueError(f"--from {args.start} is past --to {args.stop}")
+    am.check_build_limit(args.start)
+    am.check_build_limit(args.stop)
+    if not args.tol > 0:
+        raise ValueError(f"tol must be positive, got {args.tol}")
     rows = []
-    w_lam, w_pa1, w_p1 = d_lam + 2, d_pa1 + 3, d_p1 + 2
-    print(f"{'n':>2}  {'lambda':<{w_lam}} {'P_a1':<{w_pa1}} {'P_1':<{w_p1}}")
+    print(f"{'n':>2}  {'lambda':<20} {'P_a1':<21} {'P_1':<12}")
     for n in range(args.start, args.stop + 1):
         an = sp.analyze(am.build(n), tol=args.tol)
         rows.append(an.row)
-        print(
-            f"{n:>2}  {an.row.lam:<{w_lam}.{d_lam - 1}f} "
-            f"{an.row.p_a1:<{w_pa1}.{d_pa1}f} {an.row.p_1:<{w_p1}.{d_p1}f}"
-        )
+        print(f"{n:>2}  {an.row.lam:<20.17f} {an.row.p_a1:<21.18f} {an.row.p_1:<12.10f}")
     sp.bound_report(rows)
     for name in sp.BOUNDS:
         print(f"bound {name}: ok")
@@ -174,11 +169,17 @@ def cmd_table(args) -> int:
 
 def cmd_verify(args) -> int:
     n = args.n
+    cap = min(args.max_len, 6) if args.max_forbidden_len is None else args.max_forbidden_len
+    if args.max_len < 0:
+        raise ValueError(f"--max-len {args.max_len} is negative")
+    if not 0 <= cap <= args.max_len:
+        raise ValueError(f"--max-forbidden-len {cap} is outside 0..{args.max_len}")
     a = am.build(n)
     failures: list[str] = []
 
     # the accepted words of length k, each with the state it reaches
     frontier = [((), 0)]
+    pairs = []  # verified (word, state) pairs up to length cap, by length then word
     for k in range(args.max_len + 1):
         if k:
             frontier = [
@@ -192,23 +193,16 @@ def cmd_verify(args) -> int:
             bad = sorted(got.symmetric_difference(expected))[0]
             failures.append(f"language mismatch at k={k}: {bad}")
             break
+        if k <= cap:
+            pairs.extend(sorted(frontier))
 
     if not failures:
-        cap = args.max_forbidden_len
-        if cap is None:
-            cap = min(args.max_len, 6)
         checked = 0
-        for k in range(cap + 1):
-            for w in sorted(oracle.enumerate_language(n, k)):
-                state = am.state_after(a, w)
-                expected_f = oracle.minimal_forbidden_prefixes(w, n)
-                got_f = cf.psi(a.states[state], n)
-                if expected_f != got_f:
-                    failures.append(f"forbidden-prefix mismatch after {w}")
-                    break
-                checked += 1
-            if failures:
+        for w, s in pairs:
+            if oracle.minimal_forbidden_prefixes(w, n) != cf.psi(a.states[s], n):
+                failures.append(f"forbidden-prefix mismatch after {w}")
                 break
+            checked += 1
         print(
             f"forbidden-prefix sets: {'FAIL' if failures else 'pass'} ({checked} words)"
         )
@@ -232,8 +226,7 @@ def cmd_verify(args) -> int:
 
 def cmd_show_state(args) -> int:
     c = parse_config_spec(args.config, args.n)
-    d = cf.to_diagram(c, args.n)
-    print(cf.render_diagram(d))
+    print(cf.render_diagram(c, args.n))
     words = sorted(cf.psi(c, args.n))
     body = ", ".join("a" + " a".join(str(x) for x in w) for w in words)
     print(f"psi = {{{body}}}")
@@ -297,8 +290,6 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--from", dest="start", type=int, default=2)
     p.add_argument("--to", dest="stop", type=int, default=9)
     p.add_argument("--tol", type=float, default=sp.DEFAULT_TOL)
-    p.add_argument("--digits", default="18,18,10",
-                   help="printed digits for lambda, P_a1, P_1")
     p.set_defaults(func=cmd_table)
 
     p = sub.add_parser("verify", help="cross-check the automaton against brute force")

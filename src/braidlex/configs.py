@@ -14,23 +14,19 @@ what sits immediately right of the square (black circle, segment end, or
 nothing).  The two-letter element a_{j+1} a_j is implicit in (j, k) and is
 never drawn.
 
-``successors(c, n)`` is the one letter-transition rule: every permitted
-letter with its target.  ``transition``, ``permitted_letters`` and the BFS
-of ``automaton.build`` all read it.
+Each fact about a state has one routine: ``successors(c, n)`` is the
+letter-transition rule (every permitted letter with its target) that the BFS
+of ``automaton.build`` reads; ``_marks(c, n)`` reads the diagram off
+(i, j, k, S), and ``psi`` and ``render_diagram`` draw from it; ``c.j`` is
+the final letter.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement
 from typing import Iterator, NamedTuple
 
-from .errors import (
-    ConfigError,
-    DiagramParseError,
-    ForbiddenLetterError,
-    ShiftRangeError,
-)
+from .errors import ConfigError, ShiftRangeError
 
 Segment = tuple[int, int]
 Word = tuple[int, ...]
@@ -48,18 +44,6 @@ class SegmentConfig(NamedTuple):
     def __str__(self) -> str:
         body = ";".join(f"[{p}-{q}]" for p, q in self.segments)
         return f"({self.i},{self.j},{self.k},{{{body}}})"
-
-
-@dataclass(frozen=True)
-class Diagram:
-    """Explicit cell marks: 'o' white circle, '*' black circle, '#' square."""
-
-    cells: tuple[str, ...]
-    segments: tuple[Segment, ...] = ()
-
-    @property
-    def n(self) -> int:
-        return len(self.cells)
 
 
 def initial_config(n: int) -> SegmentConfig:
@@ -109,11 +93,6 @@ def psi(c: SegmentConfig, n: int) -> frozenset[Word]:
     return frozenset(out)
 
 
-def final_letter(c: SegmentConfig) -> int:
-    """Common label of every arrow into this state: the square position."""
-    return c.j
-
-
 # ---------------------------------------------------------------------------
 # diagram marks and the letter-transition rule
 # ---------------------------------------------------------------------------
@@ -133,26 +112,6 @@ def _marks(c: SegmentConfig, n: int) -> tuple[set[int], list[Segment]]:
     elif k > j + 1:
         segs.append((j + 1, k))
     return blacks, segs
-
-
-def _parse(n: int, square: int, blacks: set[int], segs: list[Segment]) -> SegmentConfig:
-    """Recover (i, j, k, S) from diagram content with the square at ``square``."""
-    s_sorted = sorted(segs)
-    s_left = tuple(s for s in s_sorted if s[0] < square)
-    if square == n:
-        k = n
-    elif square + 1 in blacks:
-        k = square + 1
-    else:
-        k = square
-        for p, q in s_sorted:
-            if p == square + 1:
-                k = q
-                break
-    starts = [p for p in blacks if p < square]
-    starts.extend(p for p, _ in s_left)
-    i = min(starts, default=square)
-    return SegmentConfig(i, square, k, s_left)
 
 
 def successors(c: SegmentConfig, n: int) -> list[tuple[int, tuple]]:
@@ -187,21 +146,6 @@ def successors(c: SegmentConfig, n: int) -> list[tuple[int, tuple]]:
     return out
 
 
-def permitted_letters(c: SegmentConfig, n: int) -> set[int]:
-    """Letters with no black circle, i.e. single letters not in psi(c, n)."""
-    return {r for r, _ in successors(c, n)}
-
-
-def transition(c: SegmentConfig, r: int, n: int) -> SegmentConfig:
-    """Target configuration after reading the permitted letter r."""
-    if not 1 <= r <= n:
-        raise ForbiddenLetterError(f"letter {r} outside alphabet 1..{n}")
-    for letter, t in successors(c, n):
-        if letter == r:
-            return SegmentConfig._make(t)
-    raise ForbiddenLetterError(f"letter {r} is forbidden at {c}")
-
-
 # ---------------------------------------------------------------------------
 # shifts
 # ---------------------------------------------------------------------------
@@ -228,53 +172,29 @@ def shift_black(c: SegmentConfig, n: int) -> SegmentConfig:
     return SegmentConfig(1, s.j, s.k, s.segments)
 
 
-def unshift(c: SegmentConfig) -> SegmentConfig:
-    """Inverse of shift; valid when no index equals 1."""
-    if c.i <= 1:
-        raise ShiftRangeError(f"{c} mentions index 1, cannot unshift")
-    return SegmentConfig(
-        c.i - 1, c.j - 1, c.k - 1, tuple((p - 1, q - 1) for p, q in c.segments)
-    )
-
-
 # ---------------------------------------------------------------------------
-# diagrams as explicit cell marks
+# diagrams as text
 # ---------------------------------------------------------------------------
 
-def to_diagram(c: SegmentConfig, n: int) -> Diagram:
-    if not validate(c, n):
-        raise ConfigError(f"invalid segment configuration {c} for n={n}")
-    blacks, segs = _marks(c, n)
-    cells = tuple(
-        "#" if p == c.j else "*" if p in blacks else "o" for p in range(1, n + 1)
-    )
-    return Diagram(cells, tuple(sorted(segs)))
-
-
-def from_diagram(d: Diagram) -> SegmentConfig:
-    squares = [p for p, mark in enumerate(d.cells, start=1) if mark == "#"]
-    if len(squares) != 1:
-        raise DiagramParseError(f"diagram needs exactly one square, found {len(squares)}")
-    for mark in d.cells:
-        if mark not in "o*#":
-            raise DiagramParseError(f"unknown cell mark {mark!r}")
-    blacks = {p for p, mark in enumerate(d.cells, start=1) if mark == "*"}
-    return _parse(d.n, squares[0], blacks, list(d.segments))
-
-
-def render_diagram(d: Diagram) -> str:
-    """Fixed-width text art: segment lines (outermost first) above the cell row.
+def render_diagram(c: SegmentConfig, n: int) -> str:
+    """Fixed-width text art of the diagram of ``c``: segment lines (outermost
+    first) above the cell row of 'o' white circles, '*' black circles and
+    the '#' square.
 
     Position p occupies column 2(p-1); '-' marks segment body.
     """
-    width = 2 * d.n - 1
+    if not validate(c, n):
+        raise ConfigError(f"invalid segment configuration {c} for n={n}")
+    blacks, segs = _marks(c, n)
     lines = []
-    for p, q in sorted(d.segments, key=lambda s: (s[0], -s[1])):
-        row = [" "] * width
+    for p, q in sorted(segs, key=lambda s: (s[0], -s[1])):
+        row = [" "] * (2 * n - 1)
         for col in range(2 * (p - 1), 2 * (q - 1) + 1):
             row[col] = "-"
         lines.append("".join(row))
-    lines.append(" ".join(d.cells))
+    lines.append(" ".join(
+        "#" if p == c.j else "*" if p in blacks else "o" for p in range(1, n + 1)
+    ))
     return "\n".join(lines)
 
 

@@ -13,14 +13,6 @@ class ConfigError(BraidLexError):
     """A segment configuration violates the nesting constraints."""
 
 
-class DiagramParseError(BraidLexError):
-    """A diagram is malformed (e.g. zero or two squares)."""
-
-
-class ForbiddenLetterError(BraidLexError):
-    """A transition was requested on a letter carrying a black circle."""
-
-
 class ShiftRangeError(BraidLexError):
     """A shift would push an index past the ambient generator count."""
 

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from braidlex import automaton as am
 from braidlex import matrixgen as mg
 from braidlex import oracle
-from braidlex.configs import SegmentConfig, initial_config, unshift
+from braidlex.configs import SegmentConfig, initial_config, shift
 from braidlex.errors import BraidWordError, BuildLimitError, InternalConsistencyError
 
 M2_DENSE = [
@@ -112,18 +112,15 @@ class TestBuild:
         # states with i > 1 form a shifted copy of the size-(n-1) automaton
         for n in (2, 3, 4):
             a, prev = build_cached(n), build_cached(n - 1)
-            shifted = {s: unshift(c) for s, c in enumerate(a.states) if c.i > 1}
-            assert set(shifted.values()) == set(prev.states)
+            # prev state -> the index of its shifted copy in a
+            up = {ps: a.index[shift(c, n)] for ps, c in enumerate(prev.states)}
+            assert set(up.values()) == {s for s, c in enumerate(a.states) if c.i > 1}
             t11 = a.index[SegmentConfig(1, 1, 1)]
-            for s, down in shifted.items():
-                ps = prev.index[down]
+            for ps, s in up.items():
                 assert a.target(s, 1) == t11  # the only exit from the copy
                 for r in range(2, n + 1):
                     t, pt = a.target(s, r), prev.target(ps, r - 1)
-                    if pt < 0:
-                        assert t < 0
-                    else:
-                        assert unshift(a.states[t]) == prev.states[pt]
+                    assert t == (-1 if pt < 0 else up[pt])
 
 
 class TestAccepts:

@@ -224,11 +224,28 @@ class TestTable:
         assert out == ""
         assert "--from 5 is past --to 2" in err
 
-    def test_zero_digits_refuse_before_printing(self, capsys):
-        code, out, err = run(capsys, "table", "--digits", "0,18,10")
+    @pytest.mark.parametrize("argv, message", [
+        (("--to", "3", "--tol", "-1"), "tol must be positive"),
+        (("--to", "3", "--tol", "nan"), "tol must be positive"),
+        (("--from", "0", "--to", "2"), "n must be positive"),
+    ])
+    def test_bad_input_refuses_before_printing(self, capsys, argv, message):
+        code, out, err = run(capsys, "table", *argv)
         assert code == 6
         assert out == ""
-        assert "at least 1" in err
+        assert message in err
+
+    def test_build_limit_refuses_before_building(self, capsys, monkeypatch):
+        monkeypatch.setenv(am.BUILD_LIMIT_ENV, "3")
+
+        def no_build(n):
+            raise AssertionError(f"built n={n}")
+
+        monkeypatch.setattr(am, "build", no_build)
+        code, out, err = run(capsys, "table", "--to", "4")
+        assert code == 6
+        assert out == ""
+        assert "n=4 exceeds the build limit 3" in err
 
     def test_bound_violation_exit_code(self, capsys, monkeypatch):
         monkeypatch.setattr(sp, "GROWTH_RATE_CEILING", 2.0)
@@ -250,6 +267,17 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "1", "--max-len", "5")
         assert code == 0
         assert out.count("pass") == 8  # six language lines + two checks
+
+    @pytest.mark.parametrize("argv", [
+        ("--max-len", "-5"),
+        ("--max-len", "3", "--max-forbidden-len", "-1"),
+        ("--max-len", "3", "--max-forbidden-len", "4"),
+    ])
+    def test_bad_lengths_refuse_before_printing(self, capsys, argv):
+        code, out, err = run(capsys, "verify", "3", *argv)
+        assert code == 6
+        assert out == ""
+        assert "error" in err
 
 
 class TestShowState:

@@ -1,22 +1,41 @@
-"""Segment configurations, diagrams, and the letter-transition rules."""
+"""Segment configurations, diagrams, and the letter-transition rule."""
+
+import hashlib
 
 import pytest
 
 from braidlex import configs as cf
 from braidlex import oracle
 from braidlex.configs import SegmentConfig
-from braidlex.errors import (
-    ConfigError,
-    DiagramParseError,
-    ForbiddenLetterError,
-    ShiftRangeError,
-)
+from braidlex.errors import ConfigError, ShiftRangeError
 
 # exhaustive scale for the checks below; 161 configs at n=5
 EXHAUSTIVE_N = 5
 EXPECTED_COUNTS = {1: 1, 2: 5, 3: 18, 4: 56, 5: 161}
 # exhaustive scale for successors and psi against their references; 3,156 at n=8
 SUCCESSORS_N = 8
+# sha256 of render_diagram(c, n) + "|" over all_configs(n), n = 1..6 in order
+RENDER_DIGEST = "f1c2acab0cb070f82c342c7476f31fba72e679be7fb46256661f38af049f8fc8"
+
+
+def ref_parse(n, square, blacks, segs):
+    """Recover (i, j, k, S) from diagram content with the square at ``square``."""
+    s_sorted = sorted(segs)
+    s_left = tuple(s for s in s_sorted if s[0] < square)
+    if square == n:
+        k = n
+    elif square + 1 in blacks:
+        k = square + 1
+    else:
+        k = square
+        for p, q in s_sorted:
+            if p == square + 1:
+                k = q
+                break
+    starts = [p for p in blacks if p < square]
+    starts.extend(p for p, _ in s_left)
+    i = min(starts, default=square)
+    return SegmentConfig(i, square, k, s_left)
 
 
 def ref_apply(blacks, segs, square, r, n):
@@ -44,7 +63,7 @@ def ref_apply(blacks, segs, square, r, n):
         nb.add(r - 1)
     if r + 2 <= n:
         nb.update(range(r + 2, n + 1))
-    return cf._parse(n, r, nb, ns)
+    return ref_parse(n, r, nb, ns)
 
 
 def ref_psi(c, n):
@@ -173,53 +192,52 @@ class TestDiagram:
             (SegmentConfig(2, 2, 2), 2),
             (SegmentConfig(1, 2, 2, ((1, 2),)), 2),
         ]:
-            assert cf.from_diagram(cf.to_diagram(c, n)) == c
+            assert ref_parse(n, c.j, *cf._marks(c, n)) == c
 
     def test_round_trip_exhaustive(self):
+        # the marks determine the configuration: distinct states draw apart
         for n in range(1, EXHAUSTIVE_N + 1):
             for c in cf.all_configs(n):
-                assert cf.from_diagram(cf.to_diagram(c, n)) == c
-
-    def test_malformed_diagrams(self):
-        with pytest.raises(DiagramParseError):
-            cf.from_diagram(cf.Diagram(("o", "o")))
-        with pytest.raises(DiagramParseError):
-            cf.from_diagram(cf.Diagram(("#", "#")))
-        with pytest.raises(DiagramParseError):
-            cf.from_diagram(cf.Diagram(("#", "x")))
+                assert ref_parse(n, c.j, *cf._marks(c, n)) == c
 
     def test_render(self):
-        d = cf.to_diagram(SegmentConfig(1, 1, 1), 2)
-        assert cf.render_diagram(d) == "# o"
-        d = cf.to_diagram(SegmentConfig(1, 2, 2, ((1, 2),)), 2)
-        assert cf.render_diagram(d) == "---\no #"
+        assert cf.render_diagram(SegmentConfig(1, 1, 1), 2) == "# o"
+        assert cf.render_diagram(SegmentConfig(1, 2, 2, ((1, 2),)), 2) == "---\no #"
+        assert cf.render_diagram(SegmentConfig(1, 2, 3, ((1, 3),)), 3) == "-----\no # *"
+
+    def test_render_digest(self):
+        h = hashlib.sha256()
+        for n in range(1, 7):
+            for c in cf.all_configs(n):
+                h.update((cf.render_diagram(c, n) + "|").encode())
+        assert h.hexdigest() == RENDER_DIGEST
+
+    def test_render_refuses_invalid_config(self):
+        with pytest.raises(ConfigError):
+            cf.render_diagram(SegmentConfig(1, 2, 3, ((2, 3),)), 3)
+
+
+def letters(c, n):
+    return {r for r, _ in cf.successors(c, n)}
 
 
 class TestPermittedLetters:
     def test_initial_permits_everything(self):
-        assert cf.permitted_letters(cf.initial_config(3), 3) == {1, 2, 3}
+        assert letters(cf.initial_config(3), 3) == {1, 2, 3}
 
     def test_black_circle_blocks(self):
-        assert cf.permitted_letters(SegmentConfig(1, 2, 2), 2) == {2}
+        assert letters(SegmentConfig(1, 2, 2), 2) == {2}
 
     def test_pair_blocks_nothing(self):
-        assert cf.permitted_letters(SegmentConfig(1, 1, 1), 2) == {1, 2}
+        assert letters(SegmentConfig(1, 1, 1), 2) == {1, 2}
 
 
 class TestTransition:
     def test_worked_values(self):
-        assert cf.transition(SegmentConfig(2, 2, 2), 1, 2) == SegmentConfig(1, 1, 1)
-        assert cf.transition(SegmentConfig(2, 2, 2), 2, 2) == SegmentConfig(2, 2, 2)
-        assert cf.transition(SegmentConfig(1, 2, 2), 2, 2) == SegmentConfig(
-            1, 2, 2, ((1, 2),)
-        )
-        assert type(cf.transition(SegmentConfig(1, 2, 2), 2, 2)) is SegmentConfig
-
-    def test_forbidden_letter_raises(self):
-        with pytest.raises(ForbiddenLetterError):
-            cf.transition(SegmentConfig(1, 2, 2), 1, 2)
-        with pytest.raises(ForbiddenLetterError):
-            cf.transition(SegmentConfig(2, 2, 2), 3, 2)
+        assert cf.successors(SegmentConfig(2, 2, 2), 2) == [
+            (1, (1, 1, 1, ())), (2, (2, 2, 2, ())),
+        ]
+        assert cf.successors(SegmentConfig(1, 2, 2), 2) == [(2, (1, 2, 2, ((1, 2),)))]
 
     def test_successors_match_the_reference_rule(self):
         for n in range(1, SUCCESSORS_N + 1):
@@ -230,17 +248,14 @@ class TestTransition:
                     (r, ref_apply(blacks, segs, c.j, r, n)) for r in sorted(permitted)
                 ]
                 assert cf.successors(c, n) == expected, c
-                for r in blacks | {0, n + 1}:
-                    with pytest.raises(ForbiddenLetterError):
-                        cf.transition(c, r, n)
 
     def test_closure_and_final_letter(self):
         for n in range(1, EXHAUSTIVE_N + 1):
             for c in cf.all_configs(n):
-                for r in cf.permitted_letters(c, n):
-                    t = cf.transition(c, r, n)
+                for r, t in cf.successors(c, n):
+                    t = SegmentConfig._make(t)
                     assert cf.validate(t, n)
-                    assert cf.final_letter(t) == r
+                    assert t.j == r
 
     def test_matches_oracle_forbidden_sets(self):
         # walking the diagram transitions reproduces F_n(w) for short words
@@ -249,15 +264,8 @@ class TestTransition:
                 for w in oracle.enumerate_language(n, k):
                     c = cf.initial_config(n)
                     for r in w:
-                        c = cf.transition(c, r, n)
+                        c = SegmentConfig._make(dict(cf.successors(c, n))[r])
                     assert cf.psi(c, n) == oracle.minimal_forbidden_prefixes(w, n)
-
-
-class TestFinalLetter:
-    def test_values(self):
-        assert cf.final_letter(SegmentConfig(1, 1, 1)) == 1
-        assert cf.final_letter(SegmentConfig(1, 2, 2, ((1, 2),))) == 2
-        assert cf.final_letter(SegmentConfig(1, 1, 2)) == 1
 
 
 class TestShifts:
