@@ -5,11 +5,16 @@ Everything here works straight from the defining relations
     a_x a_y = a_y a_x        when |x - y| > 1,
     a_x a_y a_x = a_y a_x a_y  when |x - y| = 1,
 
-with no automaton knowledge: equivalence classes by closure under single
-rewrites, the maximal lexicographic representative as the plain maximum of
-the class, prefix order and the max-lex test by right subword reversing
-(Dehornoy, "Complete positive group presentations", J. Algebra 268, 2003;
-Garside 1969), and minimal forbidden prefixes by candidate enumeration.
+with no automaton knowledge.  The maximal lexicographic representative is
+the plain maximum of the class under single rewrites.  The rest comes from
+one right-reversing routine, ``_complements(u, v) = (u\\v, v\\u)``: the
+monoid is a Garside monoid, so u (u\\v) = v (v\\u) is the least common right
+multiple of u and v (Garside 1969; Dehornoy, "Complete positive group
+presentations", J. Algebra 268, 2003).  Hence u left-divides v (u <= v) iff
+v\\u is empty, and w is maximal iff no w[i:]\\a_r with r > w[i] is empty.
+The monoid is cancellative, so a_r <= b v iff b\\a_r <= v: the minimal
+forbidden prefixes are the minimal complements, with no search.  The
+language is prefix-closed, so it grows one letter at a time.
 Deliberately desk-scale; it exists to validate the rest of the package.
 
 Words are tuples of generator indices at the API; the hot loops run on
@@ -19,7 +24,6 @@ Words are tuples of generator indices at the API; the hot loops run on
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import product
 from typing import Iterable
 
 from .errors import BraidWordError, InternalConsistencyError
@@ -28,6 +32,8 @@ Word = tuple[int, ...]
 
 
 def check_word(w: Iterable[int], n: int) -> Word:
+    if n < 1:
+        raise ValueError("need n >= 1")
     w = tuple(w)
     for x in w:
         if not 1 <= x <= n:
@@ -60,42 +66,36 @@ def _closure(w: bytes) -> frozenset[bytes]:
     return frozenset(seen)
 
 
-def _quotient(x: int, w: bytes) -> bytes | None:
-    """A word for a_x^-1 w, or None when a_x does not left-divide w.  Right
-    reversing: x^-1 x -> e, x^-1 y -> y x^-1 if |x - y| > 1, else y x y^-1 x^-1."""
-    for p, y in enumerate(w):
-        if y == x:
-            return w[:p] + w[p + 1:]
-        if y == x - 1 or y == x + 1:
-            q = _quotient(x, w[p + 1:])
-            if q is not None:
-                q = _quotient(y, q)
-            return None if q is None else w[:p] + bytes((y, x)) + q
-    return None
-
-
-def _divides(u: bytes, w: bytes) -> bool:
-    """True iff the braid of u left-divides the braid of w."""
-    for x in u:
-        w = _quotient(x, w)
-        if w is None:
-            return False
-    return True
+@lru_cache(maxsize=1 << 12)
+def _complements(u: bytes, v: bytes) -> tuple[bytes, bytes]:
+    """(u\\v, v\\u), with u (u\\v) = v (v\\u) the least common right multiple.
+    Letters: x\\x = e, x\\y = y if |x - y| > 1, else y x.  Words:
+    (u1 u2)\\v = u2\\(u1\\v) and v\\(u1 u2) = (v\\u1) ((u1\\v)\\u2)."""
+    if not u or not v:
+        return v, u
+    if len(u) > 1:
+        a, b = _complements(u[:1], v)
+        c, d = _complements(u[1:], a)
+        return c, b + d
+    if len(v) > 1:
+        a, b = _complements(u, v[:1])
+        c, d = _complements(b, v[1:])
+        return a + c, d
+    d = u[0] - v[0]
+    if not d:
+        return b"", b""
+    if d > 1 or d < -1:
+        return v, u
+    return v + u, u + v
 
 
 def _exceeds(w: bytes) -> bool:
     """True iff some word equivalent to w is lexicographically greater, that
     is (the monoid is cancellative) some letter r > w[i] left-divides w[i:]."""
     return any(
-        _quotient(r, w[i:]) is not None
+        not _complements(w[i:], bytes((r,)))[0]
         for i in range(len(w) - 1) for r in set(w[i + 1:]) if r > w[i]
     )
-
-
-def equivalence_class(w: Iterable[int], n: int) -> frozenset[Word]:
-    """All words representing the same braid as w."""
-    w = check_word(w, n)
-    return frozenset(tuple(u) for u in _closure(bytes(w)))
 
 
 def max_lex(w: Iterable[int], n: int) -> Word:
@@ -104,24 +104,16 @@ def max_lex(w: Iterable[int], n: int) -> Word:
     return tuple(max(_closure(bytes(w))))
 
 
-def is_representative(w: Iterable[int], n: int) -> bool:
-    """True iff w is the maximal lexicographic representative of its braid."""
-    w = check_word(w, n)
-    return not _exceeds(bytes(w))
-
-
 @lru_cache(maxsize=None)
 def _language_bytes(n: int, k: int) -> frozenset[bytes]:
-    out: set[bytes] = set()
-    seen: set[bytes] = set()
-    for w in product(range(1, n + 1), repeat=k):
-        b = bytes(w)
-        if b in seen:
-            continue
-        cls = _closure(b)
-        out.add(max(cls))
-        seen |= cls
-    return frozenset(out)
+    """Length-k maximal words: the language is prefix-closed, so each is a
+    length-(k - 1) one plus a letter, kept unless it exceeds."""
+    if not k:
+        return frozenset((b"",))
+    letters = [bytes((x,)) for x in range(1, n + 1)]
+    return frozenset(
+        u for w in _language_bytes(n, k - 1) for x in letters if not _exceeds(u := w + x)
+    )
 
 
 def enumerate_language(n: int, k: int) -> set[Word]:
@@ -135,7 +127,7 @@ def is_prefix(w1: Iterable[int], w2: Iterable[int], n: int) -> bool:
     """True iff the braid of w1 left-divides the braid of w2."""
     w1 = check_word(w1, n)
     w2 = check_word(w2, n)
-    return _divides(bytes(w1), bytes(w2))
+    return not _complements(bytes(w2), bytes(w1))[0]
 
 
 def _is_run_or_pair(v: bytes) -> bool:
@@ -149,20 +141,24 @@ def _is_run_or_pair(v: bytes) -> bool:
 def minimal_forbidden_prefixes(w: Iterable[int], n: int) -> frozenset[Word]:
     """Minimal (for prefix order) braids v with max_lex(w v) != max_lex(w) max_lex(v).
 
-    Candidates are enumerated through length n + 1, one maximal representative
-    per braid; candidates with a forbidden proper prefix are discarded.  The
-    length bound is checked a posteriori: every returned element must be an
-    increasing run or a descending adjacent pair, both of length at most n.
+    With big = max_lex(w), v is forbidden iff a_r <= big[i:] v for some
+    i < |big| and r > big[i] (starts inside v never exceed: the language is
+    factor-closed).  By cancellativity that holds iff big[i:]\\a_r <= v, so
+    the answer is the set of minimal complements big[i:]\\a_r, each as its
+    maximal representative.  Every returned element must be an increasing
+    run or a descending adjacent pair, both of length at most n; this is
+    checked a posteriori.
     """
     w = check_word(w, n)
     big = bytes(max_lex(w, n))
-    found: list[bytes] = []
-    for ell in range(1, n + 2):
-        for v in sorted(_language_bytes(n, ell)):
-            if any(_divides(f, v) for f in found):
-                continue
-            if _exceeds(big + v):
-                found.append(v)
+    complements = {
+        max(_closure(_complements(big[i:], bytes((r,)))[0]))
+        for i in range(len(big)) for r in range(big[i] + 1, n + 1)
+    }
+    found = [
+        f for f in complements
+        if not any(g != f and not _complements(f, g)[0] for g in complements)
+    ]
     for v in found:
         if not _is_run_or_pair(v):
             raise InternalConsistencyError(

@@ -1,5 +1,13 @@
-"""Brute-force monoid operations: worked values and defining properties."""
+"""Brute-force monoid operations: worked values and defining properties.
 
+``ref_language`` and ``ref_minimal_forbidden_prefixes`` decide the oracle's
+facts by slower routes: the language as the maximum of each relation class
+over all n^k words, and the minimal forbidden prefixes by a candidate search
+through length n + 1, with prefix order and the max-lex test by reversing
+one letter at a time (``_quotient``) instead of by right complements.
+"""
+
+from functools import lru_cache
 from itertools import product
 
 import pytest
@@ -14,25 +22,110 @@ def words(n, max_len=6):
     return st.lists(st.integers(1, n), max_size=max_len).map(tuple)
 
 
+def ref_equivalence_class(w, n):
+    """All words representing the same braid as w."""
+    w = oracle.check_word(w, n)
+    return frozenset(tuple(u) for u in oracle._closure(bytes(w)))
+
+
+def ref_is_representative(w, n):
+    """True iff w is the maximal lexicographic representative of its braid."""
+    w = oracle.check_word(w, n)
+    return not oracle._exceeds(bytes(w))
+
+
+@lru_cache(maxsize=None)
+def ref_language(n, k):
+    """Length-k maximal words: the maximum of each class over all n^k words."""
+    out = set()
+    seen = set()
+    for w in product(range(1, n + 1), repeat=k):
+        b = bytes(w)
+        if b in seen:
+            continue
+        cls = oracle._closure(b)
+        out.add(max(cls))
+        seen |= cls
+    return frozenset(out)
+
+
+def _quotient(x, w):
+    """A word for a_x^-1 w, or None when a_x does not left-divide w.  Right
+    reversing: x^-1 x -> e, x^-1 y -> y x^-1 if |x - y| > 1, else y x y^-1 x^-1."""
+    for p, y in enumerate(w):
+        if y == x:
+            return w[:p] + w[p + 1:]
+        if y == x - 1 or y == x + 1:
+            q = _quotient(x, w[p + 1:])
+            if q is not None:
+                q = _quotient(y, q)
+            return None if q is None else w[:p] + bytes((y, x)) + q
+    return None
+
+
+def _divides(u, w):
+    """True iff the braid of u left-divides the braid of w."""
+    for x in u:
+        w = _quotient(x, w)
+        if w is None:
+            return False
+    return True
+
+
+def ref_minimal_forbidden_prefixes(w, n):
+    """Candidates through length n + 1, one maximal word per braid, dropping
+    those with a forbidden proper prefix; v is forbidden when big v exceeds."""
+    big = bytes(oracle.max_lex(w, n))
+    found = []
+    for ell in range(1, n + 2):
+        for v in sorted(ref_language(n, ell)):
+            if any(_divides(f, v) for f in found):
+                continue
+            u = big + v
+            if any(
+                _quotient(r, u[i:]) is not None
+                for i in range(len(u) - 1) for r in set(u[i + 1:]) if r > u[i]
+            ):
+                found.append(v)
+    return frozenset(tuple(v) for v in found)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: oracle.check_word((), 0),
+        lambda: oracle.max_lex((), 0),
+        lambda: oracle.is_prefix((), (), 0),
+        lambda: oracle.minimal_forbidden_prefixes((), 0),
+        lambda: oracle.minimal_forbidden_prefixes((), -3),
+        lambda: oracle.enumerate_language(0, 2),
+    ],
+    ids=["check_word", "max_lex", "is_prefix", "forbidden_n0", "forbidden_n-3", "language"],
+)
+def test_refuses_n_below_one(call):
+    with pytest.raises(ValueError, match="need n >= 1"):
+        call()
+
+
 class TestEquivalenceClass:
     def test_single_letter_is_alone(self):
-        assert oracle.equivalence_class((1,), 1) == {(1,)}
+        assert ref_equivalence_class((1,), 1) == {(1,)}
 
     def test_distant_letters_commute(self):
-        assert oracle.equivalence_class((1, 3), 3) == {(1, 3), (3, 1)}
+        assert ref_equivalence_class((1, 3), 3) == {(1, 3), (3, 1)}
 
     def test_adjacent_triple(self):
-        assert oracle.equivalence_class((1, 2, 1), 2) == {(1, 2, 1), (2, 1, 2)}
+        assert ref_equivalence_class((1, 2, 1), 2) == {(1, 2, 1), (2, 1, 2)}
 
     def test_letter_out_of_range(self):
         with pytest.raises(BraidWordError):
-            oracle.equivalence_class((1, 3), 2)
+            ref_equivalence_class((1, 3), 2)
 
     @given(w=words(3, 5))
     def test_class_members_share_length_and_support(self, w):
         # the triple relation trades a_i a_j a_i for a_j a_i a_j, so only the
         # length and the set of letters used are preserved, not their counts
-        for u in oracle.equivalence_class(w, 3):
+        for u in ref_equivalence_class(w, 3):
             assert len(u) == len(w)
             assert set(u) == set(w)
 
@@ -47,7 +140,7 @@ class TestMaxLex:
     def test_idempotent_and_maximal(self, w):
         m = oracle.max_lex(w, 3)
         assert oracle.max_lex(m, 3) == m
-        assert all(m >= u for u in oracle.equivalence_class(w, 3))
+        assert all(m >= u for u in ref_equivalence_class(w, 3))
 
 
 class TestEnumerateLanguage:
@@ -67,7 +160,12 @@ class TestEnumerateLanguage:
         m = oracle.max_lex(w, 3)
         for cut in range(len(m) + 1):
             assert oracle.max_lex(m[:cut], 3) == m[:cut]
-            assert oracle.is_representative(m[cut:], 3)
+            assert ref_is_representative(m[cut:], 3)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_matches_the_closure_reference(self, n):
+        for k in range(8):
+            assert oracle.enumerate_language(n, k) == {tuple(b) for b in ref_language(n, k)}, k
 
 
 def closure_prefix(u, w, classes):
@@ -106,7 +204,7 @@ class TestIsPrefix:
     @pytest.mark.parametrize("n, max_len", [(2, 6), (3, 5), (4, 4)])
     def test_agrees_with_the_closure_definition(self, n, max_len):
         reps = [w for k in range(max_len + 1) for w in oracle.enumerate_language(n, k)]
-        classes = {w: oracle.equivalence_class(w, n) for w in reps}
+        classes = {w: ref_equivalence_class(w, n) for w in reps}
         for u in reps:
             for w in reps:
                 if len(u) <= len(w):
@@ -115,18 +213,18 @@ class TestIsPrefix:
 
 class TestIsRepresentative:
     def test_worked_values(self):
-        assert not oracle.is_representative((1, 2, 1), 2)
-        assert oracle.is_representative((2, 1, 2), 2)
-        assert not oracle.is_representative((1, 3), 3)
-        assert oracle.is_representative((3, 1), 3)
+        assert not ref_is_representative((1, 2, 1), 2)
+        assert ref_is_representative((2, 1, 2), 2)
+        assert not ref_is_representative((1, 3), 3)
+        assert ref_is_representative((3, 1), 3)
         # the suffix a_2 a_3 a_2 = a_3 a_2 a_3 starts with the larger a_3
-        assert not oracle.is_representative((1, 2, 3, 2), 3)
+        assert not ref_is_representative((1, 2, 3, 2), 3)
 
     @pytest.mark.parametrize("n, max_len", [(1, 8), (2, 8), (3, 7), (4, 6)])
     def test_iff_max_lex_is_itself(self, n, max_len):
         for k in range(max_len + 1):
             for w in product(range(1, n + 1), repeat=k):
-                assert oracle.is_representative(w, n) == (oracle.max_lex(w, n) == w), w
+                assert ref_is_representative(w, n) == (oracle.max_lex(w, n) == w), w
 
 
 class TestMinimalForbiddenPrefixes:
@@ -147,3 +245,25 @@ class TestMinimalForbiddenPrefixes:
             for b in f:
                 if a != b:
                     assert not oracle.is_prefix(a, b, 3)
+
+    @pytest.mark.parametrize("n, max_len, reps", [(2, 7, 133), (3, 6, 370), (4, 5, 408)])
+    def test_matches_the_candidate_search(self, n, max_len, reps):
+        words = [w for k in range(max_len + 1) for w in oracle.enumerate_language(n, k)]
+        assert len(words) == reps
+        for w in words:
+            assert oracle.minimal_forbidden_prefixes(w, n) == ref_minimal_forbidden_prefixes(w, n), w
+
+
+class TestComplements:
+    def test_letter_rules(self):
+        assert oracle._complements(b"\x02", b"\x02") == (b"", b"")
+        assert oracle._complements(b"\x01", b"\x03") == (b"\x03", b"\x01")
+        assert oracle._complements(b"\x01", b"\x02") == (b"\x02\x01", b"\x01\x02")
+
+    @settings(deadline=None)
+    @given(u=words(3, 4), v=words(3, 4))
+    def test_both_products_are_the_common_multiple(self, u, v):
+        # u (u\v) = v (v\u); that it is the least one is what the prefix
+        # tests check, since u <= v iff v\u is empty
+        a, b = oracle._complements(bytes(u), bytes(v))
+        assert v + tuple(b) in ref_equivalence_class(u + tuple(a), 3)
