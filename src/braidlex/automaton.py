@@ -2,7 +2,13 @@
 
 States are segment configurations discovered by breadth-first closure from
 the initial configuration (n, n, n, {}); state 0 is the initial state and
-indices follow insertion order.  Counting is exact: count_words keeps each
+indices follow the order a queue would give.  The BFS walks one level at a
+time on packed uint64 keys (configs.pack) with the array rule
+configs.successors, so an Automaton holds a key array and a flat int64
+(state, letter) table.  Readers of i or j take them from the keys;
+``Automaton.indices`` finds states by key, and SegmentConfig objects are
+unpacked only when asked for (``Automaton.states``: export, the psi check
+of ``verify``, tests).  A key holds n <= 14.  Counting is exact: count_words keeps each
 state's count as int64 limbs holding base-2^32 digits, advances all of them
 by one int64 sparse product per step, and carries only when the next
 product could pass 2^63 - 1, so it returns arbitrary precision integers.
@@ -13,12 +19,13 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field
+from functools import cached_property
 from math import comb
 
 import numpy as np
 from scipy.sparse import csr_matrix
 
-from .configs import SegmentConfig, initial_config, successors
+from .configs import MAX_KEY_N, SegmentConfig, initial_config, key_fields, pack, successors, unpack
 from .errors import BraidWordError, BuildLimitError, InternalConsistencyError
 
 DEFAULT_BUILD_LIMIT = 14
@@ -75,27 +82,41 @@ def state_counts(n: int) -> StateCounts:
 # the automaton
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(eq=False)
 class Automaton:
+    """States are packed configuration keys (configs.pack), numbered in BFS
+    order; ``transitions`` is the flat (state, letter) table."""
+
     n: int
-    states: list[SegmentConfig]
-    index: dict[SegmentConfig, int] = field(repr=False)
-    transitions: list[int] = field(repr=False)  # flat (state, letter) -> state, -1 if forbidden
+    keys: np.ndarray = field(repr=False)         # uint64, one key per state
+    transitions: np.ndarray = field(repr=False)  # int64 (state, letter) -> state, -1 if forbidden
 
     def __len__(self) -> int:
-        return len(self.states)
+        return len(self.keys)
 
     def target(self, state: int, letter: int) -> int:
         """Successor index, or -1 when the letter is forbidden."""
-        return self.transitions[state * self.n + letter - 1]
+        return int(self.transitions[state * self.n + letter - 1])
 
-    def out_letters(self, state: int):
-        base = state * self.n
-        return [
-            r
-            for r in range(1, self.n + 1)
-            if self.transitions[base + r - 1] >= 0
-        ]
+    def out_letters(self, state: int) -> list[int]:
+        row = self.transitions[state * self.n : (state + 1) * self.n]
+        return (np.flatnonzero(row >= 0) + 1).tolist()
+
+    @cached_property
+    def states(self) -> list[SegmentConfig]:
+        """Every state as a SegmentConfig, unpacked on first use."""
+        return [unpack(key) for key in self.keys.tolist()]
+
+    @cached_property
+    def _by_key(self) -> np.ndarray:
+        return np.argsort(self.keys)
+
+    def indices(self, configs) -> np.ndarray:
+        """The state index of each configuration, -1 where it is no state."""
+        want = np.array([pack(c) for c in configs], dtype=np.uint64)
+        at = np.minimum(np.searchsorted(self.keys, want, sorter=self._by_key), len(self) - 1)
+        found = self._by_key[at]
+        return np.where(self.keys[found] == want, found, -1)
 
 
 def check_build_limit(n: int) -> None:
@@ -111,39 +132,57 @@ def check_build_limit(n: int) -> None:
         )
 
 
-def build(n: int) -> Automaton:
-    """Breadth-first closure from the initial configuration.
-
-    Raises past the guard of check_build_limit, and InternalConsistencyError
-    if the discovered state count disagrees with the closed-form count.
-    The states reached by letter r have j = r, and the initial state j = n.
-    """
+def check_bfs_limit(n: int) -> None:
+    """check_build_limit, and BuildLimitError past MAX_KEY_N, whatever the
+    guard allows: a configuration key holds no more."""
     check_build_limit(n)
-    init = initial_config(n)
-    states = [init]
-    index = {init: 0}
-    transitions: list[int] = []
-    qi = 0
-    while qi < len(states):
-        row = [-1] * n
-        # targets are plain tuples; the index finds their SegmentConfig key
-        # by tuple hashing and equality, so only new states are wrapped
-        for r, t in successors(states[qi], n):
-            ti = index.get(t)
-            if ti is None:
-                ti = len(states)
-                t = SegmentConfig._make(t)
-                index[t] = ti
-                states.append(t)
-            row[r - 1] = ti
-        transitions.extend(row)
-        qi += 1
-    expected = state_count_formula(n)
-    if len(states) != expected:
-        raise InternalConsistencyError(
-            f"BFS found {len(states)} states for n={n}, formula gives {expected}"
+    if n > MAX_KEY_N:
+        raise BuildLimitError(
+            f"n={n} is past {MAX_KEY_N}, the largest n a 64-bit configuration key holds"
         )
-    return Automaton(n, states, index, transitions)
+
+
+def build(n: int) -> Automaton:
+    """Breadth-first closure from the initial configuration, one level at
+    a time on packed keys.
+
+    Each level's targets are looked up among the sorted keys seen so far,
+    and the new ones are numbered in order of first occurrence over
+    (source, letter): the numbering a queue would give.  Raises past the
+    guard of check_bfs_limit, and InternalConsistencyError if the
+    discovered state count disagrees with the closed-form count.
+    """
+    check_bfs_limit(n)
+    frontier = np.array([pack(initial_config(n))], dtype=np.uint64)
+    levels, rows = [frontier], []
+    known, known_ids = frontier, np.zeros(1, dtype=np.int64)  # sorted by key
+    count = 1
+    while len(frontier):
+        targets = successors(frontier, n).ravel()
+        live = np.flatnonzero(targets)
+        cand = targets[live]
+        at = np.minimum(np.searchsorted(known, cand), len(known) - 1)
+        seen = known[at] == cand
+        ids = known_ids[at]
+        fresh, first, inverse = np.unique(cand[~seen], return_index=True, return_inverse=True)
+        by_first = np.argsort(first)
+        rank = np.empty(len(fresh), dtype=np.int64)
+        rank[by_first] = np.arange(count, count + len(fresh))
+        ids[~seen] = rank[inverse]
+        row = np.full(len(targets), -1, dtype=np.int64)
+        row[live] = ids
+        rows.append(row)
+        frontier = fresh[by_first]
+        levels.append(frontier)
+        at = np.searchsorted(known, fresh)
+        known, known_ids = np.insert(known, at, fresh), np.insert(known_ids, at, rank)
+        count += len(fresh)
+    expected = state_count_formula(n)
+    if count != expected:
+        raise InternalConsistencyError(
+            f"BFS found {count} states for n={n}, formula gives {expected}"
+        )
+    return Automaton(n, np.concatenate(levels), np.concatenate(rows))
 
 
 def state_after(a: Automaton, w) -> int | None:
@@ -218,11 +257,11 @@ def _edges(a: Automaton, order: list[int]) -> np.ndarray:
     """The transitions between the states listed in ``order``, as an
     (nnz, 2) array of (source, target) positions in ``order``, sources
     ascending."""
-    m = len(a.states)
+    m = len(a)
     # pos[m] = -1 also catches the forbidden targets, which are -1
     pos = np.full(m + 1, -1, dtype=np.int64)
     pos[order] = np.arange(len(order))
-    targets = pos[np.asarray(a.transitions, dtype=np.int64).reshape(m, a.n)[order]]
+    targets = pos[a.transitions.reshape(m, a.n)[order]]
     live = targets >= 0
     return np.column_stack((np.nonzero(live)[0], targets[live]))
 
@@ -232,7 +271,7 @@ def incidence_matrix(a: Automaton, order: list[int] | None = None) -> SparseBool
 
     ``order`` lists state indices row by row; default is BFS insertion order.
     """
-    m = len(a.states)
+    m = len(a)
     if order is None:
         order = list(range(m))
     elif sorted(order) != list(range(m)):
@@ -250,7 +289,7 @@ def recurrent_states(a: Automaton) -> list[int]:
     # 0.12 s to importing the CLI, which every command would pay.
     from scipy.sparse.csgraph import connected_components
 
-    m = len(a.states)
+    m = len(a)
     src, dst = _edges(a, list(range(m))).T
     graph = csr_matrix((np.ones(len(src)), (src, dst)), shape=(m, m))
     ncomp, label = connected_components(graph, directed=True, connection="strong")
@@ -258,7 +297,7 @@ def recurrent_states(a: Automaton) -> list[int]:
     has_exit = np.zeros(ncomp, dtype=bool)
     has_exit[from_label[from_label != to_label]] = True
     closed = np.flatnonzero(~has_exit)
-    predicate = np.array([c.i == 1 for c in a.states])
+    predicate = key_fields(a.keys)[0] == 1
     if len(closed) != 1 or not np.array_equal(label == closed[0], predicate):
         raise InternalConsistencyError(
             f"i=1 predicate and closed SCC disagree for n={a.n}"
@@ -377,7 +416,7 @@ def count_words(a: Automaton, k: int) -> tuple[list[int], int]:
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
-    m = len(a.states)
+    m = len(a)
     src, dst = _edges(a, list(range(m))).T
     mt = csr_matrix((np.ones(len(src), dtype=np.int64), (dst, src)), shape=(m, m))
     d = int(np.bincount(dst, minlength=m).max())
@@ -406,8 +445,8 @@ def ending_letter_counts(a: Automaton, k: int, counts: list[int]) -> dict[int, i
     out = {r: 0 for r in range(1, a.n + 1)}
     if k == 0:
         return out
-    for s, c in enumerate(counts):
-        out[a.states[s].j] += c
+    for j, c in zip(key_fields(a.keys)[1].tolist(), counts):
+        out[j] += c
     return out
 
 
@@ -418,8 +457,9 @@ def ending_letter_counts(a: Automaton, k: int, counts: list[int]) -> dict[int, i
 def _arrows(a: Automaton) -> list[tuple[int, int, int]]:
     """Every transition as (source, letter, target), sources ascending, then
     letters.  The letter of an arrow is its target's square position j."""
-    src, dst = _edges(a, list(range(len(a.states)))).T.tolist()
-    return [(s, a.states[t].j, t) for s, t in zip(src, dst)]
+    src, dst = _edges(a, list(range(len(a)))).T
+    letters = key_fields(a.keys)[1][dst]
+    return list(zip(src.tolist(), letters.tolist(), dst.tolist()))
 
 
 def to_json(a: Automaton) -> str:

@@ -151,8 +151,8 @@ def cmd_table(args) -> int:
     # refuse bad input before the header, and before any build
     if args.start > args.stop:
         raise ValueError(f"--from {args.start} is past --to {args.stop}")
-    am.check_build_limit(args.start)
-    am.check_build_limit(args.stop)
+    am.check_bfs_limit(args.start)
+    am.check_bfs_limit(args.stop)
     if not args.tol > 0:
         raise ValueError(f"tol must be positive, got {args.tol}")
     rows = []

@@ -14,9 +14,13 @@ what sits immediately right of the square (black circle, segment end, or
 nothing).  The two-letter element a_{j+1} a_j is implicit in (j, k) and is
 never drawn.
 
-Each fact about a state has one routine: ``successors(c, n)`` is the
-letter-transition rule (every permitted letter with its target) that the BFS
-of ``automaton.build`` reads; ``_marks(c, n)`` reads the diagram off
+A configuration of size n <= 14 packs into one uint64 key (``pack``,
+``unpack``): nibble 0 holds i, nibble 1 j, nibble 2 k, and nibble 2 + p the
+right end of the segment starting at p, or 0 if none does.
+
+Each fact about a state has one routine: ``successors(keys, n)`` is the
+letter-transition rule, on a whole array of keys at once, that the BFS of
+``automaton.build`` reads; ``_marks(c, n)`` reads the diagram off
 (i, j, k, S), and ``psi`` and ``render_diagram`` draw from it; ``c.j`` is
 the final letter.
 """
@@ -25,6 +29,8 @@ from __future__ import annotations
 
 from itertools import combinations, combinations_with_replacement
 from typing import Iterator, NamedTuple
+
+import numpy as np
 
 from .errors import ConfigError, ShiftRangeError
 
@@ -94,7 +100,7 @@ def psi(c: SegmentConfig, n: int) -> frozenset[Word]:
 
 
 # ---------------------------------------------------------------------------
-# diagram marks and the letter-transition rule
+# diagram marks
 # ---------------------------------------------------------------------------
 
 def _marks(c: SegmentConfig, n: int) -> tuple[set[int], list[Segment]]:
@@ -114,14 +120,57 @@ def _marks(c: SegmentConfig, n: int) -> tuple[set[int], list[Segment]]:
     return blacks, segs
 
 
-def successors(c: SegmentConfig, n: int) -> list[tuple[int, tuple]]:
-    """(r, target) for every permitted letter r, ascending, each target a
-    plain (i, j, k, segments) tuple.
+# ---------------------------------------------------------------------------
+# packed keys and the letter-transition rule on them
+# ---------------------------------------------------------------------------
+
+#: The largest n whose configurations fit a key: n + 2 nibbles of 64 bits.
+MAX_KEY_N = 14
+
+_U = np.uint64
+_NIBBLE = _U(15)
+_SEGMENT_BITS = _U(((1 << 64) - 1) ^ 0xFFF)
+# bit 0 of every segment nibble, p = 1..13
+_SEGMENT_ONES = _U(sum(1 << 4 * (p + 2) for p in range(1, MAX_KEY_N)))
+
+
+def pack(c: SegmentConfig) -> int:
+    """The key of ``c``: nibble 0 holds i, nibble 1 j, nibble 2 k, and
+    nibble 2 + p the right end of the segment starting at p (0 if none).
+    Distinct configurations of size n <= MAX_KEY_N get distinct keys, and
+    no key is 0."""
+    key = c.i | c.j << 4 | c.k << 8
+    for p, q in c.segments:
+        key |= q << 4 * (p + 2)
+    return key
+
+
+def unpack(key: int) -> SegmentConfig:
+    """The configuration whose key is ``key``; inverse of pack."""
+    key = int(key)
+    segs = []
+    rest, p = key >> 12, 1
+    while rest:
+        if rest & 15:
+            segs.append((p, rest & 15))
+        rest >>= 4
+        p += 1
+    return SegmentConfig(key & 15, key >> 4 & 15, key >> 8 & 15, tuple(segs))
+
+
+def key_fields(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(i, j, k) of every key in a uint64 array, as int64 arrays."""
+    return tuple((keys >> _U(4 * f) & _NIBBLE).astype(np.int64) for f in range(3))
+
+
+def successors(keys: np.ndarray, n: int) -> np.ndarray:
+    """(F, n) uint64 array: row f, column r - 1 holds the key that letter r
+    leads to from ``keys[f]``, or 0 when r is forbidden there.
 
     The permitted letters are 1..i-1, the segment starts, j, and j+1 unless
     it is black (k = j+1) or past n.  Reading r moves the square to r:
 
-      * r < i goes to (r, r, r, {}), whatever c is;
+      * r < i goes to (r, r, r, {}), whatever the configuration is;
       * otherwise i stays, the segments starting left of r stay, and a black
         circle at r-1 (the degenerate run [r-1, r-1]) becomes the run
         [r-1, r];
@@ -130,19 +179,39 @@ def successors(c: SegmentConfig, n: int) -> list[tuple[int, tuple]]:
       * r = j keeps every segment, with nothing right of the square: k = j;
       * r = j+1 extends the segments ending at the square to j+1, and
         k becomes max(k, j+1).
+
+    Keys and constants are uint64 throughout: no Python int meets a key, so
+    numpy's old and new promotion rules (NEP 50) give the same types.
     """
-    i, j, k, segs = c
-    out: list[tuple[int, tuple]] = [(r, (r, r, r, ())) for r in range(1, i)]
-    last = i - 1  # the previous segment start; cell r-1 is black iff last < r-1
-    for m, (p, q) in enumerate(segs):
-        left = segs[:m] + ((p - 1, p),) if last < p - 1 else segs[:m]
-        out.append((p, (i, p, q, left)))
-        last = p
-    left = segs + ((j - 1, j),) if last < j - 1 else segs
-    out.append((j, (i, j, j, left)))
-    if j < n and k != j + 1:
-        grown = tuple((p, max(q, j + 1)) for p, q in segs)
-        out.append((j + 1, (i, j + 1, max(k, j + 1), grown)))
+    keys = np.asarray(keys, dtype=np.uint64)
+    i, j, k = (keys >> _U(4 * f) & _NIBBLE for f in range(3))
+    segs = keys & _SEGMENT_BITS
+    out = np.zeros((len(keys), n), dtype=np.uint64)
+    for r in range(1, n + 1):
+        ur = _U(r)
+        # r at a segment start (its right end q) or at the square (k = j)
+        q = keys >> _U(4 * (r + 2)) & _NIBBLE if r < n else np.zeros_like(keys)
+        at_square = j == ur
+        q[at_square] = ur
+        left = keys & _U(((1 << 4 * (r + 2)) - 1) ^ 0xFFF)
+        if r > 1:
+            # cell r-1 is black: at or right of i and no segment starts there
+            black = (i < ur) & ((keys >> _U(4 * (r + 1)) & _NIBBLE) == _U(0))
+            left |= np.where(black, _U(r << 4 * (r + 1)), _U(0))
+        to_start = i | _U(r << 4) | q << _U(8) | left
+        # r = j+1: the segments ending at j = r-1 grow to r
+        # nibble by nibble: bit 0 of differ is set where the nibble is not j
+        differ = segs ^ _SEGMENT_ONES * _U(r - 1)
+        differ |= differ >> _U(1)
+        differ |= differ >> _U(2)
+        grown = segs + (_SEGMENT_ONES & ~differ)
+        to_next = i | _U(r << 4) | np.maximum(k, ur) << _U(8) | grown
+        out[:, r - 1] = np.where(
+            i > ur,
+            _U(r * 0x111),
+            np.where(q != _U(0), to_start,
+                     np.where((j == _U(r - 1)) & (k != ur), to_next, _U(0))),
+        )
     return out
 
 

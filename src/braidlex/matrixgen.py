@@ -4,6 +4,8 @@ The recurrent subautomaton on states (1, j, k, S) has a self-similar block
 structure, and its incidence matrix can be written down without building the
 automaton at all: a recursive ``submatrix`` routine fills the arrows of each
 block, helped by a precomputed vector H of horizontal-arrow source positions.
+A block's arrows move with its offset and nothing else, so each nested block
+is made once per size and kind and copied to every offset it occupies.
 This module transcribes that recipe line by line (see FIDELITY.md for the
 two places where the printed pseudocode needed repair) and also produces the
 canonical state ordering that the recipe presupposes, so the result can be
@@ -23,6 +25,7 @@ n-1 (the transient states) before the recurrent block.
 from __future__ import annotations
 
 from array import array
+from functools import lru_cache
 from math import comb
 from typing import Sequence
 
@@ -55,64 +58,71 @@ def compute_H(j: int) -> tuple[int, ...]:
     return tuple(h)
 
 
-def submatrix(
-    entries: array,
-    j: int,
-    H: Sequence[int],
-    s: int,
-    closed: bool,
-    counts: StateCounts,
-) -> None:
-    """Append the 1-entries of the size-j block whose upper-left corner is at
-    offset s to ``entries``, a flat buffer of 0-based (row, col) pairs.
+def submatrix(j: int, H: Sequence[int], closed: bool, counts: StateCounts) -> np.ndarray:
+    """The 1-entries of the size-j block with its upper-left corner at
+    offset 0, as an (nnz, 2) int64 array of 0-based (row, col) pairs.
 
-    ``closed`` selects between the block's own arrows (True) and the arrows
-    of a black-shifted copy, whose would-be first-letter arrows leave the
-    block into the enclosing one (False).  Matrix positions are 1-based in
-    the arithmetic below, converted on appending.
+    The block at offset s is this array plus s, so each nested block is made
+    once per (size, closed) and copied to its offsets.  ``closed`` selects
+    between the block's own arrows (True) and the arrows of a black-shifted
+    copy, whose would-be first-letter arrows leave the block into the
+    enclosing one (False).  Matrix positions are 1-based in the arithmetic
+    below, converted on appending.
     """
-    if j < 1:
-        return
     ss = counts.s_star
 
-    def put(p: int, q: int) -> None:
-        entries.extend((p - 1, q - 1))
+    @lru_cache(maxsize=None)
+    def block(j: int, closed: bool) -> np.ndarray:
+        if j < 1:
+            return np.empty((0, 2), dtype=np.int64)
+        entries = array("q")
+        nested = []  # nested blocks, each already moved to its offset
 
-    if closed:
-        for i in range(1, j + 1):
-            put(i + s, 1 + s)                       # t_{1,i} -> t_{1,1}
-    else:
-        for i in range(1, j + 1):
-            put(i + s, 1 + ss[j] + s)               # shifted t_{1,i} -> outer first bar block
-    if j > 1:
-        put(1 + s, j + 1 + s)                       # t_{1,1} -> its black shift
-    for i in range(3, j + 1):
-        put(i + s, j + i - 1 + s)                   # t_{1,i} -> black shift of t_{1,i-1}
-    submatrix(entries, j - 1, H, s + j, False, counts)
-    sp = s + j + ss[j - 1]                          # sp + 1 = position of the first bar block
-    for i in range(1, j):
-        submatrix(entries, i, H, sp, True, counts)
-        if i == 1:
-            for k in range(1, j - 1):
-                put(sp + 1 + k, sp + 1)             # chain states into the single bar-1 state
-        else:
-            for k in range(1, j - i):
-                put(sp + ss[i] + k, sp + comb(i + 1, 2) + 1)
-        for k in range(2, j - i):
-            put(sp + ss[i] + k, sp + ss[i] + k + ss[i + 1] + j - i - 2)
+        def put(p: int, q: int) -> None:
+            entries.extend((p - 1, q - 1))
+
         if closed:
-            for k in range(sp + 1, sp + ss[i] + j - i):
-                put(k, s + i + 1)                   # first-letter arrows -> t_{1,i+1}
+            for i in range(1, j + 1):
+                put(i, 1)                           # t_{1,i} -> t_{1,1}
         else:
-            for k in range(sp + 1, sp + ss[i] + j - i):
-                put(k, s + ss[j] + i + 1)
-        if i < j - 1:
-            for k in range(1, 2 ** (i - 1) + 1):
-                put(
-                    sp + comb(i + 1, 2) + H[k - 1],
-                    sp + ss[i] + j - i - 1 + comb(i + 2, 2) + H[2 * k - 2],
-                )
-        sp += ss[i] + j - i - 1
+            for i in range(1, j + 1):
+                put(i, 1 + ss[j])                   # shifted t_{1,i} -> outer first bar block
+        if j > 1:
+            put(1, j + 1)                           # t_{1,1} -> its black shift
+        for i in range(3, j + 1):
+            put(i, j + i - 1)                       # t_{1,i} -> black shift of t_{1,i-1}
+        nested.append(block(j - 1, False) + j)
+        sp = j + ss[j - 1]                          # sp + 1 = position of the first bar block
+        for i in range(1, j):
+            nested.append(block(i, True) + sp)
+            if i == 1:
+                for k in range(1, j - 1):
+                    put(sp + 1 + k, sp + 1)         # chain states into the single bar-1 state
+            else:
+                for k in range(1, j - i):
+                    put(sp + ss[i] + k, sp + comb(i + 1, 2) + 1)
+            for k in range(2, j - i):
+                put(sp + ss[i] + k, sp + ss[i] + k + ss[i + 1] + j - i - 2)
+            if closed:
+                for k in range(sp + 1, sp + ss[i] + j - i):
+                    put(k, i + 1)                   # first-letter arrows -> t_{1,i+1}
+            else:
+                for k in range(sp + 1, sp + ss[i] + j - i):
+                    put(k, ss[j] + i + 1)
+            if i < j - 1:
+                for k in range(1, 2 ** (i - 1) + 1):
+                    put(
+                        sp + comb(i + 1, 2) + H[k - 1],
+                        sp + ss[i] + j - i - 1 + comb(i + 2, 2) + H[2 * k - 2],
+                    )
+            sp += ss[i] + j - i - 1
+        own = np.frombuffer(entries, dtype=np.int64).reshape(-1, 2)
+        return np.concatenate([own, *nested])
+
+    try:
+        return block(j, closed)
+    finally:
+        block.cache_clear()  # block refers to itself: free the blocks now, not at a GC pass
 
 
 def build_R_direct(n: int) -> SparseBooleanMatrix:
@@ -121,9 +131,7 @@ def build_R_direct(n: int) -> SparseBooleanMatrix:
     check_build_limit(n)
     counts = state_counts(n)
     H = compute_H(max(1, n - 1))
-    entries = array("q")
-    submatrix(entries, n, H, 0, True, counts)
-    return SparseBooleanMatrix(counts.s_star[n], np.frombuffer(entries, dtype=np.int64))
+    return SparseBooleanMatrix(counts.s_star[n], submatrix(n, H, True, counts))
 
 
 # ---------------------------------------------------------------------------
@@ -173,13 +181,12 @@ def canonical_full_configs(n: int) -> list[SegmentConfig]:
 
 
 def _bfs_indices(a: Automaton, configs: list[SegmentConfig]) -> list[int]:
-    order = []
-    for c in configs:
-        idx = a.index.get(c)
-        if idx is None:
-            raise InternalConsistencyError(f"canonical config {c} missing from automaton")
-        order.append(idx)
-    return order
+    order = a.indices(configs)
+    missing = np.flatnonzero(order < 0)
+    if len(missing):
+        c = configs[missing[0]]
+        raise InternalConsistencyError(f"canonical config {c} missing from automaton")
+    return order.tolist()
 
 
 def canonical_ordering(a: Automaton) -> list[int]:
@@ -212,11 +219,17 @@ def diff_matrices(
     return [(p, q, s) for (p, q), s in zip(pairs[once].tolist(), side[at[once]].tolist())]
 
 
+_MM_BLOCK = 1 << 15
+
+
 def to_matrix_market(m: SparseBooleanMatrix) -> str:
     nnz = len(m.entries)
     header = f"%%MatrixMarket matrix coordinate integer general\n{m.dim} {m.dim} {nnz}\n"
-    # one format over all entries: no per-line string or pair object
-    return header + ("%d %d 1\n" * nnz) % tuple((m.entries + 1).ravel().tolist())
+    # one format per block of entries: no per-line string or pair object,
+    # and the ints of one block at a time
+    blocks = (m.entries[s : s + _MM_BLOCK] + 1 for s in range(0, nnz, _MM_BLOCK))
+    lines = (("%d %d 1\n" * len(b)) % tuple(b.ravel().tolist()) for b in blocks)
+    return "".join([header, *lines])
 
 
 def to_csv(m: SparseBooleanMatrix) -> str:

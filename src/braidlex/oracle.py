@@ -14,7 +14,8 @@ presentations", J. Algebra 268, 2003).  Hence u left-divides v (u <= v) iff
 v\\u is empty, and w is maximal iff no w[i:]\\a_r with r > w[i] is empty.
 The monoid is cancellative, so a_r <= b v iff b\\a_r <= v: the minimal
 forbidden prefixes are the minimal complements, with no search.  The
-language is prefix-closed, so it grows one letter at a time.
+language is prefix-closed, so it grows one letter at a time, and the same
+lemma gives every letter a maximal word bans in one pass over its suffixes.
 Deliberately desk-scale; it exists to validate the rest of the package.
 
 Words are tuples of generator indices at the API; the hot loops run on
@@ -89,13 +90,21 @@ def _complements(u: bytes, v: bytes) -> tuple[bytes, bytes]:
     return v + u, u + v
 
 
-def _exceeds(w: bytes) -> bool:
-    """True iff some word equivalent to w is lexicographically greater, that
-    is (the monoid is cancellative) some letter r > w[i] left-divides w[i:]."""
-    return any(
-        not _complements(w[i:], bytes((r,)))[0]
-        for i in range(len(w) - 1) for r in set(w[i + 1:]) if r > w[i]
-    )
+def _banned(w: bytes, n: int) -> set[int]:
+    """The letters x for which w x exceeds, for a maximal w.
+
+    w x exceeds iff a_r <= w[i:] x for some i < |w| and r > w[i] (the
+    suffix x alone has no such divisor).  That holds iff w[i:]\\a_r <= x,
+    and as w is maximal the complement is not empty, so it must be the
+    single letter x: one pass over w's suffixes finds every banned x.
+    """
+    out = set()
+    for i in range(len(w)):
+        for r in range(w[i] + 1, n + 1):
+            c = _complements(w[i:], bytes((r,)))[0]
+            if len(c) == 1:
+                out.add(c[0])
+    return out
 
 
 def max_lex(w: Iterable[int], n: int) -> Word:
@@ -107,12 +116,13 @@ def max_lex(w: Iterable[int], n: int) -> Word:
 @lru_cache(maxsize=None)
 def _language_bytes(n: int, k: int) -> frozenset[bytes]:
     """Length-k maximal words: the language is prefix-closed, so each is a
-    length-(k - 1) one plus a letter, kept unless it exceeds."""
+    length-(k - 1) one plus a letter that it does not ban."""
     if not k:
         return frozenset((b"",))
-    letters = [bytes((x,)) for x in range(1, n + 1)]
     return frozenset(
-        u for w in _language_bytes(n, k - 1) for x in letters if not _exceeds(u := w + x)
+        w + bytes((x,))
+        for w in _language_bytes(n, k - 1)
+        for x in set(range(1, n + 1)) - _banned(w, n)
     )
 
 

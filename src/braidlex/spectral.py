@@ -22,7 +22,7 @@ from .automaton import (
     recurrent_matrix,
     recurrent_states,
 )
-from .configs import SegmentConfig
+from .configs import SegmentConfig, key_fields
 from .errors import (
     BoundViolationError,
     ConvergenceError,
@@ -130,15 +130,14 @@ def proportions(a: Automaton, r: SpectralResult) -> ProportionReport:
     rec = recurrent_states(a)
     if len(rec) != len(r.v):
         raise ValueError("spectral result does not match the recurrent block")
-    per = [0.0] * a.n
-    for row, s in enumerate(rec):
-        per[a.states[s].j - 1] += float(r.v[row])
+    # bincount adds each bin's weights in row order, as a loop would
+    per = np.bincount(key_fields(a.keys[rec])[1] - 1, weights=r.v, minlength=a.n)
     # rec is ascending, so the row of t11 is found by bisection
-    t11 = a.index.get(SegmentConfig(1, 1, 1, ()), -1)
+    t11 = int(a.indices([SegmentConfig(1, 1, 1, ())])[0])
     row = bisect_left(rec, t11)
     if row == len(rec) or rec[row] != t11:
         raise ValueError("state (1,1,1,{}) not found among recurrent states")
-    return ProportionReport(a.n, tuple(per), float(r.v[row]))
+    return ProportionReport(a.n, tuple(per.tolist()), float(r.v[row]))
 
 
 def resolvent_nonneg_check(R: SparseBooleanMatrix, lam: float) -> bool:

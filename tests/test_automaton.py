@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from braidlex import automaton as am
 from braidlex import matrixgen as mg
 from braidlex import oracle
-from braidlex.configs import SegmentConfig, initial_config, shift
+from braidlex.configs import SegmentConfig, initial_config, pack, shift
 from braidlex.errors import BraidWordError, BuildLimitError, InternalConsistencyError
 
 M2_DENSE = [
@@ -73,8 +73,16 @@ class TestBuild:
             am.build(4)
         assert len(am.build(3)) == 18
 
+    def test_key_width_refuses_past_14_whatever_the_guard(self, monkeypatch):
+        monkeypatch.setenv(am.BUILD_LIMIT_ENV, "15")
+        # refused before the first level is walked
+        monkeypatch.setattr(am, "successors", None)
+        with pytest.raises(BuildLimitError, match="n=15 is past 14"):
+            am.build(15)
+
     # sha256 of the BFS transition table and of the states in insertion
-    # order; export, a.index and `matrix --which M` rely on this order
+    # order, as the queue BFS over SegmentConfig objects numbered them;
+    # export and `matrix --which M` rely on this order
     BFS_DIGESTS = {
         9: (
             "6f306daeb766d328bcfbeb1ddd51b38537c54159eb8d21812322881ed3203b91",
@@ -84,19 +92,23 @@ class TestBuild:
             "d1d8e76d4fe49749f10a36bcad71dd0f17a44ea562fc13777fd2ee35f6f097f8",
             "902b0ebf7b18b32205492e881ea04b39eeec8561b3f06586b859b49fac17d5c5",
         ),
+        12: (
+            "c0c65ef3b211fa3299f3188aab7a93b37b0d0225e0b80896d93278e46fccffd6",
+            "71365c22af2faa4ec9eb2d1d33549a8b115af964f0aa4e8ea4b67e504cc0f97d",
+        ),
     }
 
     @pytest.mark.parametrize("n", sorted(BFS_DIGESTS))
     def test_bfs_order_is_pinned(self, build_cached, n):
         a = build_cached(n)
-        transitions = ",".join(map(str, a.transitions))
+        transitions = ",".join(map(str, a.transitions.tolist()))
         states = "\n".join(map(str, a.states))
         assert (
             hashlib.sha256(transitions.encode()).hexdigest(),
             hashlib.sha256(states.encode()).hexdigest(),
         ) == self.BFS_DIGESTS[n]
         assert all(type(c) is SegmentConfig for c in a.states)
-        assert all(a.index[c] == s for s, c in enumerate(a.states))
+        assert a.indices(a.states).tolist() == list(range(len(a)))
 
     def test_single_incoming_label(self, build_cached):
         for n in (2, 3, 4, 5):
@@ -113,9 +125,9 @@ class TestBuild:
         for n in (2, 3, 4):
             a, prev = build_cached(n), build_cached(n - 1)
             # prev state -> the index of its shifted copy in a
-            up = {ps: a.index[shift(c, n)] for ps, c in enumerate(prev.states)}
+            up = dict(enumerate(a.indices([shift(c, n) for c in prev.states]).tolist()))
             assert set(up.values()) == {s for s, c in enumerate(a.states) if c.i > 1}
-            t11 = a.index[SegmentConfig(1, 1, 1)]
+            t11 = a.indices([SegmentConfig(1, 1, 1)])[0]
             for ps, s in up.items():
                 assert a.target(s, 1) == t11  # the only exit from the copy
                 for r in range(2, n + 1):
@@ -195,8 +207,8 @@ class TestRecurrentStates:
         a = build_cached(2)
         assert 0 not in am.recurrent_states(a)
         # turn the transient initial state into a closed component of its own
-        looped = list(a.transitions)
-        looped[: a.n] = [0 if t >= 0 else -1 for t in looped[: a.n]]
+        looped = a.transitions.copy()
+        looped[: a.n] = np.where(looped[: a.n] >= 0, 0, -1)
         with pytest.raises(InternalConsistencyError):
             am.recurrent_states(dataclasses.replace(a, transitions=looped))
 
@@ -280,7 +292,8 @@ def ref_count_words(a, k):
 def one_state_automaton(n):
     """Every letter loops on the only state: n^k words of length k, and the
     largest count after each step equals the deferral bound of count_words."""
-    return am.Automaton(n, [initial_config(n)], {}, [0] * n)
+    key = pack(initial_config(n))
+    return am.Automaton(n, np.array([key], dtype=np.uint64), np.zeros(n, dtype=np.int64))
 
 
 def digits_value(x):

@@ -48,6 +48,13 @@ class TestStates:
         assert code == 0
         assert out.startswith("126491780 126491780")
 
+    def test_past_the_key_width_uses_formulas_only(self, capsys, monkeypatch):
+        # the guard allows 15, but a configuration key holds n <= 14
+        monkeypatch.setenv(am.BUILD_LIMIT_ENV, "15")
+        code, out, _ = run(capsys, "states", "15")
+        assert code == 0
+        assert out == "2692416 2692416 (formula, recurrence)\n"
+
     def test_deterministic(self, capsys):
         first = run(capsys, "states", "4")
         second = run(capsys, "states", "4")
@@ -246,6 +253,18 @@ class TestTable:
         assert code == 6
         assert out == ""
         assert "n=4 exceeds the build limit 3" in err
+
+    def test_key_width_refuses_before_building(self, capsys, monkeypatch):
+        monkeypatch.setenv(am.BUILD_LIMIT_ENV, "15")
+
+        def no_build(n):
+            raise AssertionError(f"built n={n}")
+
+        monkeypatch.setattr(am, "build", no_build)
+        code, out, err = run(capsys, "table", "--from", "14", "--to", "15")
+        assert code == 6
+        assert out == ""
+        assert "n=15 is past 14" in err
 
     def test_bound_violation_exit_code(self, capsys, monkeypatch):
         monkeypatch.setattr(sp, "GROWTH_RATE_CEILING", 2.0)

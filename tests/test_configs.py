@@ -2,6 +2,7 @@
 
 import hashlib
 
+import numpy as np
 import pytest
 
 from braidlex import configs as cf
@@ -217,8 +218,37 @@ class TestDiagram:
             cf.render_diagram(SegmentConfig(1, 2, 3, ((2, 3),)), 3)
 
 
+def successor_list(c, n):
+    """(r, target) for every permitted letter r, ascending: the array rule
+    read on the single key of ``c``."""
+    row = cf.successors(np.array([cf.pack(c)], dtype=np.uint64), n)[0]
+    return [(r, cf.unpack(t)) for r, t in enumerate(row.tolist(), start=1) if t]
+
+
 def letters(c, n):
-    return {r for r, _ in cf.successors(c, n)}
+    return {r for r, _ in successor_list(c, n)}
+
+
+class TestKeys:
+    def test_pack_round_trips_and_is_injective(self):
+        for n in range(1, SUCCESSORS_N + 1):
+            configs = list(cf.all_configs(n))
+            keys = [cf.pack(c) for c in configs]
+            assert [cf.unpack(key) for key in keys] == configs
+            assert len(set(keys)) == len(keys) and 0 not in keys
+
+    def test_layout(self):
+        c = SegmentConfig(1, 3, 4, ((1, 4), (2, 3)))
+        assert cf.pack(c) == 0x34_000 + 0x431
+        fields = cf.key_fields(np.array([cf.pack(c)], dtype=np.uint64))
+        assert [f.tolist() for f in fields] == [[1], [3], [4]]
+
+    def test_the_widest_key_uses_the_top_nibble(self):
+        n = cf.MAX_KEY_N
+        c = SegmentConfig(1, n, n, ((n - 1, n),))
+        key = cf.pack(c)
+        assert key >> 60 == n and key < 1 << 64
+        assert cf.unpack(np.uint64(key)) == c
 
 
 class TestPermittedLetters:
@@ -234,26 +264,29 @@ class TestPermittedLetters:
 
 class TestTransition:
     def test_worked_values(self):
-        assert cf.successors(SegmentConfig(2, 2, 2), 2) == [
+        assert successor_list(SegmentConfig(2, 2, 2), 2) == [
             (1, (1, 1, 1, ())), (2, (2, 2, 2, ())),
         ]
-        assert cf.successors(SegmentConfig(1, 2, 2), 2) == [(2, (1, 2, 2, ((1, 2),)))]
+        assert successor_list(SegmentConfig(1, 2, 2), 2) == [(2, (1, 2, 2, ((1, 2),)))]
 
     def test_successors_match_the_reference_rule(self):
+        # one array call per n over every configuration of size n
         for n in range(1, SUCCESSORS_N + 1):
-            for c in cf.all_configs(n):
+            configs = list(cf.all_configs(n))
+            keys = np.array([cf.pack(c) for c in configs], dtype=np.uint64)
+            table = cf.successors(keys, n).tolist()
+            for c, row in zip(configs, table):
                 blacks, segs = cf._marks(c, n)
-                permitted = set(range(1, n + 1)) - blacks
                 expected = [
-                    (r, ref_apply(blacks, segs, c.j, r, n)) for r in sorted(permitted)
+                    cf.pack(ref_apply(blacks, segs, c.j, r, n)) if r not in blacks else 0
+                    for r in range(1, n + 1)
                 ]
-                assert cf.successors(c, n) == expected, c
+                assert row == expected, c
 
     def test_closure_and_final_letter(self):
         for n in range(1, EXHAUSTIVE_N + 1):
             for c in cf.all_configs(n):
-                for r, t in cf.successors(c, n):
-                    t = SegmentConfig._make(t)
+                for r, t in successor_list(c, n):
                     assert cf.validate(t, n)
                     assert t.j == r
 
@@ -264,7 +297,7 @@ class TestTransition:
                 for w in oracle.enumerate_language(n, k):
                     c = cf.initial_config(n)
                     for r in w:
-                        c = SegmentConfig._make(dict(cf.successors(c, n))[r])
+                        c = dict(successor_list(c, n))[r]
                     assert cf.psi(c, n) == oracle.minimal_forbidden_prefixes(w, n)
 
 

@@ -1,7 +1,6 @@
 """Direct matrix generator, canonical orderings, and cross-validation."""
 
 import hashlib
-from array import array
 
 import pytest
 
@@ -13,9 +12,9 @@ from braidlex.errors import BuildLimitError, InternalConsistencyError
 R2_ENTRIES = {(0, 0), (0, 2), (1, 0), (2, 3), (3, 1), (3, 3)}
 
 
-def pairs(buf: array) -> list[tuple[int, int]]:
-    """The (row, col) pairs of a flat buffer filled by submatrix, sorted."""
-    return sorted(zip(buf[::2], buf[1::2]))
+def pairs(block) -> list[tuple[int, int]]:
+    """The (row, col) pairs of an (nnz, 2) array made by submatrix, sorted."""
+    return sorted(map(tuple, block.tolist()))
 
 
 class TestComputeH:
@@ -43,28 +42,20 @@ class TestComputeH:
 class TestSubmatrix:
     def test_j2_closed_fills_r2(self):
         counts = am.state_counts(2)
-        entries = array("q")
-        mg.submatrix(entries, 2, mg.compute_H(1), 0, True, counts)
-        assert pairs(entries) == sorted(R2_ENTRIES)
+        assert pairs(mg.submatrix(2, mg.compute_H(1), True, counts)) == sorted(R2_ENTRIES)
 
     def test_j1_closed_is_a_self_loop(self):
         counts = am.state_counts(1)
-        entries = array("q")
-        mg.submatrix(entries, 1, (0,), 0, True, counts)
-        assert pairs(entries) == [(0, 0)]
+        assert pairs(mg.submatrix(1, (0,), True, counts)) == [(0, 0)]
 
     def test_j1_open_points_past_the_block(self):
         # the single state of a black-shifted size-1 block exits to the cell
         # right after it: s_1* + 1 in 1-based terms
         counts = am.state_counts(2)
-        entries = array("q")
-        mg.submatrix(entries, 1, (0,), 0, False, counts)
-        assert pairs(entries) == [(0, 1)]
+        assert pairs(mg.submatrix(1, (0,), False, counts)) == [(0, 1)]
 
     def test_guard_on_nonpositive_size(self):
-        entries = array("q")
-        mg.submatrix(entries, 0, (0,), 0, False, am.state_counts(1))
-        assert pairs(entries) == []
+        assert pairs(mg.submatrix(0, (0,), False, am.state_counts(1))) == []
 
 
 class TestBuildRDirect:
@@ -83,6 +74,13 @@ class TestBuildRDirect:
         assert mg.build_R_direct(3).dim == 13
         with pytest.raises(ValueError):
             mg.build_R_direct(0)
+
+    def test_is_not_held_to_the_key_width(self, monkeypatch):
+        # only the BFS packs configurations into keys
+        monkeypatch.setattr(am, "MAX_KEY_N", 3)
+        with pytest.raises(BuildLimitError, match="n=4 is past 3"):
+            am.build(4)
+        assert mg.build_R_direct(4).dim == 38
 
     def test_matches_bfs_small(self, build_cached):
         for n in range(1, 7):
@@ -109,7 +107,7 @@ class TestCanonicalOrdering:
             SegmentConfig(1, 2, 2, ((1, 2),)),
         ]
         a = build_cached(2)
-        assert mg.canonical_ordering(a) == [a.index[c] for c in mg.canonical_star_configs(2)]
+        assert mg.canonical_ordering(a) == a.indices(mg.canonical_star_configs(2)).tolist()
 
     def test_n1(self):
         assert mg.canonical_star_configs(1) == [SegmentConfig(1, 1, 1)]
@@ -139,13 +137,13 @@ class TestCanonicalOrdering:
 
     def test_missing_config_is_reported(self, build_cached):
         a = build_cached(2)
-        broken = am.Automaton(3, a.states, a.index, a.transitions)
+        broken = am.Automaton(3, a.keys, a.transitions)
         with pytest.raises(InternalConsistencyError):
             mg.canonical_ordering(broken)
 
     def test_missing_config_is_reported_by_the_full_ordering(self, build_cached):
         a = build_cached(2)
-        broken = am.Automaton(3, a.states, a.index, a.transitions)
+        broken = am.Automaton(3, a.keys, a.transitions)
         with pytest.raises(InternalConsistencyError):
             mg.canonical_full_ordering(broken)
 
@@ -168,6 +166,13 @@ class TestDiffAndExport:
         assert lines[1] == "4 4 6"
         assert lines[2] == "1 1 1"
         assert len(lines) == 2 + 6
+
+    def test_matrix_market_blocks_join_seamlessly(self, monkeypatch):
+        m = mg.build_R_direct(4)  # 94 entries: 19 blocks of at most 5
+        lines = [f"{p + 1} {q + 1} 1\n" for p, q in m.entries.tolist()]
+        want = f"%%MatrixMarket matrix coordinate integer general\n38 38 {len(lines)}\n"
+        monkeypatch.setattr(mg, "_MM_BLOCK", 5)
+        assert mg.to_matrix_market(m) == want + "".join(lines)
 
     def test_n9_matrix_market_digests(self, build_cached):
         # pinned output: a change of matrix representation must keep the

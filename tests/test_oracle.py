@@ -29,9 +29,13 @@ def ref_equivalence_class(w, n):
 
 
 def ref_is_representative(w, n):
-    """True iff w is the maximal lexicographic representative of its braid."""
-    w = oracle.check_word(w, n)
-    return not oracle._exceeds(bytes(w))
+    """True iff w is the maximal lexicographic representative of its braid:
+    no letter r > w[i] left-divides w[i:], by right complements."""
+    w = bytes(oracle.check_word(w, n))
+    return all(
+        oracle._complements(w[i:], bytes((r,)))[0]
+        for i in range(len(w) - 1) for r in set(w[i + 1:]) if r > w[i]
+    )
 
 
 @lru_cache(maxsize=None)
@@ -161,6 +165,13 @@ class TestEnumerateLanguage:
         for cut in range(len(m) + 1):
             assert oracle.max_lex(m[:cut], 3) == m[:cut]
             assert ref_is_representative(m[cut:], 3)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_banned_letters_are_the_exceeding_extensions(self, n):
+        for k in range(6):
+            for w in oracle.enumerate_language(n, k):
+                banned = {x for x in range(1, n + 1) if not ref_is_representative(w + (x,), n)}
+                assert oracle._banned(bytes(w), n) == banned, w
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_matches_the_closure_reference(self, n):

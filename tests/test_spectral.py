@@ -10,7 +10,9 @@ from hypothesis import strategies as st
 
 from braidlex import automaton as am
 from braidlex import matrixgen as mg
+from braidlex import configs as cf
 from braidlex import spectral as sp
+from braidlex.configs import SegmentConfig
 from braidlex.errors import (
     BoundViolationError,
     ConvergenceError,
@@ -82,7 +84,20 @@ class TestProportions:
         a = build_cached(3)
         res = sp.perron(am.recurrent_matrix(a))
         with pytest.raises(ValueError, match=r"\(1,1,1,\{\}\)"):
-            sp.proportions(dataclasses.replace(a, index={}), res)
+            # t11's key gains a segment that no state has
+            keys = a.keys.copy()
+            keys[keys == cf.pack(SegmentConfig(1, 1, 1))] |= np.uint64(1 << 60)
+            sp.proportions(dataclasses.replace(a, keys=keys), res)
+
+    def test_per_letter_sums_equal_the_row_loop(self, build_cached):
+        # the per-letter sums of the stationary vector, added in row order
+        for n in range(2, 8):
+            a = build_cached(n)
+            res = sp.perron(am.recurrent_matrix(a))
+            per = [0.0] * n
+            for row, s in enumerate(am.recurrent_states(a)):
+                per[a.states[s].j - 1] += float(res.v[row])
+            assert sp.proportions(a, res).per_letter == tuple(per)
 
     def test_n9_letter_one(self, build_cached):
         an = sp.analyze(build_cached(9))
