@@ -6,12 +6,13 @@ indices follow the order a queue would give.  The BFS walks one level at a
 time on packed uint64 keys (configs.pack) with the array rule
 configs.successors, so an Automaton holds a key array and a flat int64
 (state, letter) table.  Readers of i or j take them from the keys;
-``Automaton.indices`` finds states by key, and SegmentConfig objects are
-unpacked only when asked for (``Automaton.states``: export, the psi check
-of ``verify``, tests).  A key holds n <= 14.  Counting is exact: count_words keeps each
-state's count as int64 limbs holding base-2^32 digits, advances all of them
-by one int64 sparse product per step, and carries only when the next
-product could pass 2^63 - 1, so it returns arbitrary precision integers.
+``Automaton.indices`` maps a key array to state indices, and SegmentConfig
+objects are unpacked only when asked for (``Automaton.states``: export,
+the psi check of ``verify``, tests).  A key holds n <= 14.  Counting is
+exact: count_words keeps each state's count as int64 limbs holding
+base-2^32 digits, advances all of them by one int64 sparse product per
+step, and carries only when the next product could pass 2^63 - 1, so it
+returns arbitrary precision integers.
 """
 
 from __future__ import annotations
@@ -111,21 +112,25 @@ class Automaton:
     def _by_key(self) -> np.ndarray:
         return np.argsort(self.keys)
 
-    def indices(self, configs) -> np.ndarray:
-        """The state index of each configuration, -1 where it is no state."""
-        want = np.array([pack(c) for c in configs], dtype=np.uint64)
+    def indices(self, keys) -> np.ndarray:
+        """The state index of each key, -1 where it is no state's."""
+        want = np.asarray(keys, dtype=np.uint64)
         at = np.minimum(np.searchsorted(self.keys, want, sorter=self._by_key), len(self) - 1)
         found = self._by_key[at]
         return np.where(self.keys[found] == want, found, -1)
 
 
 def check_build_limit(n: int) -> None:
-    """Raise ValueError for n < 1, and BuildLimitError for n past the guard
-    (default 14, env BRAIDLEX_MAX_N) that build and the direct generator
-    share."""
+    """Raise ValueError for n < 1 or a BRAIDLEX_MAX_N that is no integer,
+    and BuildLimitError for n past the guard (default 14, env
+    BRAIDLEX_MAX_N) that build and the direct generator share."""
     if n < 1:
         raise ValueError("n must be positive")
-    limit = int(os.environ.get(BUILD_LIMIT_ENV, DEFAULT_BUILD_LIMIT))
+    raw = os.environ.get(BUILD_LIMIT_ENV, str(DEFAULT_BUILD_LIMIT))
+    try:
+        limit = int(raw)
+    except ValueError:
+        raise ValueError(f"{BUILD_LIMIT_ENV}={raw!r} is not an integer") from None
     if n > limit:
         raise BuildLimitError(
             f"n={n} exceeds the build limit {limit}; set {BUILD_LIMIT_ENV} to override"
@@ -235,12 +240,6 @@ class SparseBooleanMatrix:
         entries = np.column_stack(np.divmod(keys, self.dim))
         entries.flags.writeable = False
         object.__setattr__(self, "entries", entries)
-
-    def row_sums(self) -> list[int]:
-        return np.bincount(self.entries[:, 0], minlength=self.dim).tolist()
-
-    def col_sums(self) -> list[int]:
-        return np.bincount(self.entries[:, 1], minlength=self.dim).tolist()
 
     def to_dense(self) -> list[list[int]]:
         dense = np.zeros((self.dim, self.dim), dtype=np.int8)

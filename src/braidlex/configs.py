@@ -20,9 +20,10 @@ right end of the segment starting at p, or 0 if none does.
 
 Each fact about a state has one routine: ``successors(keys, n)`` is the
 letter-transition rule, on a whole array of keys at once, that the BFS of
-``automaton.build`` reads; ``_marks(c, n)`` reads the diagram off
-(i, j, k, S), and ``psi`` and ``render_diagram`` draw from it; ``c.j`` is
-the final letter.
+``automaton.build`` reads; ``shift_keys`` prepends a white circle to every
+key, the step from which matrixgen builds the canonical orderings;
+``_marks(c, n)`` reads the diagram off (i, j, k, S), and ``psi`` and
+``render_diagram`` draw from it; ``c.j`` is the final letter.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, ShiftRangeError
+from .errors import ConfigError
 
 Segment = tuple[int, int]
 Word = tuple[int, ...]
@@ -215,30 +216,16 @@ def successors(keys: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-# ---------------------------------------------------------------------------
-# shifts
-# ---------------------------------------------------------------------------
-
-def _max_index(c: SegmentConfig) -> int:
-    m = c.k
-    if c.segments:
-        m = max(m, c.segments[0][1])
-    return m
-
-
-def shift(c: SegmentConfig, n: int) -> SegmentConfig:
-    """Raise every index by one: prepend a white circle to the diagram."""
-    if _max_index(c) >= n:
-        raise ShiftRangeError(f"{c} mentions {_max_index(c)}, cannot shift within n={n}")
-    return SegmentConfig(
-        c.i + 1, c.j + 1, c.k + 1, tuple((p + 1, q + 1) for p, q in c.segments)
-    )
-
-
-def shift_black(c: SegmentConfig, n: int) -> SegmentConfig:
-    """Raise every index by one and set i = 1: prepend a black circle."""
-    s = shift(c, n)
-    return SegmentConfig(1, s.j, s.k, s.segments)
+def shift_keys(keys: np.ndarray) -> np.ndarray:
+    """Prepend a white circle to every key's diagram: i, j and k go up by
+    one, and each segment [p, q] becomes [p+1, q+1], so the segment nibbles
+    move up one nibble and each non-zero one grows by one.  A key of size n
+    becomes one of size n + 1, which must be at most MAX_KEY_N."""
+    keys = np.asarray(keys, dtype=np.uint64)
+    segs = (keys & _SEGMENT_BITS) << _U(4)
+    nonzero = segs | segs >> _U(1)
+    nonzero |= nonzero >> _U(2)  # bit 0 of each nibble: the nibble is not 0
+    return (keys & _U(0xFFF)) + _U(0x111) | segs + (nonzero & _SEGMENT_ONES)
 
 
 # ---------------------------------------------------------------------------

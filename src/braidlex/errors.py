@@ -13,10 +13,6 @@ class ConfigError(BraidLexError):
     """A segment configuration violates the nesting constraints."""
 
 
-class ShiftRangeError(BraidLexError):
-    """A shift would push an index past the ambient generator count."""
-
-
 class BuildLimitError(BraidLexError):
     """Requested automaton exceeds the configured state-count guard."""
 
@@ -31,10 +27,6 @@ class ConvergenceError(BraidLexError):
     def __init__(self, message, residual=None):
         super().__init__(message)
         self.residual = residual
-
-
-class SpectralPreconditionError(BraidLexError):
-    """A spectral routine was called outside its guaranteed regime."""
 
 
 class BoundViolationError(BraidLexError):

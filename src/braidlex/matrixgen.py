@@ -19,7 +19,9 @@ Canonical ordering of the recurrent block of size m, recursively:
      [1, i+1], followed by (1, i+1, k, {[1, i+1]}) for k = i+2 .. m.
 
 The full automaton ordering stacks the white-shifted full ordering of size
-n-1 (the transient states) before the recurrent block.
+n-1 (the transient states) before the recurrent block.  ``canonical_keys``
+builds it as one array of packed keys (configs.pack), shifting by
+configs.shift_keys; the recurrent order is its tail.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from .automaton import (
     check_build_limit,
     state_counts,
 )
-from .configs import SegmentConfig, shift, shift_black
+from .configs import shift_keys, unpack
 from .errors import InternalConsistencyError
 
 
@@ -138,65 +140,51 @@ def build_R_direct(n: int) -> SparseBooleanMatrix:
 # canonical state orderings
 # ---------------------------------------------------------------------------
 
-def _bar_embed(c: SegmentConfig, i: int) -> SegmentConfig:
-    """Shift a size-i recurrent config up by one and wrap it in an outer
-    segment [1, i+1]."""
-    return SegmentConfig(
-        1,
-        c.j + 1,
-        c.k + 1,
-        ((1, i + 1),) + tuple((p + 1, q + 1) for p, q in c.segments),
-    )
+def _prepend_black(keys: np.ndarray, bar: int = 0) -> np.ndarray:
+    """Shift every key and make the new first cell black (i = 1); a
+    positive ``bar`` also adds the outer segment [1, bar] (nibble 3)."""
+    return shift_keys(keys) & ~np.uint64(15) | np.uint64(1 | bar << 12)
 
 
-def _star_levels(n: int) -> list[list[SegmentConfig]]:
-    """Canonical recurrent orderings of every size 0..n, built bottom-up:
-    each level reuses the smaller levels instead of recomputing them."""
-    levels: list[list[SegmentConfig]] = [[]]
+def canonical_keys(n: int) -> np.ndarray:
+    """Every state of the size-n automaton as a key, in canonical order.
+
+    The levels are built bottom-up: star(m), the recurrent block of size
+    m, follows the recursion of the module docstring, and the full order is
+    full(m) = shift(full(m-1)) ++ star(m).  So the recurrent order is the
+    last s*_n keys.
+    """
+    stars = [np.empty(0, dtype=np.uint64)]
+    full = stars[0]
     for m in range(1, n + 1):
-        out = [SegmentConfig(1, 1, k, ()) for k in range(1, m + 1)]
-        out.extend(shift_black(c, m) for c in levels[m - 1])
+        ks = np.arange(1, m + 1, dtype=np.uint64) << np.uint64(8)  # k = 1 .. m
+        parts = [ks | np.uint64(0x11), _prepend_black(stars[m - 1])]
         for i in range(1, m):
-            out.extend(_bar_embed(c, i) for c in levels[i])
-            out.extend(
-                SegmentConfig(1, i + 1, k, ((1, i + 1),)) for k in range(i + 2, m + 1)
-            )
-        levels.append(out)
-    return levels
+            parts.append(_prepend_black(stars[i], i + 1))
+            # (1, i+1, k, {[1, i+1]}) for k = i+2 .. m
+            parts.append(ks[i + 1 :] | np.uint64(1 | (i + 1) << 4 | (i + 1) << 12))
+        stars.append(np.concatenate(parts))
+        full = np.concatenate((shift_keys(full), stars[m]))
+    return full
 
 
-def canonical_star_configs(m: int) -> list[SegmentConfig]:
-    """Recurrent states of the size-m automaton in canonical order."""
-    return _star_levels(m)[m] if m >= 1 else []
-
-
-def canonical_full_configs(n: int) -> list[SegmentConfig]:
-    """All states in canonical order: white-shifted size-(n-1) ordering (the
-    transient copy) followed by the recurrent block."""
-    out: list[SegmentConfig] = []
-    for m, level in enumerate(_star_levels(n)[1:], start=1):
-        out = [shift(c, m) for c in out]
-        out.extend(level)
-    return out
-
-
-def _bfs_indices(a: Automaton, configs: list[SegmentConfig]) -> list[int]:
-    order = a.indices(configs)
+def _bfs_indices(a: Automaton, keys: np.ndarray) -> list[int]:
+    order = a.indices(keys)
     missing = np.flatnonzero(order < 0)
     if len(missing):
-        c = configs[missing[0]]
+        c = unpack(keys[missing[0]])
         raise InternalConsistencyError(f"canonical config {c} missing from automaton")
     return order.tolist()
 
 
 def canonical_ordering(a: Automaton) -> list[int]:
     """Map canonical recurrent positions to BFS state indices."""
-    return _bfs_indices(a, canonical_star_configs(a.n))
+    return _bfs_indices(a, canonical_keys(a.n)[-state_counts(a.n).s_star[a.n] :])
 
 
 def canonical_full_ordering(a: Automaton) -> list[int]:
     """Map canonical full positions (transients first) to BFS state indices."""
-    return _bfs_indices(a, canonical_full_configs(a.n))
+    return _bfs_indices(a, canonical_keys(a.n))
 
 
 # ---------------------------------------------------------------------------

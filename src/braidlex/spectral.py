@@ -10,24 +10,13 @@ and strictly dominant.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
 
-from .automaton import (
-    Automaton,
-    SparseBooleanMatrix,
-    is_primitive,
-    recurrent_matrix,
-    recurrent_states,
-)
-from .configs import SegmentConfig, key_fields
-from .errors import (
-    BoundViolationError,
-    ConvergenceError,
-    SpectralPreconditionError,
-)
+from .automaton import Automaton, SparseBooleanMatrix, recurrent_matrix, recurrent_states
+from .configs import key_fields
+from .errors import BoundViolationError, ConvergenceError
 
 # published growth table: n -> (lambda, P_a1, P_1)
 GROWTH_TABLE = {
@@ -92,10 +81,12 @@ def perron(
     the residual sup norm drops below tol.  Raises ConvergenceError after
     max_iter steps, or sooner once the residual has set no new minimum for
     STALL_STEPS steps.  Raises ValueError unless tol > 0, which also
-    refuses NaN.
+    refuses NaN, and for a 0x0 matrix, which has no Perron root.
     """
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
+    if R.dim == 0:
+        raise ValueError("perron needs a matrix of positive dimension, got 0x0")
     mat = R.to_csr()
     v = np.full(R.dim, 1.0 / R.dim)
     lam_prev = 0.0
@@ -130,44 +121,13 @@ def proportions(a: Automaton, r: SpectralResult) -> ProportionReport:
     rec = recurrent_states(a)
     if len(rec) != len(r.v):
         raise ValueError("spectral result does not match the recurrent block")
+    keys = a.keys[rec]
     # bincount adds each bin's weights in row order, as a loop would
-    per = np.bincount(key_fields(a.keys[rec])[1] - 1, weights=r.v, minlength=a.n)
-    # rec is ascending, so the row of t11 is found by bisection
-    t11 = int(a.indices([SegmentConfig(1, 1, 1, ())])[0])
-    row = bisect_left(rec, t11)
-    if row == len(rec) or rec[row] != t11:
+    per = np.bincount(key_fields(keys)[1] - 1, weights=r.v, minlength=a.n)
+    row = np.flatnonzero(keys == np.uint64(0x111))  # the key of t11
+    if not len(row):
         raise ValueError("state (1,1,1,{}) not found among recurrent states")
-    return ProportionReport(a.n, tuple(per.tolist()), float(r.v[row]))
-
-
-def resolvent_nonneg_check(R: SparseBooleanMatrix, lam: float) -> bool:
-    """Truncated Neumann expansion of (lam I - R)^{-1}:
-
-        lam^{-1} I + lam^{-2} R + lam^{-3} R^2 + ...
-
-    summed until the term sup norm falls below 1e-14.  True iff every entry
-    of the sum is nonnegative, and strictly positive when R is primitive.
-    Requires lam safely above the spectral radius, taken from the
-    eigenvalues of the dense matrix: this is a check for small R.
-    """
-    dense = R.to_csr().toarray()
-    rho = float(np.abs(np.linalg.eigvals(dense)).max(initial=0.0))
-    if lam <= rho + 1e-6:
-        raise SpectralPreconditionError(
-            f"lambda={lam} is not safely above the spectral radius {rho}"
-        )
-    term = np.eye(R.dim) / lam
-    total = term.copy()
-    while True:
-        term = (term @ dense) / lam
-        if float(np.max(np.abs(term))) < 1e-14:
-            break
-        total += term
-    if bool(np.any(total < 0.0)):
-        return False
-    if is_primitive(R):
-        return bool(np.all(total > 0.0))
-    return True
+    return ProportionReport(a.n, tuple(per.tolist()), float(r.v[row[0]]))
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from test_spectral import resolvent_nonneg_check
 
 from braidlex import automaton as am
 from braidlex import cli
@@ -189,5 +190,5 @@ def test_criterion_10_resolvent(build_cached, spectral_store):
     for n in range(2, 6):
         lam = _analysis(spectral_store, build_cached, n).result.lam
         R = am.recurrent_matrix(build_cached(n))
-        assert sp.resolvent_nonneg_check(R, lam + 0.1)
+        assert resolvent_nonneg_check(R, lam + 0.1)
     _passed(10, time.monotonic() - t0, 10, "(lambda I - R)^-1 entrywise positive for n=2..5 at lambda_n + 0.1")

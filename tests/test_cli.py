@@ -356,3 +356,10 @@ class TestBadInput:
 
     def test_missing_argument(self, capsys):
         assert run(capsys, "states")[0] == 6
+
+    def test_unreadable_build_limit_is_named(self, capsys, monkeypatch):
+        monkeypatch.setenv(am.BUILD_LIMIT_ENV, "abc")
+        code, out, err = run(capsys, "states", "3")
+        assert code == 6
+        assert out == ""
+        assert err == "error: BRAIDLEX_MAX_N='abc' is not an integer\n"

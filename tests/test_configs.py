@@ -8,7 +8,7 @@ import pytest
 from braidlex import configs as cf
 from braidlex import oracle
 from braidlex.configs import SegmentConfig
-from braidlex.errors import ConfigError, ShiftRangeError
+from braidlex.errors import BraidLexError, ConfigError
 
 # exhaustive scale for the checks below; 161 configs at n=5
 EXHAUSTIVE_N = 5
@@ -86,6 +86,76 @@ def ref_psi(c, n):
         out.add((j + 1, j))
         out.add(tuple(range(j + 1, k + 1)))
     return frozenset(out)
+
+
+class ShiftRangeError(BraidLexError):
+    """A shift would push an index past the ambient generator count."""
+
+
+def _max_index(c):
+    m = c.k
+    if c.segments:
+        m = max(m, c.segments[0][1])
+    return m
+
+
+def ref_shift(c, n):
+    """Reference shift on configurations: prepend a white circle, raising
+    every index by one; configs.shift_keys does this on keys."""
+    if _max_index(c) >= n:
+        raise ShiftRangeError(f"{c} mentions {_max_index(c)}, cannot shift within n={n}")
+    return SegmentConfig(
+        c.i + 1, c.j + 1, c.k + 1, tuple((p + 1, q + 1) for p, q in c.segments)
+    )
+
+
+def ref_shift_black(c, n):
+    """Raise every index by one and set i = 1: prepend a black circle."""
+    s = ref_shift(c, n)
+    return SegmentConfig(1, s.j, s.k, s.segments)
+
+
+def ref_bar_embed(c, i):
+    """Shift a size-i recurrent config up by one and wrap it in an outer
+    segment [1, i+1]."""
+    return SegmentConfig(
+        1, c.j + 1, c.k + 1, ((1, i + 1),) + tuple((p + 1, q + 1) for p, q in c.segments)
+    )
+
+
+def ref_star_levels(n):
+    """Canonical recurrent orderings of every size 0..n, as configurations,
+    in the recursion of the matrixgen module docstring."""
+    levels = [[]]
+    for m in range(1, n + 1):
+        out = [SegmentConfig(1, 1, k, ()) for k in range(1, m + 1)]
+        out.extend(ref_shift_black(c, m) for c in levels[m - 1])
+        for i in range(1, m):
+            out.extend(ref_bar_embed(c, i) for c in levels[i])
+            out.extend(
+                SegmentConfig(1, i + 1, k, ((1, i + 1),)) for k in range(i + 2, m + 1)
+            )
+        levels.append(out)
+    return levels
+
+
+def ref_star_configs(m):
+    """Recurrent states of the size-m automaton in canonical order."""
+    return ref_star_levels(m)[m] if m >= 1 else []
+
+
+def ref_full_configs(n):
+    """All states in canonical order: white-shifted size-(n-1) ordering (the
+    transient copy) followed by the recurrent block."""
+    out = []
+    for m, level in enumerate(ref_star_levels(n)[1:], start=1):
+        out = [ref_shift(c, m) for c in out]
+        out.extend(level)
+    return out
+
+
+def keys_of(configs):
+    return np.array([cf.pack(c) for c in configs], dtype=np.uint64)
 
 
 class TestSegmentConfig:
@@ -303,23 +373,39 @@ class TestTransition:
 
 class TestShifts:
     def test_shift(self):
-        assert cf.shift(SegmentConfig(1, 1, 1), 2) == SegmentConfig(2, 2, 2)
+        assert ref_shift(SegmentConfig(1, 1, 1), 2) == SegmentConfig(2, 2, 2)
 
     def test_shift_black(self):
-        assert cf.shift_black(SegmentConfig(1, 1, 1), 2) == SegmentConfig(1, 2, 2)
-        assert cf.shift_black(SegmentConfig(1, 1, 2), 3) == SegmentConfig(1, 2, 3)
+        assert ref_shift_black(SegmentConfig(1, 1, 1), 2) == SegmentConfig(1, 2, 2)
+        assert ref_shift_black(SegmentConfig(1, 1, 2), 3) == SegmentConfig(1, 2, 3)
 
     def test_segments_shift_too(self):
         c = SegmentConfig(1, 2, 2, ((1, 2),))
-        assert cf.shift(c, 3) == SegmentConfig(2, 3, 3, ((2, 3),))
+        assert ref_shift(c, 3) == SegmentConfig(2, 3, 3, ((2, 3),))
 
     def test_overflow(self):
         with pytest.raises(ShiftRangeError):
-            cf.shift(SegmentConfig(1, 1, 1), 1)
+            ref_shift(SegmentConfig(1, 1, 1), 1)
         with pytest.raises(ShiftRangeError):
-            cf.shift_black(SegmentConfig(1, 2, 2, ((1, 2),)), 2)
+            ref_shift_black(SegmentConfig(1, 2, 2, ((1, 2),)), 2)
 
     def test_shift_produces_valid_configs(self):
         for c in cf.all_configs(3):
-            assert cf.validate(cf.shift(c, 4), 4)
-            assert cf.validate(cf.shift_black(c, 4), 4)
+            assert cf.validate(ref_shift(c, 4), 4)
+            assert cf.validate(ref_shift_black(c, 4), 4)
+
+    def test_key_shift_matches_the_reference(self):
+        # every configuration of size n shifts within n + 1
+        for n in range(1, SUCCESSORS_N + 1):
+            configs = list(cf.all_configs(n))
+            shifted = cf.shift_keys(keys_of(configs))
+            assert shifted.dtype == np.uint64
+            assert shifted.tolist() == [cf.pack(ref_shift(c, n + 1)) for c in configs]
+
+    def test_key_shift_reaches_the_top_nibble(self):
+        n = cf.MAX_KEY_N - 1
+        c = SegmentConfig(1, n, n, ((n - 1, n),))
+        assert cf.shift_keys(keys_of([c])).tolist() == [cf.pack(ref_shift(c, n + 1))]
+
+    def test_key_shift_of_no_keys(self):
+        assert cf.shift_keys(np.empty(0, dtype=np.uint64)).tolist() == []

@@ -2,14 +2,27 @@
 
 import hashlib
 
+import numpy as np
 import pytest
+from test_automaton import col_sums, row_sums
+from test_configs import (
+    keys_of,
+    ref_bar_embed,
+    ref_full_configs,
+    ref_shift_black,
+    ref_star_configs,
+)
 
 from braidlex import automaton as am
+from braidlex import configs as cf
 from braidlex import matrixgen as mg
 from braidlex.configs import SegmentConfig
 from braidlex.errors import BuildLimitError, InternalConsistencyError
 
 R2_ENTRIES = {(0, 0), (0, 2), (1, 0), (2, 3), (3, 1), (3, 3)}
+# sha256 of canonical_full_ordering(build(12)), comma-joined, as the
+# configuration-level ordering gave it
+N12_FULL_ORDERING = "65db084bd24c90e0a87feef1e416aec6b5b20be0b8544ca33a93237b98bf131e"
 
 
 def pairs(block) -> list[tuple[int, int]]:
@@ -94,26 +107,33 @@ class TestBuildRDirect:
             bfs = am.recurrent_matrix(build_cached(n))
             assert direct.dim == bfs.dim
             assert len(direct.entries) == len(bfs.entries)
-            assert sorted(direct.row_sums()) == sorted(bfs.row_sums())
-            assert sorted(direct.col_sums()) == sorted(bfs.col_sums())
+            assert sorted(row_sums(direct)) == sorted(row_sums(bfs))
+            assert sorted(col_sums(direct)) == sorted(col_sums(bfs))
+
+
+def canonical_configs(n):
+    """(full, recurrent) canonical orders of size n as configurations."""
+    full = [cf.unpack(key) for key in mg.canonical_keys(n)]
+    return full, full[len(full) - am.state_counts(n).s_star[n] :]
 
 
 class TestCanonicalOrdering:
     def test_n2_order(self, build_cached):
-        assert mg.canonical_star_configs(2) == [
+        star = [
             SegmentConfig(1, 1, 1),
             SegmentConfig(1, 1, 2),
             SegmentConfig(1, 2, 2),
             SegmentConfig(1, 2, 2, ((1, 2),)),
         ]
+        assert canonical_configs(2)[1] == star
         a = build_cached(2)
-        assert mg.canonical_ordering(a) == a.indices(mg.canonical_star_configs(2)).tolist()
+        assert mg.canonical_ordering(a) == a.indices(keys_of(star)).tolist()
 
     def test_n1(self):
-        assert mg.canonical_star_configs(1) == [SegmentConfig(1, 1, 1)]
+        assert canonical_configs(1) == ([SegmentConfig(1, 1, 1)], [SegmentConfig(1, 1, 1)])
 
     def test_n3_first_block(self):
-        order = mg.canonical_star_configs(3)
+        order = canonical_configs(3)[1]
         assert len(order) == 13
         assert order[:3] == [
             SegmentConfig(1, 1, 1),
@@ -122,18 +142,44 @@ class TestCanonicalOrdering:
         ]
 
     def test_star_sizes(self):
+        # the recurrent states (i = 1) are exactly the last s*_n keys
         for n in range(1, 9):
             counts = am.state_counts(n)
-            assert len(mg.canonical_star_configs(n)) == counts.s_star[n]
+            i = cf.key_fields(mg.canonical_keys(n))[0]
+            assert len(i) == counts.s[n]
+            assert (i[: counts.s[n - 1]] > 1).all() and (i[counts.s[n - 1] :] == 1).all()
 
     def test_full_ordering_covers_everything(self, build_cached):
         for n in (2, 3, 4):
             a = build_cached(n)
-            full = mg.canonical_full_configs(n)
+            full = canonical_configs(n)[0]
             assert len(full) == len(set(full)) == len(a)
             assert set(full) == set(a.states)
             # transient copy first, recurrent block last
             assert all(c.i > 1 for c in full[: len(a) - am.state_counts(n).s_star[n]])
+
+    def test_keys_equal_the_config_reference(self):
+        for n in range(1, 11):
+            keys = mg.canonical_keys(n)
+            assert keys.dtype == np.uint64
+            assert keys.tolist() == keys_of(ref_full_configs(n)).tolist()
+            star = keys_of(ref_star_configs(n))
+            assert keys[len(keys) - len(star) :].tolist() == star.tolist()
+
+    def test_black_shift_and_bar_embed_match_the_reference(self):
+        for n in range(1, 9):
+            configs = list(cf.all_configs(n))
+            black = mg._prepend_black(keys_of(configs))
+            assert black.tolist() == [cf.pack(ref_shift_black(c, n + 1)) for c in configs]
+            # a bar embedding wraps a recurrent configuration of size n
+            rec = [c for c in configs if c.i == 1]
+            barred = mg._prepend_black(keys_of(rec), n + 1)
+            assert barred.tolist() == [cf.pack(ref_bar_embed(c, n)) for c in rec]
+
+    def test_n12_full_ordering_is_pinned(self, build_cached):
+        order = mg.canonical_full_ordering(build_cached(12))
+        digest = hashlib.sha256(",".join(map(str, order)).encode()).hexdigest()
+        assert digest == N12_FULL_ORDERING
 
     def test_missing_config_is_reported(self, build_cached):
         a = build_cached(2)

