@@ -252,17 +252,23 @@ class SparseBooleanMatrix:
         return csr_matrix((np.ones(len(p)), (p, q)), shape=(self.dim, self.dim))
 
 
-def _edges(a: Automaton, order: list[int]) -> np.ndarray:
+def _edges(a: Automaton, order: list[int] | None = None) -> np.ndarray:
     """The transitions between the states listed in ``order``, as an
     (nnz, 2) array of (source, target) positions in ``order``, sources
-    ascending."""
-    m = len(a)
-    # pos[m] = -1 also catches the forbidden targets, which are -1
-    pos = np.full(m + 1, -1, dtype=np.int64)
-    pos[order] = np.arange(len(order))
-    targets = pos[a.transitions.reshape(m, a.n)[order]]
-    live = targets >= 0
-    return np.column_stack((np.nonzero(live)[0], targets[live]))
+    ascending.  ``order`` defaults to every state in BFS order."""
+    if order is None:
+        targets = a.transitions
+    else:
+        m = len(a)
+        # pos[m] = -1 also catches the forbidden targets, which are -1
+        pos = np.full(m + 1, -1, dtype=np.int64)
+        pos[order] = np.arange(len(order))
+        targets = pos[a.transitions.reshape(m, a.n)[order]].ravel()
+    live = np.flatnonzero(targets >= 0)
+    edges = np.empty((len(live), 2), dtype=np.int64)
+    np.floor_divide(live, a.n, out=edges[:, 0])
+    edges[:, 1] = targets[live]
+    return edges
 
 
 def incidence_matrix(a: Automaton, order: list[int] | None = None) -> SparseBooleanMatrix:
@@ -271,9 +277,7 @@ def incidence_matrix(a: Automaton, order: list[int] | None = None) -> SparseBool
     ``order`` lists state indices row by row; default is BFS insertion order.
     """
     m = len(a)
-    if order is None:
-        order = list(range(m))
-    elif sorted(order) != list(range(m)):
+    if order is not None and sorted(order) != list(range(m)):
         raise ValueError("order must be a permutation of all state indices")
     return SparseBooleanMatrix(m, _edges(a, order))
 
@@ -282,46 +286,75 @@ def incidence_matrix(a: Automaton, order: list[int] | None = None) -> SparseBool
 # recurrent / transient split
 # ---------------------------------------------------------------------------
 
-def recurrent_states(a: Automaton) -> list[int]:
-    """Indices of states with i = 1, verified to be the unique closed SCC."""
-    # csgraph is imported here rather than at module top: it adds about
-    # 0.12 s to importing the CLI, which every command would pay.
-    from scipy.sparse.csgraph import connected_components
+def _levels(src: np.ndarray, dst: np.ndarray, m: int, start: int) -> np.ndarray:
+    """BFS levels from ``start`` over the edges src -> dst of a graph on
+    states 0..m-1, as an int64 array with -1 at every unreached state.
 
+    The edges are sorted by source once; each level then gathers the
+    targets of the whole frontier in one array pass, and reads the new
+    frontier off the level array in another.
+    """
+    heads = dst[np.argsort(src)]
+    out_degree = np.bincount(src, minlength=m)
+    first = np.cumsum(out_degree) - out_degree  # each state's first edge in heads
+    level = np.full(m, -1, dtype=np.int64)
+    level[start] = 0
+    frontier = np.array([start], dtype=np.int64)
+    depth = 0
+    while len(frontier):
+        depth += 1
+        degree = out_degree[frontier]
+        ends = np.cumsum(degree)
+        # frontier edge e, ends[k-1] <= e < ends[k], is the (e - ends[k] +
+        # degree[k])-th edge of state frontier[k]
+        at = np.repeat(first[frontier] - ends + degree, degree) + np.arange(ends[-1])
+        reach = heads[at]
+        level[reach[level[reach] < 0]] = depth
+        frontier = np.flatnonzero(level == depth)
+    return level
+
+
+def recurrent_states(a: Automaton) -> list[int]:
+    """Indices of states with i = 1, verified to be the unique closed SCC.
+
+    Let S = {i = 1} and s0 its first state.  The check is that the forward
+    BFS from s0 reaches exactly S and the backward BFS from s0 reaches every
+    state.  That is equivalent to S being the unique closed SCC:
+    if it holds, S is closed (a reached state's arrows end at reached
+    states) and strongly connected (each state of S reaches s0 and is
+    reached from it), and every closed SCC holds s0 since its states reach
+    s0; conversely, a closed strongly connected S is what s0 reaches, and
+    every state reaches a closed SCC, which is then S.
+    """
     m = len(a)
-    src, dst = _edges(a, list(range(m))).T
-    graph = csr_matrix((np.ones(len(src)), (src, dst)), shape=(m, m))
-    ncomp, label = connected_components(graph, directed=True, connection="strong")
-    from_label, to_label = label[src], label[dst]
-    has_exit = np.zeros(ncomp, dtype=bool)
-    has_exit[from_label[from_label != to_label]] = True
-    closed = np.flatnonzero(~has_exit)
+    src, dst = _edges(a).T
     predicate = key_fields(a.keys)[0] == 1
-    if len(closed) != 1 or not np.array_equal(label == closed[0], predicate):
+    rec = np.flatnonzero(predicate)
+    if not (
+        len(rec)
+        and np.array_equal(_levels(src, dst, m, rec[0]) >= 0, predicate)
+        and (_levels(dst, src, m, rec[0]) >= 0).all()
+    ):
         raise InternalConsistencyError(
             f"i=1 predicate and closed SCC disagree for n={a.n}"
         )
-    return np.flatnonzero(predicate).tolist()
+    return rec.tolist()
 
 
 def is_primitive(m: SparseBooleanMatrix) -> bool:
-    """True iff some boolean power of m is entrywise positive, in O(dim + nnz).
+    """True iff some boolean power of m is entrywise positive.
 
-    That holds iff the graph of m is strongly connected and aperiodic.  The
-    period is the gcd of level[p] + 1 - level[q] over all edges p -> q, with
-    BFS levels taken from vertex 0.
+    That holds iff the graph of m is strongly connected, which is that BFS
+    from vertex 0 reaches every vertex both forward and backward, and
+    aperiodic.  The period is the gcd of level[p] + 1 - level[q] over all
+    edges p -> q, with the forward BFS levels from vertex 0.
     """
-    # Imported here for the same reason as in recurrent_states.
-    from scipy.sparse.csgraph import connected_components, shortest_path
-
     if m.dim == 0:
         return False
-    graph = m.to_csr()
-    ncomp, _ = connected_components(graph, directed=True, connection="strong")
-    if ncomp != 1:
-        return False
-    level = shortest_path(graph, unweighted=True, indices=0).astype(np.int64)
     p, q = m.entries.T
+    level = _levels(p, q, m.dim, 0)
+    if (level < 0).any() or (_levels(q, p, m.dim, 0) < 0).any():
+        return False
     return int(np.gcd.reduce(level[p] + 1 - level[q])) == 1
 
 
@@ -416,7 +449,7 @@ def count_words(a: Automaton, k: int) -> tuple[list[int], int]:
     if k < 0:
         raise ValueError("k must be nonnegative")
     m = len(a)
-    src, dst = _edges(a, list(range(m))).T
+    src, dst = _edges(a).T
     mt = csr_matrix((np.ones(len(src), dtype=np.int64), (dst, src)), shape=(m, m))
     d = int(np.bincount(dst, minlength=m).max())
     x = np.zeros((m, 1), dtype=np.int64)
@@ -456,7 +489,7 @@ def ending_letter_counts(a: Automaton, k: int, counts: list[int]) -> dict[int, i
 def _arrows(a: Automaton) -> list[tuple[int, int, int]]:
     """Every transition as (source, letter, target), sources ascending, then
     letters.  The letter of an arrow is its target's square position j."""
-    src, dst = _edges(a, list(range(len(a)))).T
+    src, dst = _edges(a).T
     letters = key_fields(a.keys)[1][dst]
     return list(zip(src.tolist(), letters.tolist(), dst.tolist()))
 

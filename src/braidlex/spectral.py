@@ -81,22 +81,34 @@ def perron(
     the residual sup norm drops below tol.  Raises ConvergenceError after
     max_iter steps, or sooner once the residual has set no new minimum for
     STALL_STEPS steps.  Raises ValueError unless tol > 0, which also
-    refuses NaN, and for a 0x0 matrix, which has no Perron root.
+    refuses NaN, unless max_iter >= 1, and for a 0x0 matrix, which has no
+    Perron root.
+
+    Each step computes v R as R^T v on the CSR form of R^T, built once
+    before the loop: ``v @ R`` would have scipy transpose R into a new CSC
+    object on every step, half the cost of a step.  Entry q of R^T v still
+    sums v_p over the rows p of R with an arrow to q, in ascending order
+    from 0.0, so every iterate is bitwise what ``v @ R`` gives.
     """
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     if R.dim == 0:
         raise ValueError("perron needs a matrix of positive dimension, got 0x0")
-    mat = R.to_csr()
+    mat_t = R.to_csr().T.tocsr()
     v = np.full(R.dim, 1.0 / R.dim)
+    gap = np.empty(R.dim)  # |w - lam v|, one buffer for every step
     lam_prev = 0.0
     best, best_it = float("inf"), 0
     for it in range(1, max_iter + 1):
-        w = v @ mat
+        w = mat_t @ v
         lam = float(w.sum())  # = ||w||_1 since w >= 0 and ||v||_1 = 1
         if lam <= 0.0:
             raise ConvergenceError(f"iterate vanished at step {it}", residual=None)
-        residual = float(np.max(np.abs(w - lam * v)))
+        np.multiply(v, lam, out=gap)
+        np.subtract(w, gap, out=gap)
+        residual = float(np.abs(gap, out=gap).max())
         v = w / lam
         if abs(lam - lam_prev) < tol and residual < tol:
             return SpectralResult(lam, v, it, residual)

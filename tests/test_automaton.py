@@ -224,6 +224,16 @@ class TestRecurrentStates:
         with pytest.raises(InternalConsistencyError):
             am.recurrent_states(dataclasses.replace(a, transitions=looped))
 
+    def test_recurrent_set_not_strongly_connected_is_rejected(self, build_cached):
+        # every arrow into one i = 1 state s goes to t11 instead: the i = 1
+        # set stays closed, but no other state of it reaches s any more
+        a = build_cached(3)
+        t11 = int(a.indices([0x111])[0])
+        s = next(x for x in am.recurrent_states(a) if x != t11)
+        moved = np.where(a.transitions == s, t11, a.transitions)
+        with pytest.raises(InternalConsistencyError):
+            am.recurrent_states(dataclasses.replace(a, transitions=moved))
+
 
 class TestRecurrentMatrix:
     def test_r2_in_canonical_order(self, build_cached):
@@ -273,6 +283,7 @@ FIXED_MATRICES = [
     ),
     am.SparseBooleanMatrix(1, []),
     am.SparseBooleanMatrix(1, [(0, 0)]),
+    am.SparseBooleanMatrix(2, [(0, 0), (0, 1), (1, 1)]),  # 0 reaches 1, 1 does not reach 0
 ] + [wielandt(d) for d in range(4, 9)]
 
 

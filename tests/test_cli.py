@@ -25,16 +25,35 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def test_import_leaves_csgraph_unloaded():
-    # every command's start-up time pays for what `import braidlex.cli` loads;
-    # csgraph is imported inside the two functions that use it
-    probe = "import sys, braidlex.cli; print('scipy.sparse.csgraph' in sys.modules)"
+def _probe(code):
+    """Run code in a fresh interpreter that imports braidlex from src/."""
     proc = subprocess.run(
-        [sys.executable, "-c", probe], capture_output=True, text=True, timeout=60,
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
         env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "False\n"
+    return proc.stdout
+
+
+def test_import_leaves_csgraph_unloaded():
+    # every command's start-up time pays for what `import braidlex.cli` loads;
+    # nothing in braidlex imports csgraph
+    probe = "import sys, braidlex.cli; print('scipy.sparse.csgraph' in sys.modules)"
+    assert _probe(probe) == "False\n"
+
+
+def test_table_leaves_csgraph_and_linalg_unloaded():
+    # the recurrent split and the primitivity check walk the edge arrays
+    # themselves; csgraph would pull in scipy.sparse.linalg and scipy.linalg,
+    # about 0.1 s on the first call of a process
+    probe = (
+        "import contextlib, io, sys\n"
+        "from braidlex import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert cli.main(['table', '--from', '2', '--to', '4']) == 0\n"
+        "print(any(m in sys.modules for m in ('scipy.sparse.csgraph', 'scipy.linalg')))"
+    )
+    assert _probe(probe) == "False\n"
 
 
 class TestStates:
@@ -224,6 +243,15 @@ class TestTable:
         assert abs(float(lines[1].split()[1]) - 1.618033988749895) < 1e-12
         assert sum(1 for line in lines if line.startswith("bound")) == 6
         assert all(line.endswith("ok") for line in lines if line.startswith("bound"))
+
+    def test_output_is_pinned(self, capsys):
+        # sha256 of the output when Perron stepped with v @ R, which
+        # transposed R on every step: every printed digit is unchanged
+        code, out, _ = run(capsys, "table", "--from", "2", "--to", "10")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "7bc8cdab5157abc0a69fb3d8247ee07e7181e5020c28301d317c153081a522fc"
+        )
 
     def test_empty_range_refuses_before_printing(self, capsys):
         code, out, err = run(capsys, "table", "--from", "5", "--to", "2")

@@ -52,6 +52,23 @@ def resolvent_nonneg_check(R, lam):
     return True
 
 
+def ref_perron(R, tol=sp.DEFAULT_TOL, max_iter=sp.DEFAULT_MAX_ITER):
+    """Power iteration as perron ran it with ``v @ R``: scipy transposes
+    the CSR matrix on every step.  Stops on perron's test; no stall rule."""
+    mat = R.to_csr()
+    v = np.full(R.dim, 1.0 / R.dim)
+    lam_prev = 0.0
+    for it in range(1, max_iter + 1):
+        w = v @ mat
+        lam = float(w.sum())
+        residual = float(np.max(np.abs(w - lam * v)))
+        v = w / lam
+        if abs(lam - lam_prev) < tol and residual < tol:
+            return sp.SpectralResult(lam, v, it, residual)
+        lam_prev = lam
+    raise AssertionError(f"no convergence after {max_iter} iterations")
+
+
 class TestPerron:
     def test_golden_ratio(self, build_cached):
         res = sp.perron(am.recurrent_matrix(build_cached(2)))
@@ -75,6 +92,20 @@ class TestPerron:
     def test_empty_matrix_is_refused(self):
         with pytest.raises(ValueError, match="0x0"):
             sp.perron(am.SparseBooleanMatrix(0, []))
+
+    @pytest.mark.parametrize("max_iter", [0, -1])
+    def test_no_iterations_is_refused(self, max_iter):
+        with pytest.raises(ValueError, match="max_iter"):
+            sp.perron(am.SparseBooleanMatrix(1, [(0, 0)]), max_iter=max_iter)
+
+    @pytest.mark.parametrize("n", range(2, 10))
+    def test_iterates_are_bitwise_those_of_v_at_R(self, build_cached, n):
+        R = am.recurrent_matrix(build_cached(n))
+        got, want = sp.perron(R), ref_perron(R)
+        assert (got.lam, got.residual, got.iterations) == (
+            want.lam, want.residual, want.iterations
+        )
+        assert np.array_equal(got.v, want.v)
 
     def test_left_eigen_residual(self, build_cached):
         a = build_cached(4)
