@@ -10,9 +10,10 @@ configs.successors, so an Automaton holds a key array and a flat int64
 objects are unpacked only when asked for (``Automaton.states``: export,
 the psi check of ``verify``, tests).  A key holds n <= 14.  Counting is
 exact: count_words keeps each state's count as int64 limbs holding
-base-2^32 digits, advances all of them by one int64 sparse product per
-step, and carries only when the next product could pass 2^63 - 1, so it
-returns arbitrary precision integers.
+base-2^32 digits and advances all of them by int64 sparse products with
+M^T, or with (M^T)^S on small automata, S steps at once.  It carries only
+when the next product could pass 2^63 - 1 by the most length-s paths into
+one state, so it returns arbitrary precision integers.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import json
 import os
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain, repeat
 from math import comb
 
 import numpy as np
@@ -424,14 +426,49 @@ def _carry(x: np.ndarray) -> np.ndarray:
     moves every digit's carry one column up, and the top column's carry, if
     any, becomes a new column; the array returned may be x itself, changed
     in place."""
+    c = np.empty_like(x)
     while True:
-        c = x >> _LIMB_BITS
+        np.right_shift(x, _LIMB_BITS, out=c)
         if not c.any():
             return x
         x &= _LIMB_MASK
         x[:, 1:] += c[:, :-1]
         if c[:, -1].any():
             x = np.concatenate((x, c[:, -1:]), axis=1)
+            c = np.empty_like(x)
+
+
+def _path_counts(mt: csr_matrix, k: int) -> tuple[list[int], int]:
+    """r[s], the largest row sum of (M^T)^s: the most length-s paths into
+    one state, so s steps of M^T on digits at most c leave digits at most
+    c * r[s].  Returns the list r and the largest s it speaks for.  The
+    list is computed from the ones vector by int64 products and ends at
+    s = k, or at the first s with r[s] > (2^63 - 1) // D, where D = r[1] is
+    the largest in-degree and the next product could overflow.  When M^T
+    maps the row sums to themselves (n = 1), r stays at its last value and
+    the list speaks for every s up to k.  r need not be monotone."""
+    v = np.ones(mt.shape[0], dtype=np.int64)
+    r = [1]
+    while len(r) <= k:
+        w = mt @ v
+        if np.array_equal(w, v):
+            return r, k
+        v = w
+        r.append(int(v.max()))
+        if r[-1] > _INT64_MAX // r[1]:
+            break
+    return r, len(r) - 1
+
+
+def _power(mt: csr_matrix, e: int) -> csr_matrix:
+    """(M^T)^e for e >= 1 by repeated squaring, reading the bits of e from
+    the top, so every power formed has an exponent of at most e."""
+    p = mt
+    for bit in bin(e)[3:]:
+        p = p @ p
+        if bit == "1":
+            p = p @ mt
+    return p
 
 
 def count_words(a: Automaton, k: int) -> tuple[list[int], int]:
@@ -439,29 +476,38 @@ def count_words(a: Automaton, k: int) -> tuple[list[int], int]:
     representatives ending at each state, plus their total.
 
     The counts are an (m, L) int64 array of base-2^32 digits, least
-    significant first, starting at L = 1, and each step is one int64 sparse
-    product with the transpose of M, built once from the same edge arrays
-    as incidence_matrix.  A step multiplies the largest digit by at most D,
-    the largest in-degree, so the digits are carried (every digit below
-    2^32 again) just before a product whose bound could pass 2^63 - 1, and
-    once at the end.
+    significant first, starting at L = 1, and each product is one int64
+    sparse product with a power of the transpose of M, built once from the
+    same edge arrays as incidence_matrix.  s steps from digits at most c
+    leave digits at most c * r[s] (_path_counts), where c is 1 while the
+    counts are still the first unit vector and 2^32 - 1 after a carry; the
+    digits are carried (every digit below 2^32 again) just before a product
+    that could pass 2^63 - 1 by this bound, and once at the end.  The carry
+    period S is the largest s with (2^32 - 1) * r[s] <= 2^63 - 1.  When a
+    dense m x m power costs no more than S single steps (m^2 <= S * nnz,
+    small n), the counts advance by k // S products with (M^T)^S and then
+    k % S single steps; otherwise by k single steps.
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
     m = len(a)
     src, dst = _edges(a).T
     mt = csr_matrix((np.ones(len(src), dtype=np.int64), (dst, src)), shape=(m, m))
-    d = int(np.bincount(dst, minlength=m).max())
+    r, top = _path_counts(mt, k)
+    period = max(s for s, rs in enumerate(r) if _LIMB_MASK * rs <= _INT64_MAX)
+    if period == len(r) - 1:
+        period = top  # r[s] = r[-1] for every s up to top
+    block = (_power(mt, period), period) if m * m <= period * mt.nnz else (mt, 1)
     x = np.zeros((m, 1), dtype=np.int64)
     x[0, 0] = 1
-    # no digit of x exceeds bound; as D < 2^31, a carried x has room for a step
-    bound = 1
-    for _ in range(k):
-        if bound * d > _INT64_MAX:
+    c, since = 1, 0
+    # as D < 2^31, a carried x has room for a product of either width
+    for p, steps in chain(repeat(block, k // block[1]), repeat((mt, 1), k % block[1])):
+        since += steps
+        if since > top or c * r[min(since, len(r) - 1)] > _INT64_MAX:
             x = _carry(x)
-            bound = _LIMB_MASK
-        x = mt @ x
-        bound *= d
+            c, since = _LIMB_MASK, steps
+        x = p @ x
     x = _carry(x)
     raw = x.astype("<u4").tobytes()
     width = 4 * x.shape[1]

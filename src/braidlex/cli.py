@@ -1,13 +1,15 @@
 """Command-line surface.
 
-Exit codes: 0 success, 2 state-count mismatch, 3 matrix mismatch,
-4 non-convergence, 5 verification failure or a violated proved bound,
-6 bad input.
+Exit codes: 0 success, 1 stdout closed by its reader (a broken pipe, as in
+``braidlex export 7 | head -3``; no traceback), 2 state-count mismatch,
+3 matrix mismatch, 4 non-convergence, 5 verification failure or a violated
+proved bound, 6 bad input.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -19,6 +21,7 @@ from . import spectral as sp
 from .errors import BoundViolationError, BraidLexError, BuildLimitError, ConvergenceError
 
 EXIT_OK = 0
+EXIT_BROKEN_PIPE = 1
 EXIT_COUNT_MISMATCH = 2
 EXIT_MATRIX_MISMATCH = 3
 EXIT_NO_CONVERGENCE = 4
@@ -342,5 +345,19 @@ def main(argv: list[str] | None = None) -> int:
         sys.set_int_max_str_digits(digit_cap)
 
 
+def entry() -> int:
+    """Process entry: main, then the flush of stdout.  If the reader of
+    stdout has gone, stdout is pointed at os.devnull so the interpreter's
+    final flush cannot raise either."""
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(entry())

@@ -324,6 +324,20 @@ def digits_value(x):
     return [sum(int(d) << (32 * i) for i, d in enumerate(row)) for row in x]
 
 
+def ref_path_counts(a, steps):
+    """r[0..steps], r[s] the most length-s paths into one state, on Python
+    ints."""
+    src, dst = am._edges(a).T
+    v = np.ones(len(a), dtype=object)
+    r = [1]
+    for _ in range(steps):
+        nxt = np.zeros(len(a), dtype=object)
+        np.add.at(nxt, dst, v[src])
+        v = nxt
+        r.append(max(v))
+    return r
+
+
 @pytest.fixture
 def carries(monkeypatch):
     """Record the width of each array _carry is given, and check that no
@@ -369,6 +383,48 @@ class TestCountWords:
         carries.clear()
         assert am.count_words(a, s + 1) == ([n ** (s + 1)], n ** (s + 1))
         assert carries == [1, 2]  # the first carry widened the counts
+
+    @pytest.mark.parametrize("n, k", [(1, 0), (1, 5000), (2, 0), (2, 10), (2, 200), (5, 100)])
+    def test_path_counts_table(self, build_cached, n, k):
+        a = build_cached(n)
+        mt = am.incidence_matrix(a).to_csr().T.tocsr().astype(np.int64)
+        r, top = am._path_counts(mt, k)
+        ref = ref_path_counts(a, min(k, 100))
+        assert r == ref[: len(r)]
+        if n == 1:  # every row sum is 1 for good
+            assert (r, top) == ([1], k)
+        else:
+            # the table ends at k or where one more product could overflow
+            assert top == len(r) - 1
+            assert top == k or r[-1] > (2**63 - 1) // r[1]
+            assert all(rs <= (2**63 - 1) // r[1] for rs in r[:-1])
+
+    @pytest.mark.parametrize("n, period, blocked", [
+        (2, 43, True), (3, 27, True), (4, 21, True), (5, 18, False), (7, 14, False),
+    ])
+    def test_exact_around_multiples_of_the_carry_period(self, build_cached, n, period, blocked):
+        a = build_cached(n)
+        r = ref_path_counts(a, 64)
+        assert period == max(s for s, rs in enumerate(r) if (2**32 - 1) * rs <= 2**63 - 1)
+        # one dense power of M^T costs no more than S single steps only for n <= 4
+        assert (len(a) ** 2 <= period * len(am._edges(a))) == blocked
+        for q in (1, 2, 3):
+            for k in (q * period - 1, q * period, q * period + 1):
+                assert am.count_words(a, k) == ref_count_words(a, k), k
+
+    def test_one_state_counts_in_one_block(self, build_cached, carries, monkeypatch):
+        powers = []
+        power = am._power
+        monkeypatch.setattr(am, "_power", lambda mt, e: powers.append(e) or power(mt, e))
+        a = build_cached(1)
+        assert am.count_words(a, 5000) == ref_count_words(a, 5000)
+        assert powers == [5000]  # one product with (M^T)^5000
+        assert carries == [1]
+
+    def test_n9_carries_by_the_path_bound(self, build_cached, carries):
+        # the in-degree bound D^s, D = 3,165, carried 199 times here
+        am.count_words(build_cached(9), 400)
+        assert len(carries) <= 37
 
     def test_negative_length_is_rejected(self, build_cached):
         with pytest.raises(ValueError):

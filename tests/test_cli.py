@@ -56,6 +56,26 @@ def test_table_leaves_csgraph_and_linalg_unloaded():
     assert _probe(probe) == "False\n"
 
 
+def test_closed_pipe_stops_without_a_traceback():
+    # like `braidlex export 7 | head -c 64`: the 440 kB of JSON overflow the
+    # pipe buffer, so the command is still writing when the reader goes
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "braidlex.cli", "export", "7"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+    )
+    try:
+        assert len(proc.stdout.read(64)) == 64
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stderr.close()
+    assert proc.returncode == cli.EXIT_BROKEN_PIPE
+    assert "Traceback" not in err.decode()
+
+
 class TestStates:
     def test_small(self, capsys):
         code, out, _ = run(capsys, "states", "5")
