@@ -228,18 +228,20 @@ class SparseBooleanMatrix:
 
     def __post_init__(self):
         pq = np.asarray(self.entries, dtype=np.int64).reshape(-1, 2)
-        outside = ((pq < 0) | (pq >= self.dim)).any(axis=1)
-        if outside.any():
+        if len(pq) and (pq.min() < 0 or pq.max() >= self.dim):
+            outside = ((pq < 0) | (pq >= self.dim)).any(axis=1)
             p, q = pq[outside][0].tolist()
             raise InternalConsistencyError(
                 f"entry ({p}, {q}) outside a {self.dim}x{self.dim} matrix"
             )
-        keys = np.sort(pq[:, 0] * self.dim + pq[:, 1])
+        keys = pq[:, 0] * self.dim + pq[:, 1]
+        keys.sort()
         repeated = keys[1:][keys[1:] == keys[:-1]]
         if len(repeated):
             p, q = divmod(int(repeated[0]), self.dim)
             raise InternalConsistencyError(f"entry ({p}, {q}) given twice")
-        entries = np.column_stack(np.divmod(keys, self.dim))
+        entries = np.empty((len(keys), 2), dtype=np.int64)
+        np.divmod(keys, self.dim, out=(entries[:, 0], entries[:, 1]))
         entries.flags.writeable = False
         object.__setattr__(self, "entries", entries)
 
@@ -425,7 +427,10 @@ def _carry(x: np.ndarray) -> np.ndarray:
     least significant first, until every digit is below 2^32.  Each pass
     moves every digit's carry one column up, and the top column's carry, if
     any, becomes a new column; the array returned may be x itself, changed
-    in place."""
+    in place.  A negative digit has wrapped past 2^63 - 1, and no carry
+    can repair it: it raises InternalConsistencyError."""
+    if x.size and x.min() < 0:
+        raise InternalConsistencyError("a base-2^32 digit wrapped below zero before its carry")
     c = np.empty_like(x)
     while True:
         np.right_shift(x, _LIMB_BITS, out=c)

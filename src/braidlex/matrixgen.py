@@ -7,7 +7,9 @@ block, helped by a precomputed vector H of horizontal-arrow source positions.
 A block's arrows move with its offset and nothing else, so each nested block
 is made once per size and kind and copied to every offset it occupies.
 This module transcribes that recipe line by line (see FIDELITY.md for the
-two places where the printed pseudocode needed repair) and also produces the
+two places where the printed pseudocode needed repair), except that each
+printed ``for`` loop of arrows is one range of pairs: an ``np.arange`` of
+sources, or a slice of H, put at once.  It also produces the
 canonical state ordering that the recipe presupposes, so the result can be
 diffed entrywise against the BFS-derived matrix.
 
@@ -26,7 +28,6 @@ configs.shift_keys; the recurrent order is its tail.
 
 from __future__ import annotations
 
-from array import array
 from functools import lru_cache
 from math import comb
 from typing import Sequence
@@ -69,56 +70,57 @@ def submatrix(j: int, H: Sequence[int], closed: bool, counts: StateCounts) -> np
     between the block's own arrows (True) and the arrows of a black-shifted
     copy, whose would-be first-letter arrows leave the block into the
     enclosing one (False).  Matrix positions are 1-based in the arithmetic
-    below, converted on appending.
+    below, converted once the block's own pairs are joined.
     """
+    if j > 2 and len(H) < 1 << (j - 2):
+        raise ValueError(f"H has {len(H)} positions; a size-{j} block reads {1 << (j - 2)}")
     ss = counts.s_star
+    H = np.asarray(H, dtype=np.int64)
 
     @lru_cache(maxsize=None)
     def block(j: int, closed: bool) -> np.ndarray:
         if j < 1:
             return np.empty((0, 2), dtype=np.int64)
-        entries = array("q")
+        rows, cols = [], []
         nested = []  # nested blocks, each already moved to its offset
 
-        def put(p: int, q: int) -> None:
-            entries.extend((p - 1, q - 1))
+        def put(p: np.ndarray, q) -> None:
+            """The arrows p[t] -> q[t] (or -> q, for a scalar q)."""
+            rows.append(p)
+            cols.append(np.broadcast_to(q, p.shape))
+
+        def span(lo: int, hi: int) -> np.ndarray:
+            return np.arange(lo, hi, dtype=np.int64)
 
         if closed:
-            for i in range(1, j + 1):
-                put(i, 1)                           # t_{1,i} -> t_{1,1}
+            put(span(1, j + 1), 1)                  # t_{1,i} -> t_{1,1}
         else:
-            for i in range(1, j + 1):
-                put(i, 1 + ss[j])                   # shifted t_{1,i} -> outer first bar block
+            put(span(1, j + 1), 1 + ss[j])          # shifted t_{1,i} -> outer first bar block
         if j > 1:
-            put(1, j + 1)                           # t_{1,1} -> its black shift
-        for i in range(3, j + 1):
-            put(i, j + i - 1)                       # t_{1,i} -> black shift of t_{1,i-1}
+            put(span(1, 2), j + 1)                  # t_{1,1} -> its black shift
+        i = span(3, j + 1)
+        put(i, j + i - 1)                           # t_{1,i} -> black shift of t_{1,i-1}
         nested.append(block(j - 1, False) + j)
         sp = j + ss[j - 1]                          # sp + 1 = position of the first bar block
         for i in range(1, j):
             nested.append(block(i, True) + sp)
             if i == 1:
-                for k in range(1, j - 1):
-                    put(sp + 1 + k, sp + 1)         # chain states into the single bar-1 state
+                put(sp + 1 + span(1, j - 1), sp + 1)  # chain states into the single bar-1 state
             else:
-                for k in range(1, j - i):
-                    put(sp + ss[i] + k, sp + comb(i + 1, 2) + 1)
-            for k in range(2, j - i):
-                put(sp + ss[i] + k, sp + ss[i] + k + ss[i + 1] + j - i - 2)
+                put(sp + ss[i] + span(1, j - i), sp + comb(i + 1, 2) + 1)
+            k = sp + ss[i] + span(2, j - i)
+            put(k, k + ss[i + 1] + j - i - 2)
             if closed:
-                for k in range(sp + 1, sp + ss[i] + j - i):
-                    put(k, i + 1)                   # first-letter arrows -> t_{1,i+1}
+                put(span(sp + 1, sp + ss[i] + j - i), i + 1)  # first-letter arrows -> t_{1,i+1}
             else:
-                for k in range(sp + 1, sp + ss[i] + j - i):
-                    put(k, ss[j] + i + 1)
+                put(span(sp + 1, sp + ss[i] + j - i), ss[j] + i + 1)
             if i < j - 1:
-                for k in range(1, 2 ** (i - 1) + 1):
-                    put(
-                        sp + comb(i + 1, 2) + H[k - 1],
-                        sp + ss[i] + j - i - 1 + comb(i + 2, 2) + H[2 * k - 2],
-                    )
+                put(
+                    sp + comb(i + 1, 2) + H[: 2 ** (i - 1)],
+                    sp + ss[i] + j - i - 1 + comb(i + 2, 2) + H[: 2**i : 2],
+                )
             sp += ss[i] + j - i - 1
-        own = np.frombuffer(entries, dtype=np.int64).reshape(-1, 2)
+        own = np.stack((np.concatenate(rows), np.concatenate(cols)), axis=1) - 1
         return np.concatenate([own, *nested])
 
     try:
@@ -210,14 +212,43 @@ def diff_matrices(
 _MM_BLOCK = 1 << 15
 
 
+def _digit_table(dim: int) -> np.ndarray:
+    """The decimal digits of 1 .. dim as a (dim, width) uint8 table of
+    ASCII codes: row v - 1 spells v right-aligned, its leading zeros NUL."""
+    width = len(str(dim))
+    v = np.arange(1, dim + 1, dtype=np.int64)
+    table = np.empty((dim, width), dtype=np.uint8)
+    for col in range(width - 1, -1, -1):
+        table[:, col] = np.where(v > 0, v % 10 + ord("0"), 0)
+        v //= 10
+    return table
+
+
 def to_matrix_market(m: SparseBooleanMatrix) -> str:
+    """The matrix as Matrix Market coordinate text, one "p q 1" line per
+    entry, 1-based, in row-major order."""
     nnz = len(m.entries)
     header = f"%%MatrixMarket matrix coordinate integer general\n{m.dim} {m.dim} {nnz}\n"
-    # one format per block of entries: no per-line string or pair object,
-    # and the ints of one block at a time
-    blocks = (m.entries[s : s + _MM_BLOCK] + 1 for s in range(0, nnz, _MM_BLOCK))
-    lines = (("%d %d 1\n" * len(b)) % tuple(b.ravel().tolist()) for b in blocks)
-    return "".join([header, *lines])
+    # every line "p q 1\n" is one fixed-width row of a reused byte buffer:
+    # the digit rows of p and q, NUL-padded, around the constant separators;
+    # one mask per block drops the NULs
+    digits = _digit_table(m.dim)
+    w = digits.shape[1]
+    number = np.dtype(f"V{w}")  # one table row as a single item
+    line = np.dtype({"names": ["p", "q"], "formats": [number, number],
+                     "offsets": [0, w + 1], "itemsize": 2 * w + 4})
+    buf = np.zeros((min(nnz, _MM_BLOCK), line.itemsize), dtype=np.uint8)
+    buf[:, w] = ord(" ")
+    buf[:, 2 * w + 1 :] = np.frombuffer(b" 1\n", dtype=np.uint8)
+    rows, fields = digits.view(number).ravel(), buf.view(line).ravel()
+    lines = [header]
+    for s in range(0, nnz, _MM_BLOCK):
+        p, q = m.entries[s : s + _MM_BLOCK].T
+        f = fields[: len(p)]
+        f["p"], f["q"] = rows[p], rows[q]
+        b = buf[: len(p)].ravel()
+        lines.append(b[b != 0].tobytes().decode("ascii"))
+    return "".join(lines)
 
 
 def to_csv(m: SparseBooleanMatrix) -> str:

@@ -176,6 +176,14 @@ class TestSparseBooleanMatrix:
         with pytest.raises(InternalConsistencyError, match="outside"):
             am.SparseBooleanMatrix(2, [(0, 0), pair])
 
+    def test_first_pair_outside_is_named(self):
+        # two pairs outside, the negative one first in input order but
+        # last in row-major order
+        with pytest.raises(InternalConsistencyError, match=r"entry \(1, -1\) outside a 2x2"):
+            am.SparseBooleanMatrix(2, [(0, 0), (1, -1), (0, 1), (0, 2)])
+        with pytest.raises(InternalConsistencyError, match=r"entry \(0, 2\) outside a 2x2"):
+            am.SparseBooleanMatrix(2, [(0, 2), (1, -1)])
+
     def test_repeated_entry_is_rejected(self):
         with pytest.raises(InternalConsistencyError, match=r"\(1, 0\) given twice"):
             am.SparseBooleanMatrix(2, [(1, 0), (0, 1), (1, 0)])
@@ -476,6 +484,13 @@ class TestCarry:
         x = np.array([[2**32, top, top, top], [1, 2, 3, 4]], dtype=np.int64)
         out = am._carry(x)
         assert out.tolist() == [[0, 0, 0, 0, 1], [1, 2, 3, 4, 0]]
+
+    @pytest.mark.parametrize("rows", [[[-1]], [[5, -3]]])
+    def test_wrapped_digit_is_refused(self, rows):
+        # x >> 32 of a negative digit stays negative: without the check the
+        # carry loop would never end
+        with pytest.raises(InternalConsistencyError, match="wrapped below zero"):
+            am._carry(np.array(rows, dtype=np.int64))
 
     def test_all_zero_stays_one_column(self):
         assert am._carry(np.zeros((3, 1), dtype=np.int64)).shape == (3, 1)

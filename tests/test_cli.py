@@ -167,6 +167,16 @@ class TestMatrix:
         assert code == 0
         assert target.read_text().startswith("%%MatrixMarket")
 
+    def test_r12_appendix_file_is_pinned(self, capsys, tmp_path):
+        # the scale benchmark's Matrix Market file: 92,724 x 92,724 with
+        # 568,120 entries, as the per-entry format and put-loop generator gave it
+        target = tmp_path / "R12.mtx"
+        code, out, err = run(capsys, "matrix", "12", "--which", "R-appendix", "--out", str(target))
+        assert (code, out, err) == (0, "", "")
+        assert hashlib.sha256(target.read_bytes()).hexdigest() == (
+            "cded9240b96860e716b3e2c72324b0f19869c95fbcee2767ed85f9fb19acd484"
+        )
+
 
 class TestCount:
     def test_k50_row(self, capsys):

@@ -1,9 +1,15 @@
 """Direct matrix generator, canonical orderings, and cross-validation."""
 
 import hashlib
+from array import array
+from functools import lru_cache
+from math import comb
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from test_automaton import col_sums, row_sums
 from test_configs import (
     keys_of,
@@ -28,6 +34,73 @@ N12_FULL_ORDERING = "65db084bd24c90e0a87feef1e416aec6b5b20be0b8544ca33a93237b98b
 def pairs(block) -> list[tuple[int, int]]:
     """The (row, col) pairs of an (nnz, 2) array made by submatrix, sorted."""
     return sorted(map(tuple, block.tolist()))
+
+
+def ref_submatrix(j, H, closed, counts):
+    """mg.submatrix as the printed recipe reads: one put per arrow."""
+    ss = counts.s_star
+
+    @lru_cache(maxsize=None)
+    def block(j, closed):
+        if j < 1:
+            return np.empty((0, 2), dtype=np.int64)
+        entries = array("q")
+        nested = []
+
+        def put(p, q):
+            entries.extend((p - 1, q - 1))
+
+        if closed:
+            for i in range(1, j + 1):
+                put(i, 1)
+        else:
+            for i in range(1, j + 1):
+                put(i, 1 + ss[j])
+        if j > 1:
+            put(1, j + 1)
+        for i in range(3, j + 1):
+            put(i, j + i - 1)
+        nested.append(block(j - 1, False) + j)
+        sp = j + ss[j - 1]
+        for i in range(1, j):
+            nested.append(block(i, True) + sp)
+            if i == 1:
+                for k in range(1, j - 1):
+                    put(sp + 1 + k, sp + 1)
+            else:
+                for k in range(1, j - i):
+                    put(sp + ss[i] + k, sp + comb(i + 1, 2) + 1)
+            for k in range(2, j - i):
+                put(sp + ss[i] + k, sp + ss[i] + k + ss[i + 1] + j - i - 2)
+            if closed:
+                for k in range(sp + 1, sp + ss[i] + j - i):
+                    put(k, i + 1)
+            else:
+                for k in range(sp + 1, sp + ss[i] + j - i):
+                    put(k, ss[j] + i + 1)
+            if i < j - 1:
+                for k in range(1, 2 ** (i - 1) + 1):
+                    put(
+                        sp + comb(i + 1, 2) + H[k - 1],
+                        sp + ss[i] + j - i - 1 + comb(i + 2, 2) + H[2 * k - 2],
+                    )
+            sp += ss[i] + j - i - 1
+        own = np.frombuffer(entries, dtype=np.int64).reshape(-1, 2)
+        return np.concatenate([own, *nested])
+
+    try:
+        return block(j, closed)
+    finally:
+        block.cache_clear()
+
+
+def ref_to_matrix_market(m):
+    """mg.to_matrix_market as one "%d %d 1" format per entry."""
+    lines = "".join("%d %d 1\n" % (p + 1, q + 1) for p, q in m.entries.tolist())
+    return (
+        f"%%MatrixMarket matrix coordinate integer general\n"
+        f"{m.dim} {m.dim} {len(m.entries)}\n{lines}"
+    )
 
 
 class TestComputeH:
@@ -69,6 +142,22 @@ class TestSubmatrix:
 
     def test_guard_on_nonpositive_size(self):
         assert pairs(mg.submatrix(0, (0,), False, am.state_counts(1))) == []
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_ranges_equal_the_put_loop(self, n):
+        counts, H = am.state_counts(n), mg.compute_H(max(1, n - 1))
+        def row_major(block):
+            return block[np.lexsort((block[:, 1], block[:, 0]))]
+
+        for closed in (True, False):
+            got = mg.submatrix(n, H, closed, counts)
+            want = ref_submatrix(n, H, closed, counts)
+            assert len(got) == len(want)
+            assert np.array_equal(row_major(got), row_major(want))
+
+    def test_short_H_is_refused(self):
+        with pytest.raises(ValueError, match="H has 2 positions; a size-4 block reads 4"):
+            mg.submatrix(4, mg.compute_H(2), True, am.state_counts(4))
 
 
 class TestBuildRDirect:
@@ -219,6 +308,25 @@ class TestDiffAndExport:
         want = f"%%MatrixMarket matrix coordinate integer general\n38 38 {len(lines)}\n"
         monkeypatch.setattr(mg, "_MM_BLOCK", 5)
         assert mg.to_matrix_market(m) == want + "".join(lines)
+
+    @settings(deadline=None, max_examples=60)
+    @given(data=st.data(), dim=st.sampled_from([1, 9, 10, 99, 100, 101, 10**5]),
+           block=st.sampled_from([1, 3, mg._MM_BLOCK]))
+    def test_matrix_market_equals_the_per_entry_format(self, data, dim, block):
+        # dims at and around a change of digit width, in one block or many
+        index = st.integers(0, dim - 1)
+        entries = data.draw(st.sets(st.tuples(index, index), max_size=40))
+        m = am.SparseBooleanMatrix(dim, sorted(entries))
+        with mock.patch.object(mg, "_MM_BLOCK", block):
+            assert mg.to_matrix_market(m) == ref_to_matrix_market(m)
+
+    def test_digit_table_spells_every_index(self):
+        for dim in (1, 9, 10, 11, 99, 100, 1000, 1001):
+            table = mg._digit_table(dim)
+            assert table.shape == (dim, len(str(dim)))
+            assert [row[row != 0].tobytes().decode() for row in table] == [
+                str(v) for v in range(1, dim + 1)
+            ]
 
     def test_n9_matrix_market_digests(self, build_cached):
         # pinned output: a change of matrix representation must keep the
