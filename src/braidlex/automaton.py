@@ -39,22 +39,22 @@ BUILD_LIMIT_ENV = "BRAIDLEX_MAX_N"
 # state counts
 # ---------------------------------------------------------------------------
 
-def state_count_recurrence(n: int) -> int:
-    """s_0 = 0, s_1 = 1, s_n = 3 s_{n-1} - s_{n-2} + C(n, 2) + 1."""
+def _state_count_terms(n: int):
+    """s_0, s_1, ..., s_n by the recurrence, on two running values."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    s = [0, 1]
-    for m in range(2, n + 1):
-        s.append(3 * s[m - 1] - s[m - 2] + comb(m, 2) + 1)
-    return s[n]
+    prev, cur = 0, 0  # s_{-1}, s_0: the recurrence then gives s_1 = 1
+    yield cur
+    for m in range(1, n + 1):
+        prev, cur = cur, 3 * cur - prev + comb(m, 2) + 1
+        yield cur
 
 
-def _fibonacci(m: int) -> list[int]:
-    """F_0 .. F_m."""
-    fib = [0, 1]
-    while len(fib) <= m:
-        fib.append(fib[-1] + fib[-2])
-    return fib[: m + 1]
+def state_count_recurrence(n: int) -> int:
+    """s_0 = 0, s_1 = 1, s_n = 3 s_{n-1} - s_{n-2} + C(n, 2) + 1."""
+    for s in _state_count_terms(n):
+        pass
+    return s
 
 
 def state_count_formula(n: int) -> int:
@@ -62,8 +62,12 @@ def state_count_formula(n: int) -> int:
     s_n = sum_{i=1..n} (C(n+1-i, 2) + 1) * F_{2i}."""
     if n < 1:
         raise ValueError("n must be positive")
-    fib = _fibonacci(2 * n)
-    return sum((comb(n + 1 - i, 2) + 1) * fib[2 * i] for i in range(1, n + 1))
+    total, odd, even = 0, 1, 1  # F_{2i-1}, F_{2i} at i = 1
+    for i in range(1, n + 1):
+        total += (comb(n + 1 - i, 2) + 1) * even
+        odd += even
+        even += odd
+    return total
 
 
 @dataclass(frozen=True)
@@ -76,9 +80,8 @@ class StateCounts:
 
 
 def state_counts(n: int) -> StateCounts:
-    s = [state_count_recurrence(m) for m in range(n + 1)]
-    s_star = [0] + [s[m] - s[m - 1] for m in range(1, n + 1)]
-    return StateCounts(n, tuple(s), tuple(s_star))
+    s = tuple(_state_count_terms(n))
+    return StateCounts(n, s, (0,) + tuple(b - a for a, b in zip(s, s[1:])))
 
 
 # ---------------------------------------------------------------------------
@@ -281,7 +284,7 @@ def incidence_matrix(a: Automaton, order: list[int] | None = None) -> SparseBool
     ``order`` lists state indices row by row; default is BFS insertion order.
     """
     m = len(a)
-    if order is not None and sorted(order) != list(range(m)):
+    if order is not None and not np.array_equal(np.sort(order), np.arange(m)):
         raise ValueError("order must be a permutation of all state indices")
     return SparseBooleanMatrix(m, _edges(a, order))
 
@@ -405,7 +408,7 @@ def recurrent_matrix(a: Automaton, order: list[int] | None = None) -> SparseBool
     rec = recurrent_states(a)
     if order is None:
         order = rec
-    elif sorted(order) != rec:
+    elif not np.array_equal(np.sort(order), rec):
         raise ValueError("order must be a permutation of the recurrent states")
     m = SparseBooleanMatrix(len(order), _edges(a, order))
     if not is_primitive(m):

@@ -98,12 +98,15 @@ def cmd_states(args) -> int:
 
 def cmd_matrix(args) -> int:
     n = args.n
+    builds = args.which != "R-appendix" or args.check
+    # refuse an n the guard refuses before the CSV budget counts its states
+    (am.check_bfs_limit if builds else am.check_build_limit)(n)
     if args.format == "csv":
         dim = am.state_count_formula(n) if args.which == "M" else am.state_counts(n).s_star[n]
         if dim * dim > CSV_CELL_BUDGET:
             raise ValueError(f"--format csv of a {dim}x{dim} matrix is past the "
                              f"budget of {CSV_CELL_BUDGET} cells; use --format mm")
-    a = am.build(n) if args.which != "R-appendix" or args.check else None
+    a = am.build(n) if builds else None
     if args.which == "M":
         m = am.incidence_matrix(a, mg.canonical_full_ordering(a))
     elif args.which == "R":

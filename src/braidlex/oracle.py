@@ -5,17 +5,18 @@ Everything here works straight from the defining relations
     a_x a_y = a_y a_x        when |x - y| > 1,
     a_x a_y a_x = a_y a_x a_y  when |x - y| = 1,
 
-with no automaton knowledge.  The maximal lexicographic representative is
-the plain maximum of the class under single rewrites.  The rest comes from
-one right-reversing routine, ``_complements(u, v) = (u\\v, v\\u)``: the
-monoid is a Garside monoid, so u (u\\v) = v (v\\u) is the least common right
-multiple of u and v (Garside 1969; Dehornoy, "Complete positive group
-presentations", J. Algebra 268, 2003).  Hence u left-divides v (u <= v) iff
-v\\u is empty, and w is maximal iff no w[i:]\\a_r with r > w[i] is empty.
-The monoid is cancellative, so a_r <= b v iff b\\a_r <= v: the minimal
-forbidden prefixes are the minimal complements, with no search.  The
-language is prefix-closed, so it grows one letter at a time, and the same
-lemma gives every letter a maximal word bans in one pass over its suffixes.
+with no automaton knowledge, through one right-reversing routine,
+``_complements(u, v) = (u\\v, v\\u)``: the monoid is a Garside monoid, so
+u (u\\v) = v (v\\u) is the least common right multiple of u and v (Garside
+1969; Dehornoy, "Complete positive group presentations", J. Algebra 268,
+2003).  Hence u left-divides v (u <= v) iff v\\u is empty, and as the monoid
+is cancellative, a_r <= b v iff b\\a_r <= v.  So the max-lex representative
+of w starts with the largest r with a_r <= w and goes on as that of a_r\\w;
+w is maximal iff no w[i:]\\a_r with r > w[i] is empty; the minimal forbidden
+prefixes are the minimal complements, with no search.  The language is
+prefix-closed, so it grows one letter at a time, and the same lemma gives
+every letter a maximal word bans in one pass over its suffixes.  Apart from
+the language's own size, nothing here is exponential in the word length.
 Deliberately desk-scale; it exists to validate the rest of the package.
 
 Words are tuples of generator indices at the API; the hot loops run on
@@ -40,31 +41,6 @@ def check_word(w: Iterable[int], n: int) -> Word:
         if not 1 <= x <= n:
             raise BraidWordError(f"letter {x} outside generator range 1..{n}")
     return w
-
-
-def _rewrites(u: bytes):
-    """Single relation applications to u (both relation families, both ways)."""
-    m = len(u)
-    for p in range(m - 1):
-        x = u[p]
-        y = u[p + 1]
-        d = x - y
-        if d > 1 or d < -1:
-            yield u[:p] + bytes((y, x)) + u[p + 2:]
-        elif d and p + 2 < m and u[p + 2] == x:
-            yield u[:p] + bytes((y, x, y)) + u[p + 3:]
-
-
-def _closure(w: bytes) -> frozenset[bytes]:
-    seen = {w}
-    stack = [w]
-    while stack:
-        u = stack.pop()
-        for v in _rewrites(u):
-            if v not in seen:
-                seen.add(v)
-                stack.append(v)
-    return frozenset(seen)
 
 
 @lru_cache(maxsize=1 << 12)
@@ -107,10 +83,26 @@ def _banned(w: bytes, n: int) -> set[int]:
     return out
 
 
+def _max_lex(w: bytes) -> bytes:
+    """The greatest representative: the largest r with a_r <= w, then that
+    of a_r\\w.  The relations keep a word's set of letters, so only letters
+    of w can divide it, and w[0] always does."""
+    out = bytearray()
+    while w:
+        for r in sorted(set(w), reverse=True):
+            c, rest = _complements(w, bytes((r,)))
+            if not c:
+                break
+        else:
+            raise InternalConsistencyError(f"no letter of {tuple(w)} left-divides it")
+        out.append(r)
+        w = rest
+    return bytes(out)
+
+
 def max_lex(w: Iterable[int], n: int) -> Word:
     """The lexicographically greatest representative of the braid of w."""
-    w = check_word(w, n)
-    return tuple(max(_closure(bytes(w))))
+    return tuple(_max_lex(bytes(check_word(w, n))))
 
 
 @lru_cache(maxsize=None)
@@ -160,11 +152,12 @@ def minimal_forbidden_prefixes(w: Iterable[int], n: int) -> frozenset[Word]:
     checked a posteriori.
     """
     w = check_word(w, n)
-    big = bytes(max_lex(w, n))
-    complements = {
-        max(_closure(_complements(big[i:], bytes((r,)))[0]))
+    big = _max_lex(bytes(w))
+    raw = {
+        _complements(big[i:], bytes((r,)))[0]
         for i in range(len(big)) for r in range(big[i] + 1, n + 1)
     }
+    complements = {_max_lex(c) for c in raw}
     found = [
         f for f in complements
         if not any(g != f and not _complements(f, g)[0] for g in complements)

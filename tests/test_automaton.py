@@ -54,11 +54,20 @@ class TestStateCounts:
     def test_formula_equals_recurrence(self):
         for n in range(1, 20):
             assert am.state_count_formula(n) == am.state_count_recurrence(n)
+        assert am.state_counts(19).s[1:] == tuple(am.state_count_formula(n) for n in range(1, 20))
 
     def test_state_counts_record(self):
         c = am.state_counts(5)
         assert c.s == (0, 1, 5, 18, 56, 161)
         assert c.s_star == (0, 1, 4, 13, 38, 105)
+        assert am.state_counts(0) == am.StateCounts(0, (0,), (0,))
+
+    def test_refuses_n_out_of_range(self):
+        for call in (am.state_count_recurrence, am.state_counts):
+            with pytest.raises(ValueError, match="n must be nonnegative"):
+                call(-1)
+        with pytest.raises(ValueError, match="n must be positive"):
+            am.state_count_formula(0)
 
 
 class TestBuild:
@@ -205,8 +214,11 @@ class TestIncidenceMatrix:
         assert row_sums(m) == [len(a.out_letters(s)) for s in range(len(a))]
 
     def test_order_validation(self, build_cached):
-        with pytest.raises(ValueError):
-            am.incidence_matrix(build_cached(2), [0, 1, 2])
+        a = build_cached(2)
+        assert am.incidence_matrix(a, [4, 3, 2, 1, 0]).dim == 5
+        for order in ([0, 1, 2], [0, 1, 2, 3, 3], [0, 1, 2, 3, 5], [4, 3, 2, 1, 0, 5]):
+            with pytest.raises(ValueError, match="order must be a permutation of all state indices"):
+                am.incidence_matrix(a, order)
 
 
 class TestRecurrentStates:
@@ -256,6 +268,14 @@ class TestRecurrentMatrix:
         m = am.recurrent_matrix(build_cached(3))
         assert m.dim == 13
         assert set(row_sums(m)) <= {1, 2, 3}
+
+    def test_order_validation(self, build_cached):
+        a = build_cached(2)
+        rec = am.recurrent_states(a)
+        assert am.recurrent_matrix(a, rec[::-1]).dim == len(rec)
+        for order in (rec[:-1], rec[:-1] + rec[:1], rec[:-1] + [0]):
+            with pytest.raises(ValueError, match="order must be a permutation of the recurrent states"):
+                am.recurrent_matrix(a, order)
 
 
 class TestBooleanPrimitive:

@@ -147,6 +147,38 @@ class TestMatrix:
         assert out == ""
         assert "n=15 exceeds the build limit" in err
 
+    @pytest.mark.parametrize(
+        "n, which, message",
+        [
+            ("-5", "R", "n must be positive"),
+            ("0", "R-appendix", "n must be positive"),
+            ("40000", "M", "n=40000 exceeds the build limit"),
+            ("15", "R-appendix", "n=15 exceeds the build limit"),
+        ],
+    )
+    def test_csv_runs_the_build_guard_first(self, capsys, monkeypatch, n, which, message):
+        # the guard refuses before the CSV budget counts the states of n
+        def never(*args, **kwargs):
+            raise AssertionError("counted the states of an n the guard refuses")
+
+        monkeypatch.setattr(am, "state_count_formula", never)
+        monkeypatch.setattr(am, "state_counts", never)
+        code, out, err = run(capsys, "matrix", n, "--which", which, "--format", "csv")
+        assert code == 6
+        assert out == ""
+        assert message in err
+
+    def test_check_guards_as_the_build_does(self, capsys, monkeypatch):
+        # --check builds the automaton, so it refuses past the largest key n
+        # before the CSV budget
+        monkeypatch.setenv("BRAIDLEX_MAX_N", "20")
+        code, out, err = run(
+            capsys, "matrix", "15", "--which", "R-appendix", "--check", "--format", "csv"
+        )
+        assert code == 6
+        assert out == ""
+        assert "n=15 is past 14" in err
+
     @pytest.mark.parametrize("n, which", [("11", "R"), ("10", "M"), ("10", "R-appendix")])
     def test_dense_csv_past_the_cell_budget_refuses_before_building(
         self, capsys, monkeypatch, n, which

@@ -1,10 +1,14 @@
 """Brute-force monoid operations: worked values and defining properties.
 
-``ref_language`` and ``ref_minimal_forbidden_prefixes`` decide the oracle's
-facts by slower routes: the language as the maximum of each relation class
-over all n^k words, and the minimal forbidden prefixes by a candidate search
-through length n + 1, with prefix order and the max-lex test by reversing
-one letter at a time (``_quotient``) instead of by right complements.
+The references decide the oracle's facts by slower routes that never call
+its right complements: ``ref_closure`` enumerates a relation class by
+single rewrites, ``ref_max_lex`` is the maximum of that class, and
+``ref_language`` the maximum of each class over all n^k words.
+``ref_minimal_forbidden_prefixes`` is a candidate search through length
+n + 1, with prefix order and the max-lex test by reversing one letter at a
+time (``_quotient``).  Only ``ref_is_representative`` reads the oracle's
+``_complements``, and it is checked against the greedy ``max_lex`` and
+the closure alike.
 """
 
 from functools import lru_cache
@@ -15,17 +19,48 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from braidlex import oracle
-from braidlex.errors import BraidWordError
+from braidlex.errors import BraidWordError, InternalConsistencyError
 
 
 def words(n, max_len=6):
     return st.lists(st.integers(1, n), max_size=max_len).map(tuple)
 
 
+def _rewrites(u):
+    """Single relation applications to u (both relation families, both ways)."""
+    m = len(u)
+    for p in range(m - 1):
+        x = u[p]
+        y = u[p + 1]
+        d = x - y
+        if d > 1 or d < -1:
+            yield u[:p] + bytes((y, x)) + u[p + 2:]
+        elif d and p + 2 < m and u[p + 2] == x:
+            yield u[:p] + bytes((y, x, y)) + u[p + 3:]
+
+
+def ref_closure(w):
+    """Every word of the relation class of the bytes word w."""
+    seen = {w}
+    stack = [w]
+    while stack:
+        u = stack.pop()
+        for v in _rewrites(u):
+            if v not in seen:
+                seen.add(v)
+                stack.append(v)
+    return frozenset(seen)
+
+
+def ref_max_lex(w):
+    """The greatest word of the class of the bytes word w."""
+    return max(ref_closure(w))
+
+
 def ref_equivalence_class(w, n):
     """All words representing the same braid as w."""
     w = oracle.check_word(w, n)
-    return frozenset(tuple(u) for u in oracle._closure(bytes(w)))
+    return frozenset(tuple(u) for u in ref_closure(bytes(w)))
 
 
 def ref_is_representative(w, n):
@@ -47,7 +82,7 @@ def ref_language(n, k):
         b = bytes(w)
         if b in seen:
             continue
-        cls = oracle._closure(b)
+        cls = ref_closure(b)
         out.add(max(cls))
         seen |= cls
     return frozenset(out)
@@ -79,7 +114,7 @@ def _divides(u, w):
 def ref_minimal_forbidden_prefixes(w, n):
     """Candidates through length n + 1, one maximal word per braid, dropping
     those with a forbidden proper prefix; v is forbidden when big v exceeds."""
-    big = bytes(oracle.max_lex(w, n))
+    big = ref_max_lex(bytes(oracle.check_word(w, n)))
     found = []
     for ell in range(1, n + 2):
         for v in sorted(ref_language(n, ell)):
@@ -145,6 +180,28 @@ class TestMaxLex:
         m = oracle.max_lex(w, 3)
         assert oracle.max_lex(m, 3) == m
         assert all(m >= u for u in ref_equivalence_class(w, 3))
+
+    @pytest.mark.parametrize("n, max_len", [(2, 9), (3, 7), (4, 6), (5, 5)])
+    def test_greedy_equals_the_closure_maximum(self, n, max_len):
+        for k in range(max_len + 1):
+            for w in product(range(1, n + 1), repeat=k):
+                assert oracle.max_lex(w, n) == tuple(ref_max_lex(bytes(w))), w
+
+    @settings(deadline=None)
+    @given(data=st.data())
+    def test_long_words_give_a_representative_of_the_same_braid(self, data):
+        # past the closure's reach: the result must be maximal and divide w
+        # both ways, by the one-letter reversing of _divides
+        n = data.draw(st.integers(1, 12))
+        w = data.draw(words(n, 30))
+        m = oracle.max_lex(w, n)
+        assert ref_is_representative(m, n)
+        assert _divides(bytes(m), bytes(w)) and _divides(bytes(w), bytes(m))
+
+    def test_no_dividing_letter_is_an_internal_error(self, monkeypatch):
+        monkeypatch.setattr(oracle, "_complements", lambda u, v: (v, u))
+        with pytest.raises(InternalConsistencyError, match="left-divides"):
+            oracle.max_lex((1, 2), 2)
 
 
 class TestEnumerateLanguage:
@@ -257,7 +314,7 @@ class TestMinimalForbiddenPrefixes:
                 if a != b:
                     assert not oracle.is_prefix(a, b, 3)
 
-    @pytest.mark.parametrize("n, max_len, reps", [(2, 7, 133), (3, 6, 370), (4, 5, 408)])
+    @pytest.mark.parametrize("n, max_len, reps", [(2, 7, 133), (3, 6, 370), (4, 5, 408), (5, 3, 87)])
     def test_matches_the_candidate_search(self, n, max_len, reps):
         words = [w for k in range(max_len + 1) for w in oracle.enumerate_language(n, k)]
         assert len(words) == reps
