@@ -5,10 +5,10 @@ the initial configuration (n, n, n, {}); state 0 is the initial state and
 indices follow the order a queue would give.  The BFS walks one level at a
 time on packed uint64 keys (configs.pack) with the array rule
 configs.successors, so an Automaton holds a key array and a flat int64
-(state, letter) table.  Readers of i or j take them from the keys;
-``Automaton.indices`` maps a key array to state indices, and SegmentConfig
-objects are unpacked only when asked for (``Automaton.states``: export,
-the psi check of ``verify``, tests).  A key holds n <= 14.  Counting is
+(state, letter) table, and nothing else.  Readers of i or j take them from
+the keys; ``Automaton.indices`` maps a key array to state indices, and a
+reader that needs a SegmentConfig (export, the psi check of ``verify``)
+unpacks each key where it reads it.  A key holds n <= 14.  Counting is
 exact: count_words keeps each state's count as int64 limbs holding
 base-2^32 digits and advances all of them by int64 sparse products with
 M^T, or with (M^T)^S on small automata, S steps at once.  It carries only
@@ -28,7 +28,7 @@ from math import comb
 import numpy as np
 from scipy.sparse import csr_matrix
 
-from .configs import MAX_KEY_N, SegmentConfig, initial_config, key_fields, pack, successors, unpack
+from .configs import MAX_KEY_N, initial_config, key_fields, pack, successors, unpack
 from .errors import BraidWordError, BuildLimitError, InternalConsistencyError
 
 DEFAULT_BUILD_LIMIT = 14
@@ -103,15 +103,6 @@ class Automaton:
     def target(self, state: int, letter: int) -> int:
         """Successor index, or -1 when the letter is forbidden."""
         return int(self.transitions[state * self.n + letter - 1])
-
-    def out_letters(self, state: int) -> list[int]:
-        row = self.transitions[state * self.n : (state + 1) * self.n]
-        return (np.flatnonzero(row >= 0) + 1).tolist()
-
-    @cached_property
-    def states(self) -> list[SegmentConfig]:
-        """Every state as a SegmentConfig, unpacked on first use."""
-        return [unpack(key) for key in self.keys.tolist()]
 
     @cached_property
     def _by_key(self) -> np.ndarray:
@@ -207,11 +198,6 @@ def state_after(a: Automaton, w) -> int | None:
     return s
 
 
-def accepts(a: Automaton, w) -> bool:
-    """True iff w never reads a forbidden letter, i.e. w is a representative."""
-    return state_after(a, w) is not None
-
-
 # ---------------------------------------------------------------------------
 # incidence matrices
 # ---------------------------------------------------------------------------
@@ -247,11 +233,6 @@ class SparseBooleanMatrix:
         np.divmod(keys, self.dim, out=(entries[:, 0], entries[:, 1]))
         entries.flags.writeable = False
         object.__setattr__(self, "entries", entries)
-
-    def to_dense(self) -> list[list[int]]:
-        dense = np.zeros((self.dim, self.dim), dtype=np.int8)
-        dense[self.entries[:, 0], self.entries[:, 1]] = 1
-        return dense.tolist()
 
     def to_csr(self) -> csr_matrix:
         """The matrix as scipy CSR with float ones at the entries."""
@@ -560,7 +541,7 @@ def to_json(a: Automaton) -> str:
                 "S": [list(seg) for seg in c.segments],
                 "final_letter": c.j,
             }
-            for c in a.states
+            for c in map(unpack, a.keys.tolist())
         ],
         "transitions": _arrows(a),
     }
@@ -569,7 +550,7 @@ def to_json(a: Automaton) -> str:
 
 def to_dot(a: Automaton) -> str:
     lines = ["digraph automaton {", "  rankdir=LR;"]
-    for s, c in enumerate(a.states):
+    for s, c in enumerate(map(unpack, a.keys.tolist())):
         shape = "doublecircle" if s == 0 else "circle"
         lines.append(f'  q{s} [label="{c}" shape={shape}];')
     for s, r, t in _arrows(a):

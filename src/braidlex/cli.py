@@ -28,7 +28,8 @@ EXIT_NO_CONVERGENCE = 4
 EXIT_VERIFY_FAILED = 5
 EXIT_BAD_INPUT = 6
 
-# dense CSV peaks at about 9.5 bytes per cell: 2^27 cells is about 1.3 GB
+# dense CSV peaks at about 3.8 bytes per cell (the text, then its encoding
+# on output; `matrix 9 --which M`): 2^27 cells is about 0.5 GB
 CSV_CELL_BUDGET = 1 << 27
 
 
@@ -159,8 +160,6 @@ def cmd_table(args) -> int:
         raise ValueError(f"--from {args.start} is past --to {args.stop}")
     am.check_bfs_limit(args.start)
     am.check_bfs_limit(args.stop)
-    if not args.tol > 0:
-        raise ValueError(f"tol must be positive, got {args.tol}")
     rows = []
     print(f"{'n':>2}  {'lambda':<20} {'P_a1':<21} {'P_1':<12}")
     for n in range(args.start, args.stop + 1):
@@ -174,6 +173,11 @@ def cmd_table(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    """Check the automaton that build makes against the brute-force oracle:
+    the language up to --max-len, the forbidden-prefix set of each state
+    reached by a word up to --max-forbidden-len, and psi injective on the
+    states.  The walk reads the rows of the transition table, and each
+    state is unpacked from its key where it is checked."""
     n = args.n
     cap = min(args.max_len, 6) if args.max_forbidden_len is None else args.max_forbidden_len
     if args.max_len < 0:
@@ -181,6 +185,8 @@ def cmd_verify(args) -> int:
     if not 0 <= cap <= args.max_len:
         raise ValueError(f"--max-forbidden-len {cap} is outside 0..{args.max_len}")
     a = am.build(n)
+    rows = a.transitions.reshape(len(a), n).tolist()
+    keys = a.keys.tolist()
     failures: list[str] = []
 
     # the accepted words of length k, each with the state it reaches
@@ -189,7 +195,7 @@ def cmd_verify(args) -> int:
     for k in range(args.max_len + 1):
         if k:
             frontier = [
-                (w + (r,), a.target(s, r)) for w, s in frontier for r in a.out_letters(s)
+                (w + (r,), t) for w, s in frontier for r, t in enumerate(rows[s], 1) if t >= 0
             ]
         expected = oracle.enumerate_language(n, k)
         got = {w for w, _ in frontier}
@@ -205,7 +211,7 @@ def cmd_verify(args) -> int:
     if not failures:
         checked = 0
         for w, s in pairs:
-            if oracle.minimal_forbidden_prefixes(w, n) != cf.psi(a.states[s], n):
+            if oracle.minimal_forbidden_prefixes(w, n) != cf.psi(cf.unpack(keys[s]), n):
                 failures.append(f"forbidden-prefix mismatch after {w}")
                 break
             checked += 1
@@ -213,9 +219,13 @@ def cmd_verify(args) -> int:
             f"forbidden-prefix sets: {'FAIL' if failures else 'pass'} ({checked} words)"
         )
 
+    # Minimality needs psi injective on the automaton's own states, and
+    # build has already counted them to s_n; psi validates each one.
+    # Injectivity over every valid configuration, and their count, are
+    # tier-1 tests of configs (criterion 09).
     images = {}
     inj_ok = True
-    for c in cf.all_configs(n):
+    for c in map(cf.unpack, keys):
         im = cf.psi(c, n)
         if im in images:
             inj_ok = False
@@ -264,6 +274,25 @@ def cmd_seed_docs(args) -> int:
 
 # ---------------------------------------------------------------------------
 
+def _checked(convert, ok, message: str):
+    """An argparse type: ``convert`` the text, then refuse a value that
+    fails ``ok`` with ``message``.  It takes the name of ``convert``, so
+    text that does not convert still reads "invalid float value: ..."."""
+    def parse(text: str):
+        value = convert(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(message.format(value))
+        return value
+
+    parse.__name__ = convert.__name__
+    return parse
+
+
+# refused at parse time, before any build; ``not tol > 0`` refuses NaN too
+_TOL = _checked(float, lambda tol: tol > 0, "tol must be positive, got {}")
+_LENGTH = _checked(int, lambda k: k >= 0, "k must be nonnegative, got {}")
+
+
 def make_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="braidlex", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -283,19 +312,19 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("count", help="exact number of length-k representatives")
     p.add_argument("n", type=int)
-    p.add_argument("k", type=int)
+    p.add_argument("k", type=_LENGTH)
     p.add_argument("--by-letter", action="store_true")
     p.set_defaults(func=cmd_count)
 
     p = sub.add_parser("spectrum", help="growth rate and ending proportions")
     p.add_argument("n", type=int)
-    p.add_argument("--tol", type=float, default=sp.DEFAULT_TOL)
+    p.add_argument("--tol", type=_TOL, default=sp.DEFAULT_TOL)
     p.set_defaults(func=cmd_spectrum)
 
     p = sub.add_parser("table", help="growth-rate table with bound checks")
     p.add_argument("--from", dest="start", type=int, default=2)
     p.add_argument("--to", dest="stop", type=int, default=9)
-    p.add_argument("--tol", type=float, default=sp.DEFAULT_TOL)
+    p.add_argument("--tol", type=_TOL, default=sp.DEFAULT_TOL)
     p.set_defaults(func=cmd_table)
 
     p = sub.add_parser("verify", help="cross-check the automaton against brute force")

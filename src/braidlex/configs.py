@@ -23,13 +23,14 @@ letter-transition rule, on a whole array of keys at once, that the BFS of
 ``automaton.build`` reads; ``shift_keys`` prepends a white circle to every
 key, the step from which matrixgen builds the canonical orderings;
 ``_marks(c, n)`` reads the diagram off (i, j, k, S), and ``psi`` and
-``render_diagram`` draw from it; ``c.j`` is the final letter.
+``render_diagram`` draw from it; ``c.j`` is the final letter.  The
+package meets configurations only as the states that BFS reaches; the
+exhaustive enumeration of every valid configuration is a test reference.
 """
 
 from __future__ import annotations
 
-from itertools import combinations, combinations_with_replacement
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -252,25 +253,3 @@ def render_diagram(c: SegmentConfig, n: int) -> str:
         "#" if p == c.j else "*" if p in blacks else "o" for p in range(1, n + 1)
     ))
     return "\n".join(lines)
-
-
-# ---------------------------------------------------------------------------
-# exhaustive enumeration (test scale)
-# ---------------------------------------------------------------------------
-
-def all_configs(n: int) -> Iterator[SegmentConfig]:
-    """Every valid configuration for size n, lexicographic on (i, j, k, S)."""
-    for i in range(1, n + 1):
-        for j in range(i, n + 1):
-            for k in range(j, n + 1):
-                group = [SegmentConfig(i, j, k, ())]
-                for t in range(1, j - i + 1):
-                    for lefts in combinations(range(i, j), t):
-                        for rights_inc in combinations_with_replacement(
-                            range(j, n + 1), t
-                        ):
-                            rights = rights_inc[::-1]
-                            c = SegmentConfig(i, j, k, tuple(zip(lefts, rights)))
-                            if validate(c, n):
-                                group.append(c)
-                yield from sorted(group)

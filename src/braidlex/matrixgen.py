@@ -252,4 +252,10 @@ def to_matrix_market(m: SparseBooleanMatrix) -> str:
 
 
 def to_csv(m: SparseBooleanMatrix) -> str:
-    return "\n".join(",".join(str(x) for x in row) for row in m.to_dense()) + "\n"
+    """The matrix as dense CSV: one line of 0/1 cells per row."""
+    # each row is dim cells "0,"; an entry writes its "1" over the "0", and
+    # the comma closing the row becomes the newline
+    buf = np.tile(np.frombuffer(b"0,", dtype=np.uint8), (m.dim, m.dim))
+    buf[m.entries[:, 0], 2 * m.entries[:, 1]] = ord("1")
+    buf[:, -1:] = ord("\n")
+    return str(buf, "ascii") or "\n"  # a 0 x 0 matrix is one empty line

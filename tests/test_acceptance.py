@@ -11,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from test_automaton import dense
+from test_configs import ref_all_configs
 from test_spectral import resolvent_nonneg_check
 
 from braidlex import automaton as am
@@ -81,9 +83,9 @@ def test_criterion_02_printed_matrices(build_cached):
     t0 = time.monotonic()
     a = build_cached(2)
     m2 = am.incidence_matrix(a, mg.canonical_full_ordering(a))
-    assert m2.to_dense() == M2_DENSE
+    assert dense(m2) == M2_DENSE
     r2 = am.recurrent_matrix(a, mg.canonical_ordering(a))
-    assert r2.to_dense() == R2_DENSE
+    assert dense(r2) == R2_DENSE
     _passed(2, time.monotonic() - t0, 5, "M_2 and R_2 match the printed matrices entrywise")
 
 
@@ -175,7 +177,7 @@ def test_criterion_09_psi_injectivity():
     for n in range(1, 6):
         images = set()
         count = 0
-        for c in cf.all_configs(n):
+        for c in ref_all_configs(n):
             im = cf.psi(c, n)
             assert im not in images, (n, c)
             images.add(im)

@@ -11,7 +11,9 @@ import pytest
 
 from braidlex import automaton as am
 from braidlex import cli
+from braidlex import configs as cf
 from braidlex import matrixgen as mg
+from braidlex import oracle
 from braidlex import spectral as sp
 from braidlex.configs import SegmentConfig
 
@@ -192,6 +194,14 @@ class TestMatrix:
         assert code == 6
         assert out == ""
         assert f"budget of {cli.CSV_CELL_BUDGET} cells" in err
+
+    def test_m8_csv_is_pinned(self, capsys):
+        # 3,156 x 3,156 cells, as the per-cell join of the dense rows gave them
+        code, out, err = run(capsys, "matrix", "8", "--which", "M", "--format", "csv")
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "52a739fe5e62394c69116121e92703bd9784b0fe6d1c83a494291c607976ee3c"
+        )
 
     def test_write_to_file(self, capsys, tmp_path):
         target = tmp_path / "m.mm"
@@ -388,6 +398,58 @@ class TestVerify:
         assert out == ""
         assert "error" in err
 
+    def test_n6_output_is_pinned(self, capsys):
+        # as the per-word walk over the cached states and the check of psi
+        # over every valid configuration printed it
+        code, out, err = run(capsys, "verify", "6", "--max-len", "7", "--max-forbidden-len", "6")
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "bf47885b8761f3336618b51b831cd3c21ce60e96da7611ac6898e23a6705abea"
+        )
+
+    def test_language_mismatch(self, capsys, monkeypatch):
+        language = oracle.enumerate_language
+
+        def short(n, k):
+            words = set(language(n, k))
+            if k == 2:
+                words.discard((2, 2))
+            return words
+
+        monkeypatch.setattr(oracle, "enumerate_language", short)
+        code, out, err = run(capsys, "verify", "2", "--max-len", "4")
+        assert code == 5
+        assert out.splitlines() == [
+            "language k=0: pass (1 words)",
+            "language k=1: pass (2 words)",
+            "language k=2: FAIL (3 words)",
+            "psi injectivity: pass (5 configs)",
+        ]
+        assert err == "language mismatch at k=2: (2, 2)\n"
+
+    def test_forbidden_prefix_mismatch(self, capsys, monkeypatch):
+        # the empty word's set is empty, so the first mismatch is after a1
+        monkeypatch.setattr(oracle, "minimal_forbidden_prefixes", lambda w, n: frozenset())
+        code, out, err = run(capsys, "verify", "2", "--max-len", "3")
+        assert code == 5
+        assert "forbidden-prefix sets: FAIL (1 words)\n" in out
+        assert "psi injectivity: pass (5 configs)\n" in out
+        assert err == "forbidden-prefix mismatch after (1,)\n"
+
+    def test_psi_collision(self, capsys, monkeypatch):
+        # every state with i = 1 gets the initial state's empty image; the
+        # empty word reaches only the initial state, so its set still agrees
+        psi = cf.psi
+        monkeypatch.setattr(cf, "psi", lambda c, n: frozenset() if c.i == 1 else psi(c, n))
+        code, out, err = run(capsys, "verify", "2", "--max-len", "0")
+        assert code == 5
+        assert out.splitlines() == [
+            "language k=0: pass (1 words)",
+            "forbidden-prefix sets: pass (1 words)",
+            "psi injectivity: FAIL (1 configs)",
+        ]
+        assert err == "psi collision: (1,1,1,{}) and (2,2,2,{})\n"
+
 
 class TestShowState:
     def test_pair_state(self, capsys):
@@ -446,6 +508,24 @@ class TestBadInput:
 
     def test_missing_argument(self, capsys):
         assert run(capsys, "states")[0] == 6
+
+    @pytest.mark.parametrize("argv, message", [
+        (("spectrum", "12", "--tol", "-1"), "argument --tol: tol must be positive, got -1.0"),
+        (("spectrum", "12", "--tol", "nan"), "argument --tol: tol must be positive, got nan"),
+        (("spectrum", "12", "--tol", "x"), "argument --tol: invalid float value: 'x'"),
+        (("table", "--to", "12", "--tol", "0"), "argument --tol: tol must be positive, got 0.0"),
+        (("count", "12", "-1"), "argument k: k must be nonnegative, got -1"),
+        (("count", "12", "x"), "argument k: invalid int value: 'x'"),
+    ])
+    def test_refused_when_parsed_before_any_build(self, capsys, monkeypatch, argv, message):
+        def no_build(n):
+            raise AssertionError(f"built n={n}")
+
+        monkeypatch.setattr(am, "build", no_build)
+        code, out, err = run(capsys, *argv)
+        assert code == 6
+        assert out == ""
+        assert err.splitlines()[-1] == f"braidlex {argv[0]}: error: {message}"
 
     def test_unreadable_build_limit_is_named(self, capsys, monkeypatch):
         monkeypatch.setenv(am.BUILD_LIMIT_ENV, "abc")

@@ -1,6 +1,7 @@
 """Segment configurations, diagrams, and the letter-transition rule."""
 
 import hashlib
+from itertools import combinations, combinations_with_replacement
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ EXHAUSTIVE_N = 5
 EXPECTED_COUNTS = {1: 1, 2: 5, 3: 18, 4: 56, 5: 161}
 # exhaustive scale for successors and psi against their references; 3,156 at n=8
 SUCCESSORS_N = 8
-# sha256 of render_diagram(c, n) + "|" over all_configs(n), n = 1..6 in order
+# sha256 of render_diagram(c, n) + "|" over ref_all_configs(n), n = 1..6 in order
 RENDER_DIGEST = "f1c2acab0cb070f82c342c7476f31fba72e679be7fb46256661f38af049f8fc8"
 
 
@@ -158,6 +159,30 @@ def keys_of(configs):
     return np.array([cf.pack(c) for c in configs], dtype=np.uint64)
 
 
+def states_of(a):
+    """Every state of an automaton as a SegmentConfig, in BFS order."""
+    return [cf.unpack(key) for key in a.keys.tolist()]
+
+
+def ref_all_configs(n):
+    """Every valid configuration for size n, lexicographic on (i, j, k, S):
+    the enumeration independent of the BFS, filtered by validate."""
+    for i in range(1, n + 1):
+        for j in range(i, n + 1):
+            for k in range(j, n + 1):
+                group = [SegmentConfig(i, j, k, ())]
+                for t in range(1, j - i + 1):
+                    for lefts in combinations(range(i, j), t):
+                        for rights_inc in combinations_with_replacement(
+                            range(j, n + 1), t
+                        ):
+                            rights = rights_inc[::-1]
+                            c = SegmentConfig(i, j, k, tuple(zip(lefts, rights)))
+                            if cf.validate(c, n):
+                                group.append(c)
+                yield from sorted(group)
+
+
 class TestSegmentConfig:
     WORKED = [
         (SegmentConfig(1, 2, 3, ((1, 2),)), "(1,2,3,{[1-2]})"),
@@ -166,7 +191,7 @@ class TestSegmentConfig:
     ]
 
     def test_hash_is_the_field_tuple_hash(self):
-        for c in cf.all_configs(4):
+        for c in ref_all_configs(4):
             assert hash(c) == hash((c.i, c.j, c.k, c.segments))
 
     def test_str_and_repr(self):
@@ -176,7 +201,7 @@ class TestSegmentConfig:
         assert repr(self.WORKED[1][0]) == "SegmentConfig(i=2, j=2, k=2, segments=())"
 
     def test_sorted_by_the_field_tuple(self):
-        configs = list(cf.all_configs(5))[::-1]
+        configs = list(ref_all_configs(5))[::-1]
         assert sorted(configs) == sorted(
             configs, key=lambda c: (c.i, c.j, c.k, c.segments)
         )
@@ -213,10 +238,10 @@ class TestValidate:
 
     def test_enumeration_counts(self):
         for n, count in EXPECTED_COUNTS.items():
-            assert sum(1 for _ in cf.all_configs(n)) == count
+            assert sum(1 for _ in ref_all_configs(n)) == count
 
     def test_enumeration_is_sorted_per_triple(self):
-        seen = list(cf.all_configs(3))
+        seen = list(ref_all_configs(3))
         assert len(set(seen)) == len(seen)
         assert all(cf.validate(c, 3) for c in seen)
 
@@ -245,13 +270,13 @@ class TestPsi:
 
     def test_equals_reference_on_all_configs(self):
         for n in range(1, SUCCESSORS_N + 1):
-            for c in cf.all_configs(n):
+            for c in ref_all_configs(n):
                 assert cf.psi(c, n) == ref_psi(c, n), c
 
     def test_injective_on_all_configs(self):
         for n in range(1, EXHAUSTIVE_N + 1):
             images = {}
-            for c in cf.all_configs(n):
+            for c in ref_all_configs(n):
                 im = cf.psi(c, n)
                 assert im not in images, (c, images.get(im))
                 images[im] = c
@@ -268,7 +293,7 @@ class TestDiagram:
     def test_round_trip_exhaustive(self):
         # the marks determine the configuration: distinct states draw apart
         for n in range(1, EXHAUSTIVE_N + 1):
-            for c in cf.all_configs(n):
+            for c in ref_all_configs(n):
                 assert ref_parse(n, c.j, *cf._marks(c, n)) == c
 
     def test_render(self):
@@ -279,7 +304,7 @@ class TestDiagram:
     def test_render_digest(self):
         h = hashlib.sha256()
         for n in range(1, 7):
-            for c in cf.all_configs(n):
+            for c in ref_all_configs(n):
                 h.update((cf.render_diagram(c, n) + "|").encode())
         assert h.hexdigest() == RENDER_DIGEST
 
@@ -302,7 +327,7 @@ def letters(c, n):
 class TestKeys:
     def test_pack_round_trips_and_is_injective(self):
         for n in range(1, SUCCESSORS_N + 1):
-            configs = list(cf.all_configs(n))
+            configs = list(ref_all_configs(n))
             keys = [cf.pack(c) for c in configs]
             assert [cf.unpack(key) for key in keys] == configs
             assert len(set(keys)) == len(keys) and 0 not in keys
@@ -342,7 +367,7 @@ class TestTransition:
     def test_successors_match_the_reference_rule(self):
         # one array call per n over every configuration of size n
         for n in range(1, SUCCESSORS_N + 1):
-            configs = list(cf.all_configs(n))
+            configs = list(ref_all_configs(n))
             keys = np.array([cf.pack(c) for c in configs], dtype=np.uint64)
             table = cf.successors(keys, n).tolist()
             for c, row in zip(configs, table):
@@ -355,7 +380,7 @@ class TestTransition:
 
     def test_closure_and_final_letter(self):
         for n in range(1, EXHAUSTIVE_N + 1):
-            for c in cf.all_configs(n):
+            for c in ref_all_configs(n):
                 for r, t in successor_list(c, n):
                     assert cf.validate(t, n)
                     assert t.j == r
@@ -390,14 +415,14 @@ class TestShifts:
             ref_shift_black(SegmentConfig(1, 2, 2, ((1, 2),)), 2)
 
     def test_shift_produces_valid_configs(self):
-        for c in cf.all_configs(3):
+        for c in ref_all_configs(3):
             assert cf.validate(ref_shift(c, 4), 4)
             assert cf.validate(ref_shift_black(c, 4), 4)
 
     def test_key_shift_matches_the_reference(self):
         # every configuration of size n shifts within n + 1
         for n in range(1, SUCCESSORS_N + 1):
-            configs = list(cf.all_configs(n))
+            configs = list(ref_all_configs(n))
             shifted = cf.shift_keys(keys_of(configs))
             assert shifted.dtype == np.uint64
             assert shifted.tolist() == [cf.pack(ref_shift(c, n + 1)) for c in configs]

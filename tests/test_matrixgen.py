@@ -10,13 +10,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_automaton import col_sums, row_sums
+from test_automaton import col_sums, dense, row_sums
 from test_configs import (
     keys_of,
+    ref_all_configs,
     ref_bar_embed,
     ref_full_configs,
     ref_shift_black,
     ref_star_configs,
+    states_of,
 )
 
 from braidlex import automaton as am
@@ -103,6 +105,11 @@ def ref_to_matrix_market(m):
     )
 
 
+def ref_to_csv(m):
+    """mg.to_csv as one join per cell of the dense matrix."""
+    return "\n".join(",".join(map(str, row)) for row in dense(m)) + "\n"
+
+
 class TestComputeH:
     def test_j3(self):
         assert mg.compute_H(3) == (0, 1, 6, 7)
@@ -167,7 +174,7 @@ class TestBuildRDirect:
         assert set(map(tuple, m.entries.tolist())) == R2_ENTRIES
 
     def test_n1(self):
-        assert mg.build_R_direct(1).to_dense() == [[1]]
+        assert dense(mg.build_R_direct(1)) == [[1]]
 
     def test_shares_the_build_limit(self, monkeypatch):
         monkeypatch.setenv(am.BUILD_LIMIT_ENV, "3")
@@ -243,7 +250,7 @@ class TestCanonicalOrdering:
             a = build_cached(n)
             full = canonical_configs(n)[0]
             assert len(full) == len(set(full)) == len(a)
-            assert set(full) == set(a.states)
+            assert set(full) == set(states_of(a))
             # transient copy first, recurrent block last
             assert all(c.i > 1 for c in full[: len(a) - am.state_counts(n).s_star[n]])
 
@@ -257,7 +264,7 @@ class TestCanonicalOrdering:
 
     def test_black_shift_and_bar_embed_match_the_reference(self):
         for n in range(1, 9):
-            configs = list(cf.all_configs(n))
+            configs = list(ref_all_configs(n))
             black = mg._prepend_black(keys_of(configs))
             assert black.tolist() == [cf.pack(ref_shift_black(c, n + 1)) for c in configs]
             # a bar embedding wraps a recurrent configuration of size n
@@ -344,3 +351,16 @@ class TestDiffAndExport:
 
     def test_csv(self):
         assert mg.to_csv(mg.build_R_direct(1)) == "1\n"
+        assert mg.to_csv(am.SparseBooleanMatrix(0, [])) == "\n"
+        assert mg.to_csv(am.SparseBooleanMatrix(2, [])) == "0,0\n0,0\n"
+        assert mg.to_csv(am.SparseBooleanMatrix(2, [(1, 1), (0, 1)])) == "0,1\n0,1\n"
+
+    def test_csv_equals_the_per_cell_join(self, build_cached):
+        for n in range(1, 7):
+            a = build_cached(n)
+            for m in (
+                am.incidence_matrix(a, mg.canonical_full_ordering(a)),
+                am.recurrent_matrix(a, mg.canonical_ordering(a)),
+                mg.build_R_direct(n),
+            ):
+                assert mg.to_csv(m) == ref_to_csv(m), (n, m.dim)

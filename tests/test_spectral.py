@@ -8,6 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from test_automaton import dense
+from test_configs import states_of
+
 from braidlex import automaton as am
 from braidlex import matrixgen as mg
 from braidlex import configs as cf
@@ -111,8 +114,8 @@ class TestPerron:
         a = build_cached(4)
         R = am.recurrent_matrix(a)
         res = sp.perron(R)
-        dense = np.array(R.to_dense(), dtype=float)
-        assert np.max(np.abs(res.v @ dense - res.lam * res.v)) < 10 * sp.DEFAULT_TOL
+        m = np.array(dense(R), dtype=float)
+        assert np.max(np.abs(res.v @ m - res.lam * res.v)) < 10 * sp.DEFAULT_TOL
 
     def test_non_convergence_raises(self, build_cached):
         with pytest.raises(ConvergenceError) as exc:
@@ -159,9 +162,10 @@ class TestProportions:
         for n in range(2, 8):
             a = build_cached(n)
             res = sp.perron(am.recurrent_matrix(a))
+            configs = states_of(a)
             per = [0.0] * n
             for row, s in enumerate(am.recurrent_states(a)):
-                per[a.states[s].j - 1] += float(res.v[row])
+                per[configs[s].j - 1] += float(res.v[row])
             assert sp.proportions(a, res).per_letter == tuple(per)
 
     def test_n9_letter_one(self, build_cached):
