@@ -91,7 +91,9 @@ def state_counts(n: int) -> StateCounts:
 @dataclass(eq=False)
 class Automaton:
     """States are packed configuration keys (configs.pack), numbered in BFS
-    order; ``transitions`` is the flat (state, letter) table."""
+    order; ``transitions`` is the flat (state, letter) table: entry
+    s * n + r - 1 is the state that letter r sends state s to, -1 if r is
+    forbidden there."""
 
     n: int
     keys: np.ndarray = field(repr=False)         # uint64, one key per state
@@ -99,10 +101,6 @@ class Automaton:
 
     def __len__(self) -> int:
         return len(self.keys)
-
-    def target(self, state: int, letter: int) -> int:
-        """Successor index, or -1 when the letter is forbidden."""
-        return int(self.transitions[state * self.n + letter - 1])
 
     @cached_property
     def _by_key(self) -> np.ndarray:
@@ -192,7 +190,7 @@ def state_after(a: Automaton, w) -> int | None:
     for r in w:
         if not 1 <= r <= a.n:
             raise BraidWordError(f"letter {r} outside alphabet 1..{a.n}")
-        s = a.target(s, r)
+        s = int(a.transitions[s * a.n + r - 1])
         if s < 0:
             return None
     return s
@@ -329,30 +327,13 @@ def recurrent_states(a: Automaton) -> list[int]:
     return rec.tolist()
 
 
-def is_primitive(m: SparseBooleanMatrix) -> bool:
-    """True iff some boolean power of m is entrywise positive.
-
-    That holds iff the graph of m is strongly connected, which is that BFS
-    from vertex 0 reaches every vertex both forward and backward, and
-    aperiodic.  The period is the gcd of level[p] + 1 - level[q] over all
-    edges p -> q, with the forward BFS levels from vertex 0.
-    """
-    if m.dim == 0:
-        return False
-    p, q = m.entries.T
-    level = _levels(p, q, m.dim, 0)
-    if (level < 0).any() or (_levels(q, p, m.dim, 0) < 0).any():
-        return False
-    return int(np.gcd.reduce(level[p] + 1 - level[q])) == 1
-
-
 def boolean_primitive(m: SparseBooleanMatrix) -> bool:
     """True iff some boolean power m^k, k <= (dim - 1)^2 + 1, is entrywise
     positive.
 
     The cap is Wielandt's bound, the largest exponent a primitive matrix can
     need.  Bitset squaring costs dim^2 bits per power, so this is a
-    reference for tests; production code uses is_primitive.
+    reference for tests; recurrent_matrix reads primitivity off a loop.
     """
     dim = m.dim
     if dim == 0:
@@ -384,7 +365,11 @@ def recurrent_matrix(a: Automaton, order: list[int] | None = None) -> SparseBool
     """Incidence matrix restricted to the recurrent states.
 
     Rows follow ``order`` (a list of recurrent state indices; default sorted
-    ascending).  The result is checked to be primitive.
+    ascending).  The result is checked to be primitive, and the check is
+    one loop: recurrent_states has proved the block strongly connected, so
+    in any order the matrix is irreducible, and its period divides the
+    length of every cycle, 1 for a loop.  t11 = (1, 1, 1, {}) loops on a_1
+    at every n.  Raises InternalConsistencyError if no state loops.
     """
     rec = recurrent_states(a)
     if order is None:
@@ -392,7 +377,8 @@ def recurrent_matrix(a: Automaton, order: list[int] | None = None) -> SparseBool
     elif not np.array_equal(np.sort(order), rec):
         raise ValueError("order must be a permutation of the recurrent states")
     m = SparseBooleanMatrix(len(order), _edges(a, order))
-    if not is_primitive(m):
+    # strongly connected (recurrent_states) with a loop: aperiodic, so primitive
+    if not (m.entries[:, 0] == m.entries[:, 1]).any():
         raise InternalConsistencyError(f"recurrent matrix for n={a.n} is not primitive")
     return m
 

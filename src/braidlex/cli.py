@@ -9,6 +9,7 @@ proved bound, 6 bad input.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from pathlib import Path
@@ -67,7 +68,10 @@ def parse_config_spec(spec: str, n: int) -> cf.SegmentConfig:
         if body:
             for chunk in body.split(";"):
                 p, _, q = chunk.partition("-")
-                segments.append((int(p), int(q)))
+                try:
+                    segments.append((int(p), int(q)))
+                except ValueError as exc:
+                    raise ValueError(f"bad segment {chunk!r} in config spec {spec!r}") from exc
     c = cf.SegmentConfig(i, j, k, tuple(sorted(segments)))
     if not cf.validate(c, n):
         raise ValueError(f"{c} is not a valid segment configuration for n={n}")
@@ -288,8 +292,12 @@ def _checked(convert, ok, message: str):
     return parse
 
 
-# refused at parse time, before any build; ``not tol > 0`` refuses NaN too
-_TOL = _checked(float, lambda tol: tol > 0, "tol must be positive, got {}")
+# refused at parse time, before any build; ``not tol > 0`` refuses NaN too,
+# and an infinite tol would stop perron after one step
+_TOL = _checked(
+    _checked(float, lambda tol: tol > 0, "tol must be positive, got {}"),
+    math.isfinite, "tol must be finite, got {}",
+)
 _LENGTH = _checked(int, lambda k: k >= 0, "k must be nonnegative, got {}")
 
 

@@ -10,6 +10,7 @@ and strictly dominant.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,8 +82,8 @@ def perron(
     the residual sup norm drops below tol.  Raises ConvergenceError after
     max_iter steps, or sooner once the residual has set no new minimum for
     STALL_STEPS steps.  Raises ValueError unless tol > 0, which also
-    refuses NaN, unless max_iter >= 1, and for a 0x0 matrix, which has no
-    Perron root.
+    refuses NaN, for an infinite tol, which would stop after one step,
+    unless max_iter >= 1, and for a 0x0 matrix, which has no Perron root.
 
     Each step computes v R as R^T v on the CSR form of R^T, built once
     before the loop: ``v @ R`` would have scipy transpose R into a new CSC
@@ -92,6 +93,8 @@ def perron(
     """
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
+    if not math.isfinite(tol):
+        raise ValueError(f"tol must be finite, got {tol}")
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     if R.dim == 0:

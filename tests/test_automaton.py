@@ -44,6 +44,11 @@ def out_letters(a, s):
     return (np.flatnonzero(row >= 0) + 1).tolist()
 
 
+def target(a, s, r):
+    """The state letter r sends state s to, -1 when r is forbidden there."""
+    return int(a.transitions[s * a.n + r - 1])
+
+
 def ref_accepts(a, w):
     """True iff w never reads a forbidden letter, i.e. w is a representative."""
     return am.state_after(a, w) is not None
@@ -92,7 +97,7 @@ class TestBuild:
     def test_single_generator(self, build_cached):
         a = build_cached(1)
         assert len(a) == 1
-        assert a.target(0, 1) == 0  # one a_1 self-loop
+        assert target(a, 0, 1) == 0  # one a_1 self-loop
 
     def test_small_sizes(self, build_cached):
         assert len(build_cached(2)) == 5
@@ -156,7 +161,7 @@ class TestBuild:
             incoming: dict[int, set[int]] = {}
             for s in range(len(a)):
                 for r in out_letters(a, s):
-                    incoming.setdefault(a.target(s, r), set()).add(r)
+                    incoming.setdefault(target(a, s, r), set()).add(r)
             for q, labels in incoming.items():
                 assert labels == {configs[q].j}
 
@@ -170,9 +175,9 @@ class TestBuild:
             assert set(up.values()) == {s for s, c in enumerate(states_of(a)) if c.i > 1}
             t11 = a.indices(keys_of([SegmentConfig(1, 1, 1)]))[0]
             for ps, s in up.items():
-                assert a.target(s, 1) == t11  # the only exit from the copy
+                assert target(a, s, 1) == t11  # the only exit from the copy
                 for r in range(2, n + 1):
-                    t, pt = a.target(s, r), prev.target(ps, r - 1)
+                    t, pt = target(a, s, r), target(prev, ps, r - 1)
                     assert t == (-1 if pt < 0 else up[pt])
 
 
@@ -253,7 +258,7 @@ class TestRecurrentStates:
             rec = set(am.recurrent_states(a))
             for s in rec:
                 for r in out_letters(a, s):
-                    assert a.target(s, r) in rec
+                    assert target(a, s, r) in rec
 
     def test_second_closed_component_is_rejected(self, build_cached):
         a = build_cached(2)
@@ -297,6 +302,18 @@ class TestRecurrentMatrix:
             with pytest.raises(ValueError, match="order must be a permutation of the recurrent states"):
                 am.recurrent_matrix(a, order)
 
+    def test_block_without_a_loop_is_refused(self):
+        # the two i = 1 states form a 2-cycle: closed and strongly connected,
+        # so recurrent_states accepts them, but of period 2
+        keys = keys_of([SegmentConfig(2, 2, 2), SegmentConfig(1, 1, 1), SegmentConfig(1, 2, 2)])
+        a = am.Automaton(2, keys, np.array([1, -1, -1, 2, 1, -1]))
+        assert am.recurrent_states(a) == [1, 2]
+        with pytest.raises(InternalConsistencyError, match="n=2 is not primitive"):
+            am.recurrent_matrix(a)
+        # one loop on either state makes the block primitive
+        looped = dataclasses.replace(a, transitions=np.array([1, -1, -1, 2, 1, 2]))
+        assert am.boolean_primitive(am.recurrent_matrix(looped))
+
 
 class TestBooleanPrimitive:
     def test_identity_is_not_primitive(self):
@@ -323,27 +340,33 @@ def wielandt(d: int) -> am.SparseBooleanMatrix:
     return am.SparseBooleanMatrix(d, cycle + [(d - 1, 1)])
 
 
+# each matrix with whether it is primitive, worked by hand
 FIXED_MATRICES = [
-    am.SparseBooleanMatrix(3, [(0, 0), (1, 1), (2, 2)]),  # identity
-    am.SparseBooleanMatrix(2, [(0, 1), (1, 0)]),  # 2-cycle
-    am.SparseBooleanMatrix(  # two disjoint primitive blocks
+    (am.SparseBooleanMatrix(3, [(0, 0), (1, 1), (2, 2)]), False),  # identity
+    (am.SparseBooleanMatrix(2, [(0, 1), (1, 0)]), False),  # 2-cycle
+    (am.SparseBooleanMatrix(  # two disjoint primitive blocks
         4, [(0, 1), (1, 0), (0, 0), (2, 3), (3, 2), (2, 2)]
-    ),
-    am.SparseBooleanMatrix(1, []),
-    am.SparseBooleanMatrix(1, [(0, 0)]),
-    am.SparseBooleanMatrix(2, [(0, 0), (0, 1), (1, 1)]),  # 0 reaches 1, 1 does not reach 0
-] + [wielandt(d) for d in range(4, 9)]
+    ), False),
+    (am.SparseBooleanMatrix(1, []), False),
+    (am.SparseBooleanMatrix(1, [(0, 0)]), True),
+    (am.SparseBooleanMatrix(2, [(0, 0), (0, 1), (1, 1)]), False),  # 0 reaches 1, 1 does not reach 0
+] + [(wielandt(d), True) for d in range(4, 9)]
 
 
 class TestIsPrimitive:
-    @pytest.mark.parametrize("m", FIXED_MATRICES)
-    def test_agrees_with_boolean_powers(self, m):
-        assert am.is_primitive(m) == am.boolean_primitive(m)
+    """Primitivity by boolean powers, of fixed matrices and of R_1..R_9."""
+
+    @pytest.mark.parametrize(
+        "m, primitive",
+        [pytest.param(m, p, id=f"m{i}") for i, (m, p) in enumerate(FIXED_MATRICES)],
+    )
+    def test_agrees_with_boolean_powers(self, m, primitive):
+        assert am.boolean_primitive(m) == primitive
 
     def test_agrees_on_recurrent_matrices(self, build_cached):
-        for n in range(1, 9):
-            m = am.recurrent_matrix(build_cached(n))
-            assert am.is_primitive(m) == am.boolean_primitive(m)
+        # recurrent_matrix accepts R_n by its loop check; boolean powers agree
+        for n in range(1, 10):
+            assert am.boolean_primitive(am.recurrent_matrix(build_cached(n)))
 
 
 def ref_count_words(a, k):

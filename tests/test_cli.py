@@ -480,6 +480,16 @@ class TestShowState:
         with pytest.raises(ValueError):
             cli.parse_config_spec("1,2,2,(1-2)", 2)
 
+    @pytest.mark.parametrize("segments, bad", [
+        ("[1-]", "1-"), ("[-2]", "-2"), ("[12]", "12"), ("[1-2;x-3]", "x-3"),
+    ])
+    def test_bad_segment_is_named(self, capsys, segments, bad):
+        spec = f"1,1,1,{segments}"
+        code, out, err = run(capsys, "show-state", "3", spec)
+        assert code == 6
+        assert out == ""
+        assert err == f"error: bad segment {bad!r} in config spec {spec!r}\n"
+
 
 class TestExport:
     def test_json(self, capsys):
@@ -516,6 +526,8 @@ class TestBadInput:
         (("table", "--to", "12", "--tol", "0"), "argument --tol: tol must be positive, got 0.0"),
         (("count", "12", "-1"), "argument k: k must be nonnegative, got -1"),
         (("count", "12", "x"), "argument k: invalid int value: 'x'"),
+        (("spectrum", "3", "--tol", "inf"), "argument --tol: tol must be finite, got inf"),
+        (("table", "--tol", "inf"), "argument --tol: tol must be finite, got inf"),
     ])
     def test_refused_when_parsed_before_any_build(self, capsys, monkeypatch, argv, message):
         def no_build(n):

@@ -50,7 +50,7 @@ def resolvent_nonneg_check(R, lam):
         total += term
     if bool(np.any(total < 0.0)):
         return False
-    if am.is_primitive(R):
+    if am.boolean_primitive(R):
         return bool(np.all(total > 0.0))
     return True
 
@@ -95,6 +95,11 @@ class TestPerron:
     def test_empty_matrix_is_refused(self):
         with pytest.raises(ValueError, match="0x0"):
             sp.perron(am.SparseBooleanMatrix(0, []))
+
+    def test_infinite_tol_is_refused(self):
+        # tol = inf would stop after one step: lambda 2.0 at n = 3, not 2.0868
+        with pytest.raises(ValueError, match="tol must be finite, got inf"):
+            sp.perron(am.SparseBooleanMatrix(1, [(0, 0)]), tol=math.inf)
 
     @pytest.mark.parametrize("max_iter", [0, -1])
     def test_no_iterations_is_refused(self, max_iter):
@@ -193,16 +198,6 @@ class TestProportions:
         p1 = sp.analyze(a4).row.p_1
         gaps = [gap(a4, k, p1) for k in (40, 60, 80, 100, 120)]
         assert all(x > y for x, y in zip(gaps, gaps[1:]))
-
-
-class TestPrimitivity:
-    def test_recurrent_matrices_are_primitive(self, build_cached):
-        for n in range(1, 10):
-            assert am.is_primitive(am.recurrent_matrix(build_cached(n)))
-
-    def test_identity_is_not(self):
-        ident = am.SparseBooleanMatrix(2, [(0, 0), (1, 1)])
-        assert not am.is_primitive(ident)
 
 
 class TestResolvent:
