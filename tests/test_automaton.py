@@ -354,7 +354,8 @@ FIXED_MATRICES = [
 
 
 class TestIsPrimitive:
-    """Primitivity by boolean powers, of fixed matrices and of R_1..R_9."""
+    """Primitivity by boolean powers of fixed matrices, and the loop that
+    recurrent_matrix reads primitivity off."""
 
     @pytest.mark.parametrize(
         "m, primitive",
@@ -364,9 +365,15 @@ class TestIsPrimitive:
         assert am.boolean_primitive(m) == primitive
 
     def test_agrees_on_recurrent_matrices(self, build_cached):
-        # recurrent_matrix accepts R_n by its loop check; boolean powers agree
+        # recurrent_matrix accepts R_n by a loop, and t11 carries one: its
+        # a_1 loop is a diagonal entry of R_n, in row order of the sorted
+        # recurrent states (test_spectral checks R_n by boolean powers)
         for n in range(1, 10):
-            assert am.boolean_primitive(am.recurrent_matrix(build_cached(n)))
+            a = build_cached(n)
+            t11 = a.indices(keys_of([SegmentConfig(1, 1, 1)]))[0]
+            row = am.recurrent_states(a).index(t11)
+            m = am.recurrent_matrix(a)
+            assert ((m.entries[:, 0] == row) & (m.entries[:, 1] == row)).any()
 
 
 def ref_count_words(a, k):

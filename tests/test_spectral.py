@@ -200,6 +200,13 @@ class TestProportions:
         assert all(x > y for x, y in zip(gaps, gaps[1:]))
 
 
+class TestPrimitivity:
+    def test_recurrent_matrices_are_primitive(self, build_cached):
+        # the Perron vector is unique and positive only for a primitive R
+        for n in range(1, 10):
+            assert am.boolean_primitive(am.recurrent_matrix(build_cached(n)))
+
+
 class TestResolvent:
     def test_r2_at_two(self, build_cached):
         assert resolvent_nonneg_check(am.recurrent_matrix(build_cached(2)), 2.0)
