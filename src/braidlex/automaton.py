@@ -19,7 +19,6 @@ one state, so it returns arbitrary precision integers.
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, repeat
@@ -30,9 +29,6 @@ from scipy.sparse import csr_matrix
 
 from .configs import MAX_KEY_N, initial_config, key_fields, pack, successors, unpack
 from .errors import BraidWordError, BuildLimitError, InternalConsistencyError
-
-DEFAULT_BUILD_LIMIT = 14
-BUILD_LIMIT_ENV = "BRAIDLEX_MAX_N"
 
 
 # ---------------------------------------------------------------------------
@@ -115,29 +111,16 @@ class Automaton:
 
 
 def check_build_limit(n: int) -> None:
-    """Raise ValueError for n < 1 or a BRAIDLEX_MAX_N that is no integer,
-    and BuildLimitError for n past the guard (default 14, env
-    BRAIDLEX_MAX_N) that build and the direct generator share."""
+    """The one size guard: ValueError for n < 1, and BuildLimitError past
+    MAX_KEY_N.  The BFS, the canonical orderings and ``matrix --check``
+    pack each configuration into one 64-bit key, which holds no more, so
+    past it no second route exists to check the direct generator against."""
     if n < 1:
         raise ValueError("n must be positive")
-    raw = os.environ.get(BUILD_LIMIT_ENV, str(DEFAULT_BUILD_LIMIT))
-    try:
-        limit = int(raw)
-    except ValueError:
-        raise ValueError(f"{BUILD_LIMIT_ENV}={raw!r} is not an integer") from None
-    if n > limit:
-        raise BuildLimitError(
-            f"n={n} exceeds the build limit {limit}; set {BUILD_LIMIT_ENV} to override"
-        )
-
-
-def check_bfs_limit(n: int) -> None:
-    """check_build_limit, and BuildLimitError past MAX_KEY_N, whatever the
-    guard allows: a configuration key holds no more."""
-    check_build_limit(n)
     if n > MAX_KEY_N:
         raise BuildLimitError(
-            f"n={n} is past {MAX_KEY_N}, the largest n a 64-bit configuration key holds"
+            f"n={n} exceeds the build limit {MAX_KEY_N}, "
+            "the largest n a 64-bit configuration key holds"
         )
 
 
@@ -148,10 +131,10 @@ def build(n: int) -> Automaton:
     Each level's targets are looked up among the sorted keys seen so far,
     and the new ones are numbered in order of first occurrence over
     (source, letter): the numbering a queue would give.  Raises past the
-    guard of check_bfs_limit, and InternalConsistencyError if the
+    guard of check_build_limit, and InternalConsistencyError if the
     discovered state count disagrees with the closed-form count.
     """
-    check_bfs_limit(n)
+    check_build_limit(n)
     frontier = np.array([pack(initial_config(n))], dtype=np.uint64)
     levels, rows = [frontier], []
     known, known_ids = frontier, np.zeros(1, dtype=np.int64)  # sorted by key
@@ -515,7 +498,9 @@ def _arrows(a: Automaton) -> list[tuple[int, int, int]]:
     return list(zip(src.tolist(), letters.tolist(), dst.tolist()))
 
 
-def to_json(a: Automaton) -> str:
+def write_json(a: Automaton, fh) -> None:
+    """The automaton as indented JSON, written into ``fh`` a chunk at a
+    time, so the whole text is never held."""
     doc = {
         "n": a.n,
         "initial": 0,
@@ -531,15 +516,16 @@ def to_json(a: Automaton) -> str:
         ],
         "transitions": _arrows(a),
     }
-    return json.dumps(doc, indent=2)
+    json.dump(doc, fh, indent=2)
 
 
-def to_dot(a: Automaton) -> str:
-    lines = ["digraph automaton {", "  rankdir=LR;"]
+def write_dot(a: Automaton, fh) -> None:
+    """The automaton as a DOT digraph, written into ``fh`` a line at a
+    time; the last line, ``}``, has no newline."""
+    fh.write("digraph automaton {\n  rankdir=LR;\n")
     for s, c in enumerate(map(unpack, a.keys.tolist())):
         shape = "doublecircle" if s == 0 else "circle"
-        lines.append(f'  q{s} [label="{c}" shape={shape}];')
+        fh.write(f'  q{s} [label="{c}" shape={shape}];\n')
     for s, r, t in _arrows(a):
-        lines.append(f'  q{s} -> q{t} [label="a{r}"];')
-    lines.append("}")
-    return "\n".join(lines)
+        fh.write(f'  q{s} -> q{t} [label="a{r}"];\n')
+    fh.write("}")

@@ -3,7 +3,8 @@
 Exit codes: 0 success, 1 stdout closed by its reader (a broken pipe, as in
 ``braidlex export 7 | head -3``; no traceback), 2 state-count mismatch,
 3 matrix mismatch, 4 non-convergence, 5 verification failure or a violated
-proved bound, 6 bad input.
+proved bound, 6 bad input, such as an n past 14 or an output path that
+cannot be written.
 """
 
 from __future__ import annotations
@@ -42,10 +43,9 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _emit(text: str, out: str | None) -> None:
+    """matrix's text, which always ends in a newline, to stdout or --out."""
     if out is None:
         sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
     else:
         Path(out).write_text(text)
 
@@ -103,15 +103,14 @@ def cmd_states(args) -> int:
 
 def cmd_matrix(args) -> int:
     n = args.n
-    builds = args.which != "R-appendix" or args.check
     # refuse an n the guard refuses before the CSV budget counts its states
-    (am.check_bfs_limit if builds else am.check_build_limit)(n)
+    am.check_build_limit(n)
     if args.format == "csv":
         dim = am.state_count_formula(n) if args.which == "M" else am.state_counts(n).s_star[n]
         if dim * dim > CSV_CELL_BUDGET:
             raise ValueError(f"--format csv of a {dim}x{dim} matrix is past the "
                              f"budget of {CSV_CELL_BUDGET} cells; use --format mm")
-    a = am.build(n) if builds else None
+    a = am.build(n) if args.which != "R-appendix" or args.check else None
     if args.which == "M":
         m = am.incidence_matrix(a, mg.canonical_full_ordering(a))
     elif args.which == "R":
@@ -134,6 +133,7 @@ def cmd_matrix(args) -> int:
 
 
 def cmd_count(args) -> int:
+    am.check_build_limit(args.n)
     a = am.build(args.n)
     counts, total = am.count_words(a, args.k)
     order = mg.canonical_full_ordering(a)
@@ -147,6 +147,7 @@ def cmd_count(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
+    am.check_build_limit(args.n)
     an = sp.analyze(am.build(args.n), tol=args.tol)
     row = an.row
     print(f"n {args.n}")
@@ -162,8 +163,8 @@ def cmd_table(args) -> int:
     # refuse bad input before the header, and before any build
     if args.start > args.stop:
         raise ValueError(f"--from {args.start} is past --to {args.stop}")
-    am.check_bfs_limit(args.start)
-    am.check_bfs_limit(args.stop)
+    am.check_build_limit(args.start)
+    am.check_build_limit(args.stop)
     rows = []
     print(f"{'n':>2}  {'lambda':<20} {'P_a1':<21} {'P_1':<12}")
     for n in range(args.start, args.stop + 1):
@@ -183,6 +184,7 @@ def cmd_verify(args) -> int:
     states.  The walk reads the rows of the transition table, and each
     state is unpacked from its key where it is checked."""
     n = args.n
+    am.check_build_limit(n)
     cap = min(args.max_len, 6) if args.max_forbidden_len is None else args.max_forbidden_len
     if args.max_len < 0:
         raise ValueError(f"--max-len {args.max_len} is negative")
@@ -254,9 +256,18 @@ def cmd_show_state(args) -> int:
 
 
 def cmd_export(args) -> int:
+    """Stream the automaton into stdout, then one newline, or into --out
+    as it is.  stdout is written to, never closed: main may run again in
+    the same process."""
+    am.check_build_limit(args.n)
     a = am.build(args.n)
-    text = am.to_json(a) if args.format == "json" else am.to_dot(a)
-    _emit(text, args.out)
+    write = am.write_json if args.format == "json" else am.write_dot
+    if args.out is None:
+        write(a, sys.stdout)
+        sys.stdout.write("\n")
+    else:
+        with open(args.out, "w") as fh:
+            write(a, fh)
     return EXIT_OK
 
 
@@ -372,13 +383,15 @@ def main(argv: list[str] | None = None) -> int:
     sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
+    except BrokenPipeError:
+        raise  # the reader of stdout has gone: entry's exit 1
     except ConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
     except BoundViolationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VERIFY_FAILED
-    except (BraidLexError, ValueError) as exc:
+    except (BraidLexError, ValueError, OSError) as exc:  # OSError: an unwritable --out or --outdir
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
     finally:

@@ -14,7 +14,7 @@ class ConfigError(BraidLexError):
 
 
 class BuildLimitError(BraidLexError):
-    """Requested automaton exceeds the configured state-count guard."""
+    """Requested n is past the largest n a configuration key holds."""
 
 
 class InternalConsistencyError(BraidLexError):

@@ -131,7 +131,7 @@ def submatrix(j: int, H: Sequence[int], closed: bool, counts: StateCounts) -> np
 
 def build_R_direct(n: int) -> SparseBooleanMatrix:
     """Recurrent incidence matrix generated without the automaton, under
-    the same size guard as automaton.build."""
+    the one size guard, check_build_limit."""
     check_build_limit(n)
     counts = state_counts(n)
     H = compute_H(max(1, n - 1))

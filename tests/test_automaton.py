@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import io
 import json
 
 import numpy as np
@@ -108,19 +109,16 @@ class TestBuild:
         assert first == SegmentConfig(3, 3, 3)
         assert first.j == 3
 
-    def test_build_limit_guard(self, monkeypatch):
-        with pytest.raises(BuildLimitError):
+    def test_build_limit_guard(self):
+        with pytest.raises(BuildLimitError, match="n=15 exceeds the build limit 14"):
             am.build(15)
-        monkeypatch.setenv(am.BUILD_LIMIT_ENV, "3")
-        with pytest.raises(BuildLimitError, match="n=4 exceeds the build limit 3"):
-            am.build(4)
         assert len(am.build(3)) == 18
 
     def test_key_width_refuses_past_14_whatever_the_guard(self, monkeypatch):
-        monkeypatch.setenv(am.BUILD_LIMIT_ENV, "15")
         # refused before the first level is walked
         monkeypatch.setattr(am, "successors", None)
-        with pytest.raises(BuildLimitError, match="n=15 is past 14"):
+        with pytest.raises(BuildLimitError, match="n=15 exceeds the build limit 14, the "
+                           "largest n a 64-bit configuration key holds"):
             am.build(15)
 
     # sha256 of the BFS transition table and of the states in insertion
@@ -580,9 +578,63 @@ class TestCarry:
         assert out.shape[1] <= x.shape[1] + 1
 
 
+def to_json(a):
+    """The text write_json writes."""
+    fh = io.StringIO()
+    am.write_json(a, fh)
+    return fh.getvalue()
+
+
+def to_dot(a):
+    """The text write_dot writes."""
+    fh = io.StringIO()
+    am.write_dot(a, fh)
+    return fh.getvalue()
+
+
+def ref_json(a):
+    """The export document, encoded whole by json.dumps."""
+    states = states_of(a)
+    doc = {
+        "n": a.n,
+        "initial": 0,
+        "states": [
+            {"i": c.i, "j": c.j, "k": c.k, "S": [list(seg) for seg in c.segments],
+             "final_letter": c.j}
+            for c in states
+        ],
+        "transitions": [
+            (s, states[t].j, t)
+            for s in range(len(a))
+            for t in (target(a, s, r) for r in out_letters(a, s))
+        ],
+    }
+    return json.dumps(doc, indent=2)
+
+
+def ref_dot(a):
+    """The DOT text as one list of lines, joined by newlines."""
+    states = states_of(a)
+    lines = ["digraph automaton {", "  rankdir=LR;"]
+    for s, c in enumerate(states):
+        shape = "doublecircle" if s == 0 else "circle"
+        lines.append(f'  q{s} [label="{c}" shape={shape}];')
+    for s in range(len(a)):
+        for t in (target(a, s, r) for r in out_letters(a, s)):
+            lines.append(f'  q{s} -> q{t} [label="a{states[t].j}"];')
+    lines.append("}")
+    return "\n".join(lines)
+
+
 class TestExports:
+    @pytest.mark.parametrize("n", range(1, 8))
+    @pytest.mark.parametrize("write, ref", [(to_json, ref_json), (to_dot, ref_dot)])
+    def test_streamed_text_equals_the_whole_text(self, build_cached, n, write, ref):
+        a = build_cached(n)
+        assert write(a) == ref(a)
+
     def test_json_schema(self, build_cached):
-        doc = json.loads(am.to_json(build_cached(2)))
+        doc = json.loads(to_json(build_cached(2)))
         assert doc["n"] == 2
         assert doc["initial"] == 0
         assert doc["states"][0] == {"i": 2, "j": 2, "k": 2, "S": [], "final_letter": 2}
@@ -591,14 +643,14 @@ class TestExports:
         assert all(len(t) == 3 for t in doc["transitions"])
 
     def test_dot(self, build_cached):
-        dot = am.to_dot(build_cached(2))
+        dot = to_dot(build_cached(2))
         assert dot.startswith("digraph")
         assert dot.count("->") == 8
         assert '[label="a1"]' in dot
 
     @pytest.mark.parametrize("export, digest", [
-        (am.to_json, "f89d5081911cb2a10cdd2c47fd95908f05a2889a2fd9d6cc5b568d6c74dc3e1c"),
-        (am.to_dot, "2cbafe8a45ff0e3bb0f7f4426db229db1de0bc8c903d3863bea2f1982017dc9f"),
+        (to_json, "f89d5081911cb2a10cdd2c47fd95908f05a2889a2fd9d6cc5b568d6c74dc3e1c"),
+        (to_dot, "2cbafe8a45ff0e3bb0f7f4426db229db1de0bc8c903d3863bea2f1982017dc9f"),
     ])
     def test_n7_text_is_pinned(self, build_cached, export, digest):
         # sha256 of the text the per-(state, letter) target loops wrote

@@ -19,6 +19,9 @@ from braidlex.configs import SegmentConfig
 
 
 ROOT = Path(__file__).resolve().parent.parent
+PAST_THE_GUARD = (
+    "n=15 exceeds the build limit 14, the largest n a 64-bit configuration key holds"
+)
 
 
 def run(capsys, *argv):
@@ -89,9 +92,8 @@ class TestStates:
         assert code == 0
         assert out.startswith("126491780 126491780")
 
-    def test_past_the_key_width_uses_formulas_only(self, capsys, monkeypatch):
-        # the guard allows 15, but a configuration key holds n <= 14
-        monkeypatch.setenv(am.BUILD_LIMIT_ENV, "15")
+    def test_past_the_key_width_uses_formulas_only(self, capsys):
+        # a configuration key holds n <= 14
         code, out, _ = run(capsys, "states", "15")
         assert code == 0
         assert out == "2692416 2692416 (formula, recurrence)\n"
@@ -170,16 +172,15 @@ class TestMatrix:
         assert out == ""
         assert message in err
 
-    def test_check_guards_as_the_build_does(self, capsys, monkeypatch):
+    def test_check_guards_as_the_build_does(self, capsys):
         # --check builds the automaton, so it refuses past the largest key n
         # before the CSV budget
-        monkeypatch.setenv("BRAIDLEX_MAX_N", "20")
         code, out, err = run(
             capsys, "matrix", "15", "--which", "R-appendix", "--check", "--format", "csv"
         )
         assert code == 6
         assert out == ""
-        assert "n=15 is past 14" in err
+        assert f"error: {PAST_THE_GUARD}" in err
 
     @pytest.mark.parametrize("n, which", [("11", "R"), ("10", "M"), ("10", "R-appendix")])
     def test_dense_csv_past_the_cell_budget_refuses_before_building(
@@ -343,20 +344,16 @@ class TestTable:
         assert message in err
 
     def test_build_limit_refuses_before_building(self, capsys, monkeypatch):
-        monkeypatch.setenv(am.BUILD_LIMIT_ENV, "3")
-
         def no_build(n):
             raise AssertionError(f"built n={n}")
 
         monkeypatch.setattr(am, "build", no_build)
-        code, out, err = run(capsys, "table", "--to", "4")
+        code, out, err = run(capsys, "table", "--to", "15")
         assert code == 6
         assert out == ""
-        assert "n=4 exceeds the build limit 3" in err
+        assert "n=15 exceeds the build limit 14" in err
 
     def test_key_width_refuses_before_building(self, capsys, monkeypatch):
-        monkeypatch.setenv(am.BUILD_LIMIT_ENV, "15")
-
         def no_build(n):
             raise AssertionError(f"built n={n}")
 
@@ -364,7 +361,7 @@ class TestTable:
         code, out, err = run(capsys, "table", "--from", "14", "--to", "15")
         assert code == 6
         assert out == ""
-        assert "n=15 is past 14" in err
+        assert PAST_THE_GUARD in err
 
     def test_bound_violation_exit_code(self, capsys, monkeypatch):
         monkeypatch.setattr(sp, "GROWTH_RATE_CEILING", 2.0)
@@ -503,6 +500,20 @@ class TestExport:
         assert code == 0
         assert out.startswith("digraph")
 
+    @pytest.mark.parametrize("fmt", ["json", "dot"])
+    def test_out_file_is_stdout_without_the_final_newline(self, capsys, tmp_path, fmt):
+        path = tmp_path / f"a.{fmt}"
+        code, out, _ = run(capsys, "export", "4", "--format", fmt)
+        assert code == 0
+        assert run(capsys, "export", "4", "--format", fmt, "--out", str(path)) == (0, "", "")
+        assert out == path.read_text() + "\n"
+
+    def test_stdout_stays_open_for_the_next_run(self, capsys):
+        # the benchmark's worker runs main many times in one process
+        first = run(capsys, "export", "2")
+        assert first[0] == 0 and first[1].startswith("{")
+        assert run(capsys, "export", "2") == first
+
 
 class TestSeedDocs:
     def test_writes_artifacts(self, capsys, tmp_path):
@@ -539,9 +550,33 @@ class TestBadInput:
         assert out == ""
         assert err.splitlines()[-1] == f"braidlex {argv[0]}: error: {message}"
 
-    def test_unreadable_build_limit_is_named(self, capsys, monkeypatch):
-        monkeypatch.setenv(am.BUILD_LIMIT_ENV, "abc")
-        code, out, err = run(capsys, "states", "3")
+    @pytest.mark.parametrize("argv, message", [
+        pytest.param(argv, message, id=" ".join(argv))
+        for n, message in (("15", PAST_THE_GUARD), ("0", "n must be positive"))
+        for argv in (
+            ("count", n, "3"), ("spectrum", n), ("verify", n), ("export", n),
+            *(("matrix", n, "--which", which, *check)
+              for which in ("M", "R", "R-appendix") for check in ((), ("--check",))),
+        )
+    ] + [pytest.param(("table", "--from", "14", "--to", "15"), PAST_THE_GUARD,
+                      id="table --from 14 --to 15")])
+    def test_one_guard_refuses_before_building(self, capsys, monkeypatch, argv, message):
+        def never(n):
+            raise AssertionError(f"built n={n}")
+
+        monkeypatch.setattr(am, "build", never)
+        monkeypatch.setattr(mg, "build_R_direct", never)
+        assert run(capsys, *argv) == (6, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("argv", [
+        ("export", "3", "--out"), ("matrix", "3", "--out"), ("seed-docs", "--outdir"),
+    ])
+    def test_unwritable_output_path_is_bad_input(self, capsys, tmp_path, argv):
+        blocker = tmp_path / "file"  # a file, so no path below it can be made
+        blocker.write_text("")
+        path = str(blocker / "x")
+        code, out, err = run(capsys, *argv, path)
         assert code == 6
         assert out == ""
-        assert err == "error: BRAIDLEX_MAX_N='abc' is not an integer\n"
+        [line] = err.splitlines()  # one line, no traceback
+        assert line.startswith("error: ") and path in line

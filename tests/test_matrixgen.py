@@ -176,20 +176,12 @@ class TestBuildRDirect:
     def test_n1(self):
         assert dense(mg.build_R_direct(1)) == [[1]]
 
-    def test_shares_the_build_limit(self, monkeypatch):
-        monkeypatch.setenv(am.BUILD_LIMIT_ENV, "3")
+    def test_shares_the_build_limit(self):
         with pytest.raises(BuildLimitError):
-            mg.build_R_direct(4)
+            mg.build_R_direct(15)
         assert mg.build_R_direct(3).dim == 13
         with pytest.raises(ValueError):
             mg.build_R_direct(0)
-
-    def test_is_not_held_to_the_key_width(self, monkeypatch):
-        # only the BFS packs configurations into keys
-        monkeypatch.setattr(am, "MAX_KEY_N", 3)
-        with pytest.raises(BuildLimitError, match="n=4 is past 3"):
-            am.build(4)
-        assert mg.build_R_direct(4).dim == 38
 
     def test_matches_bfs_small(self, build_cached):
         for n in range(1, 7):
