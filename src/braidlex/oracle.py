@@ -125,13 +125,6 @@ def enumerate_language(n: int, k: int) -> set[Word]:
     return {tuple(b) for b in _language_bytes(n, k)}
 
 
-def is_prefix(w1: Iterable[int], w2: Iterable[int], n: int) -> bool:
-    """True iff the braid of w1 left-divides the braid of w2."""
-    w1 = check_word(w1, n)
-    w2 = check_word(w2, n)
-    return not _complements(bytes(w2), bytes(w1))[0]
-
-
 def _is_run_or_pair(v: bytes) -> bool:
     """Shape guarantee for minimal forbidden prefixes: an increasing run
     a_p a_{p+1} ... a_q, or the two-letter braid a_{p+1} a_p."""

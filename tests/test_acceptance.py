@@ -21,7 +21,18 @@ from braidlex import configs as cf
 from braidlex import matrixgen as mg
 from braidlex import oracle
 from braidlex import spectral as sp
-from braidlex.spectral import GROWTH_TABLE
+
+# the growth table published in the paper: n -> (lambda, P_a1, P_1)
+GROWTH_TABLE = {
+    2: (1.61803398874989535, 0.309016994387306732, 0.5),
+    3: (2.08679122278138296, 0.179072361848063216, 0.3736866329),
+    4: (2.39485036123379746, 0.134155252415486176, 0.3212817547),
+    5: (2.59937733237127854, 0.113418385255364101, 0.2948171798),
+    6: (2.73962959897194480, 0.102094618000846169, 0.2797014374),
+    7: (2.83910705543066832, 0.095188754079773799, 0.2702510632),
+    8: (2.91185367833772002, 0.090638078480376610, 0.2639248222),
+    9: (2.96648976449784296, 0.087464812090583224, 0.2594634699),
+}
 
 M2_DENSE = [
     [1, 1, 0, 0, 0],

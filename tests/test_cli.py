@@ -139,6 +139,22 @@ class TestMatrix:
         assert "agree" in out
         assert calls == {"build": 1, "recurrent_states": 1, "build_R_direct": 1}
 
+    @pytest.mark.parametrize("fmt", ["mm", "csv"])
+    @pytest.mark.parametrize("which", ["R", "R-appendix"])
+    def test_r_prints_the_generated_matrix_without_the_bfs(self, capsys, monkeypatch, which, fmt):
+        # the same bytes as the BFS block gives, with no BFS behind them
+        a = am.build(6)
+        write = mg.to_csv if fmt == "csv" else mg.to_matrix_market
+        expected = write(am.recurrent_matrix(a, mg.canonical_ordering(a)))
+
+        def never(*args, **kwargs):
+            raise AssertionError("built the automaton for R without --check")
+
+        monkeypatch.setattr(am, "build", never)
+        code, out, err = run(capsys, "matrix", "6", "--which", which, "--format", fmt)
+        assert (code, err) == (0, "")
+        assert out == expected
+
     def test_m_check_reports_the_compared_size(self, capsys):
         # --check compares the two R matrices, 13x13 at n = 3, not M's 18x18
         code, out, _ = run(capsys, "matrix", "3", "--which", "M", "--check")
@@ -210,11 +226,12 @@ class TestMatrix:
         assert code == 0
         assert target.read_text().startswith("%%MatrixMarket")
 
-    def test_r12_appendix_file_is_pinned(self, capsys, tmp_path):
+    @pytest.mark.parametrize("which", ["R", "R-appendix"])
+    def test_r12_appendix_file_is_pinned(self, capsys, tmp_path, which):
         # the scale benchmark's Matrix Market file: 92,724 x 92,724 with
         # 568,120 entries, as the per-entry format and put-loop generator gave it
         target = tmp_path / "R12.mtx"
-        code, out, err = run(capsys, "matrix", "12", "--which", "R-appendix", "--out", str(target))
+        code, out, err = run(capsys, "matrix", "12", "--which", which, "--out", str(target))
         assert (code, out, err) == (0, "", "")
         assert hashlib.sha256(target.read_bytes()).hexdigest() == (
             "cded9240b96860e716b3e2c72324b0f19869c95fbcee2767ed85f9fb19acd484"
