@@ -4,16 +4,16 @@ States are segment configurations discovered by breadth-first closure from
 the initial configuration (n, n, n, {}); state 0 is the initial state and
 indices follow the order a queue would give.  The BFS walks one level at a
 time on packed uint64 keys (configs.pack) with the array rule
-configs.successors, so an Automaton holds a key array and a flat int64
-(state, letter) table, and nothing else.  Readers of i or j take them from
-the keys; ``Automaton.indices`` maps a key array to state indices, and a
-reader that needs a SegmentConfig (export, the psi check of ``verify``)
-unpacks each key where it reads it.  A key holds n <= 14.  Counting is
-exact: count_words keeps each state's count as int64 limbs holding
-base-2^32 digits and advances all of them by int64 sparse products with
-M^T, or with (M^T)^S on small automata, S steps at once.  It carries only
-when the next product could pass 2^63 - 1 by the most length-s paths into
-one state, so it returns arbitrary precision integers.
+configs.successors, so an Automaton holds a key array and a flat int32
+(state, letter) table, each allocated once, and nothing else.  Readers of
+i or j take them from the keys; ``Automaton.indices`` maps a key array to
+state indices, and a reader that needs a SegmentConfig (export, the psi
+check of ``verify``) unpacks each key where it reads it.  A key holds
+n <= 14.  Counting is exact: count_words keeps each state's count as int64
+limbs holding base-2^32 digits and advances all of them by int64 sparse
+products with M^T, or with (M^T)^S on small automata, S steps at once.  It
+carries only when the next product could pass 2^63 - 1 by the most
+length-s paths into one state, so it returns arbitrary precision integers.
 """
 
 from __future__ import annotations
@@ -89,11 +89,12 @@ class Automaton:
     """States are packed configuration keys (configs.pack), numbered in BFS
     order; ``transitions`` is the flat (state, letter) table: entry
     s * n + r - 1 is the state that letter r sends state s to, -1 if r is
-    forbidden there."""
+    forbidden there.  build makes it int32, which holds every state index
+    up to n = 14 (s_14 < 2^20); readers widen what they compute with."""
 
     n: int
     keys: np.ndarray = field(repr=False)         # uint64, one key per state
-    transitions: np.ndarray = field(repr=False)  # int64 (state, letter) -> state, -1 if forbidden
+    transitions: np.ndarray = field(repr=False)  # int32 (state, letter) -> state, -1 if forbidden
 
     def __len__(self) -> int:
         return len(self.keys)
@@ -128,43 +129,51 @@ def build(n: int) -> Automaton:
     """Breadth-first closure from the initial configuration, one level at
     a time on packed keys.
 
-    Each level's targets are looked up among the sorted keys seen so far,
-    and the new ones are numbered in order of first occurrence over
-    (source, letter): the numbering a queue would give.  Raises past the
-    guard of check_build_limit, and InternalConsistencyError if the
-    discovered state count disagrees with the closed-form count.
+    ``keys`` and ``transitions`` are allocated once, for the closed-form
+    count s_n, and filled in place: each level reads its frontier as a
+    slice of ``keys`` and writes its rows of ``transitions`` and its new
+    keys after it.  Each level's targets are looked up among the sorted
+    keys seen so far, and the new ones are numbered in order of first
+    occurrence over (source, letter): the numbering a queue would give.
+    Raises past the guard of check_build_limit, and
+    InternalConsistencyError before a level could write past the arrays or
+    when the BFS ends short of s_n.
     """
     check_build_limit(n)
-    frontier = np.array([pack(initial_config(n))], dtype=np.uint64)
-    levels, rows = [frontier], []
-    known, known_ids = frontier, np.zeros(1, dtype=np.int64)  # sorted by key
-    count = 1
-    while len(frontier):
-        targets = successors(frontier, n).ravel()
+    expected = state_count_formula(n)
+    keys = np.empty(expected, dtype=np.uint64)
+    transitions = np.empty(expected * n, dtype=np.int32)
+    keys[0] = pack(initial_config(n))
+    known, known_ids = keys[:1], np.zeros(1, dtype=np.int32)  # sorted by key
+    done, count = 0, 1  # states done..count-1 are the frontier
+    while done < count:
+        targets = successors(keys[done:count], n).ravel()
         live = np.flatnonzero(targets)
         cand = targets[live]
         at = np.minimum(np.searchsorted(known, cand), len(known) - 1)
         seen = known[at] == cand
         ids = known_ids[at]
         fresh, first, inverse = np.unique(cand[~seen], return_index=True, return_inverse=True)
+        if count + len(fresh) > expected:
+            raise InternalConsistencyError(
+                f"BFS found more than {expected} states for n={n}, the formula's count"
+            )
         by_first = np.argsort(first)
-        rank = np.empty(len(fresh), dtype=np.int64)
+        rank = np.empty(len(fresh), dtype=np.int32)
         rank[by_first] = np.arange(count, count + len(fresh))
         ids[~seen] = rank[inverse]
-        row = np.full(len(targets), -1, dtype=np.int64)
+        row = transitions[done * n : count * n]
+        row.fill(-1)
         row[live] = ids
-        rows.append(row)
-        frontier = fresh[by_first]
-        levels.append(frontier)
+        keys[count : count + len(fresh)] = fresh[by_first]
         at = np.searchsorted(known, fresh)
         known, known_ids = np.insert(known, at, fresh), np.insert(known_ids, at, rank)
-        count += len(fresh)
-    expected = state_count_formula(n)
+        done, count = count, count + len(fresh)
     if count != expected:
         raise InternalConsistencyError(
             f"BFS found {count} states for n={n}, formula gives {expected}"
         )
-    return Automaton(n, np.concatenate(levels), np.concatenate(rows))
+    return Automaton(n, keys, transitions)
 
 
 def state_after(a: Automaton, w) -> int | None:
@@ -187,37 +196,42 @@ def state_after(a: Automaton, w) -> int | None:
 class SparseBooleanMatrix:
     """Square 0/1 matrix kept as its nonzero coordinates.
 
-    ``entries`` is an (nnz, 2) int64 array of (row, col) pairs, sorted
-    row-major, each pair once.  The constructor accepts any sequence of
-    pairs, sorts it, and raises InternalConsistencyError for a pair outside
-    the matrix or a repeated pair.
+    ``entries`` is an (nnz, 2) int32 array of (row, col) pairs, sorted
+    row-major, each pair once; int32 holds every index of a matrix of
+    dim < 2^31.  The constructor accepts any sequence of pairs, sorts it
+    by int64 row-major keys, and raises InternalConsistencyError for a
+    pair outside the matrix or a repeated pair.
     """
 
     dim: int
     entries: np.ndarray
 
     def __post_init__(self):
-        pq = np.asarray(self.entries, dtype=np.int64).reshape(-1, 2)
+        pq = np.asarray(self.entries).reshape(-1, 2)
         if len(pq) and (pq.min() < 0 or pq.max() >= self.dim):
             outside = ((pq < 0) | (pq >= self.dim)).any(axis=1)
             p, q = pq[outside][0].tolist()
             raise InternalConsistencyError(
                 f"entry ({p}, {q}) outside a {self.dim}x{self.dim} matrix"
             )
-        keys = pq[:, 0] * self.dim + pq[:, 1]
+        # row-major keys in int64, whatever the pairs' dtype
+        keys = pq[:, 0].astype(np.int64)
+        keys *= self.dim
+        keys += pq[:, 1].astype(np.int64, copy=False)
         keys.sort()
         repeated = keys[1:][keys[1:] == keys[:-1]]
         if len(repeated):
             p, q = divmod(int(repeated[0]), self.dim)
             raise InternalConsistencyError(f"entry ({p}, {q}) given twice")
-        entries = np.empty((len(keys), 2), dtype=np.int64)
+        entries = np.empty((len(keys), 2), dtype=np.int32)
         np.divmod(keys, self.dim, out=(entries[:, 0], entries[:, 1]))
         entries.flags.writeable = False
         object.__setattr__(self, "entries", entries)
 
     def to_csr(self) -> csr_matrix:
-        """The matrix as scipy CSR with float ones at the entries."""
-        p, q = self.entries.T
+        """The matrix as scipy CSR with float ones at the entries, on
+        int64 indices."""
+        p, q = self.entries.T.astype(np.int64)
         return csr_matrix((np.ones(len(p)), (p, q)), shape=(self.dim, self.dim))
 
 

@@ -43,7 +43,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _emit(text: str, out: str | None) -> None:
-    """matrix's text, which always ends in a newline, to stdout or --out."""
+    """matrix's CSV text, which always ends in a newline, to stdout or --out."""
     if out is None:
         sys.stdout.write(text)
     else:
@@ -125,8 +125,14 @@ def cmd_matrix(args) -> int:
             print(f"mismatch at ({p}, {q}): {side}", file=sys.stderr)
             return EXIT_MATRIX_MISMATCH
         print(f"generated and BFS matrices agree for n={n} ({direct.dim}x{direct.dim})")
-    text = mg.to_csv(m) if args.format == "csv" else mg.to_matrix_market(m)
-    _emit(text, args.out)
+    # Matrix Market streams into its destination, as export does
+    if args.format == "csv":
+        _emit(mg.to_csv(m), args.out)
+    elif args.out is None:
+        mg.to_matrix_market(m, sys.stdout)
+    else:
+        with open(args.out, "w") as fh:
+            mg.to_matrix_market(m, fh)
     return EXIT_OK
 
 

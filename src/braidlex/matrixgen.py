@@ -5,7 +5,8 @@ structure, and its incidence matrix can be written down without building the
 automaton at all: a recursive ``submatrix`` routine fills the arrows of each
 block, helped by a precomputed vector H of horizontal-arrow source positions.
 A block's arrows move with its offset and nothing else, so each nested block
-is made once per size and kind and copied to every offset it occupies.
+is made once per size and kind and added to every offset it occupies,
+straight into the enclosing block's output.
 This module transcribes that recipe line by line (see FIDELITY.md for the
 two places where the printed pseudocode needed repair), except that each
 printed ``for`` loop of arrows is one range of pairs: an ``np.arange`` of
@@ -63,14 +64,15 @@ def compute_H(j: int) -> tuple[int, ...]:
 
 def submatrix(j: int, H: Sequence[int], closed: bool, counts: StateCounts) -> np.ndarray:
     """The 1-entries of the size-j block with its upper-left corner at
-    offset 0, as an (nnz, 2) int64 array of 0-based (row, col) pairs.
+    offset 0, as an (nnz, 2) int32 array of 0-based (row, col) pairs.
 
     The block at offset s is this array plus s, so each nested block is made
-    once per (size, closed) and copied to its offsets.  ``closed`` selects
-    between the block's own arrows (True) and the arrows of a black-shifted
-    copy, whose would-be first-letter arrows leave the block into the
-    enclosing one (False).  Matrix positions are 1-based in the arithmetic
-    below, converted once the block's own pairs are joined.
+    once per (size, closed) and added to each of its offsets straight into
+    the enclosing block's one output array, after that block's own arrows.
+    ``closed`` selects between the block's own arrows (True) and the arrows
+    of a black-shifted copy, whose would-be first-letter arrows leave the
+    block into the enclosing one (False).  Matrix positions are 1-based in
+    the arithmetic below, converted once the block's own pairs are joined.
     """
     if j > 2 and len(H) < 1 << (j - 2):
         raise ValueError(f"H has {len(H)} positions; a size-{j} block reads {1 << (j - 2)}")
@@ -80,9 +82,9 @@ def submatrix(j: int, H: Sequence[int], closed: bool, counts: StateCounts) -> np
     @lru_cache(maxsize=None)
     def block(j: int, closed: bool) -> np.ndarray:
         if j < 1:
-            return np.empty((0, 2), dtype=np.int64)
+            return np.empty((0, 2), dtype=np.int32)
         rows, cols = [], []
-        nested = []  # nested blocks, each already moved to its offset
+        nested = []  # (nested block, its offset)
 
         def put(p: np.ndarray, q) -> None:
             """The arrows p[t] -> q[t] (or -> q, for a scalar q)."""
@@ -100,10 +102,10 @@ def submatrix(j: int, H: Sequence[int], closed: bool, counts: StateCounts) -> np
             put(span(1, 2), j + 1)                  # t_{1,1} -> its black shift
         i = span(3, j + 1)
         put(i, j + i - 1)                           # t_{1,i} -> black shift of t_{1,i-1}
-        nested.append(block(j - 1, False) + j)
+        nested.append((block(j - 1, False), j))
         sp = j + ss[j - 1]                          # sp + 1 = position of the first bar block
         for i in range(1, j):
-            nested.append(block(i, True) + sp)
+            nested.append((block(i, True), sp))
             if i == 1:
                 put(sp + 1 + span(1, j - 1), sp + 1)  # chain states into the single bar-1 state
             else:
@@ -120,8 +122,15 @@ def submatrix(j: int, H: Sequence[int], closed: bool, counts: StateCounts) -> np
                     sp + ss[i] + j - i - 1 + comb(i + 2, 2) + H[: 2**i : 2],
                 )
             sp += ss[i] + j - i - 1
-        own = np.stack((np.concatenate(rows), np.concatenate(cols)), axis=1) - 1
-        return np.concatenate([own, *nested])
+        k = sum(map(len, rows))
+        out = np.empty((k + sum(len(b) for b, _ in nested), 2), dtype=np.int32)
+        np.concatenate(rows, out=out[:k, 0])
+        np.concatenate(cols, out=out[:k, 1])
+        out[:k] -= 1
+        for b, offset in nested:
+            np.add(b, offset, out=out[k : k + len(b)])
+            k += len(b)
+        return out
 
     try:
         return block(j, closed)
@@ -224,11 +233,13 @@ def _digit_table(dim: int) -> np.ndarray:
     return table
 
 
-def to_matrix_market(m: SparseBooleanMatrix) -> str:
+def to_matrix_market(m: SparseBooleanMatrix, fh) -> None:
     """The matrix as Matrix Market coordinate text, one "p q 1" line per
-    entry, 1-based, in row-major order."""
+    entry, 1-based, in row-major order, written into ``fh`` as the header
+    and then one block of _MM_BLOCK lines at a time, so the whole text is
+    never held."""
     nnz = len(m.entries)
-    header = f"%%MatrixMarket matrix coordinate integer general\n{m.dim} {m.dim} {nnz}\n"
+    fh.write(f"%%MatrixMarket matrix coordinate integer general\n{m.dim} {m.dim} {nnz}\n")
     # every line "p q 1\n" is one fixed-width row of a reused byte buffer:
     # the digit rows of p and q, NUL-padded, around the constant separators;
     # one mask per block drops the NULs
@@ -241,14 +252,12 @@ def to_matrix_market(m: SparseBooleanMatrix) -> str:
     buf[:, w] = ord(" ")
     buf[:, 2 * w + 1 :] = np.frombuffer(b" 1\n", dtype=np.uint8)
     rows, fields = digits.view(number).ravel(), buf.view(line).ravel()
-    lines = [header]
     for s in range(0, nnz, _MM_BLOCK):
         p, q = m.entries[s : s + _MM_BLOCK].T
         f = fields[: len(p)]
         f["p"], f["q"] = rows[p], rows[q]
         b = buf[: len(p)].ravel()
-        lines.append(b[b != 0].tobytes().decode("ascii"))
-    return "".join(lines)
+        fh.write(b[b != 0].tobytes().decode("ascii"))
 
 
 def to_csv(m: SparseBooleanMatrix) -> str:

@@ -121,6 +121,21 @@ class TestBuild:
                            "largest n a 64-bit configuration key holds"):
             am.build(15)
 
+    def test_preallocated_arrays_and_the_count_check(self, monkeypatch):
+        a = am.build(5)
+        assert (a.keys.dtype, a.transitions.dtype) == (np.uint64, np.int32)
+        assert a.transitions.shape == (161 * 5,)
+        assert mg.build_R_direct(5).entries.dtype == np.int32
+        formula = am.state_count_formula
+        # one slot too few: refused at the level that would write the 161st
+        # key, where numpy itself would raise ValueError; one too many:
+        # refused by the count check after the last level
+        for off, message in ((-1, "BFS found more than 160 states for n=5"),
+                             (1, "BFS found 161 states for n=5, formula gives 162")):
+            monkeypatch.setattr(am, "state_count_formula", lambda n, off=off: formula(n) + off)
+            with pytest.raises(InternalConsistencyError, match=message):
+                am.build(5)
+
     # sha256 of the BFS transition table and of the states in insertion
     # order, as the queue BFS over SegmentConfig objects numbered them;
     # export and `matrix --which M` rely on this order

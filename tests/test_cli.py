@@ -8,6 +8,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from test_matrixgen import to_matrix_market
 
 from braidlex import automaton as am
 from braidlex import cli
@@ -144,7 +145,7 @@ class TestMatrix:
     def test_r_prints_the_generated_matrix_without_the_bfs(self, capsys, monkeypatch, which, fmt):
         # the same bytes as the BFS block gives, with no BFS behind them
         a = am.build(6)
-        write = mg.to_csv if fmt == "csv" else mg.to_matrix_market
+        write = mg.to_csv if fmt == "csv" else to_matrix_market
         expected = write(am.recurrent_matrix(a, mg.canonical_ordering(a)))
 
         def never(*args, **kwargs):
@@ -225,6 +226,15 @@ class TestMatrix:
         code, _, _ = run(capsys, "matrix", "2", "--out", str(target))
         assert code == 0
         assert target.read_text().startswith("%%MatrixMarket")
+
+    def test_stdout_is_the_out_file(self, capsys, tmp_path):
+        # both destinations take the same streamed Matrix Market text
+        target = tmp_path / "m7.mtx"
+        code, out, err = run(capsys, "matrix", "7", "--which", "M")
+        assert (code, err) == (0, "")
+        assert run(capsys, "matrix", "7", "--which", "M", "--out", str(target)) == (0, "", "")
+        assert out.encode() == target.read_bytes()
+        assert out.startswith("%%MatrixMarket matrix coordinate integer general\n1190 1190 ")
 
     @pytest.mark.parametrize("which", ["R", "R-appendix"])
     def test_r12_appendix_file_is_pinned(self, capsys, tmp_path, which):
