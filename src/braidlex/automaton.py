@@ -192,6 +192,14 @@ def state_after(a: Automaton, w) -> int | None:
 # incidence matrices
 # ---------------------------------------------------------------------------
 
+def row_major_keys(pq: np.ndarray, dim: int) -> np.ndarray:
+    """int64 keys row * dim + col of the (row, col) pairs ``pq``, whatever their dtype."""
+    keys = pq[:, 0].astype(np.int64)
+    keys *= dim
+    keys += pq[:, 1].astype(np.int64, copy=False)
+    return keys
+
+
 @dataclass(frozen=True, eq=False)
 class SparseBooleanMatrix:
     """Square 0/1 matrix kept as its nonzero coordinates.
@@ -214,10 +222,7 @@ class SparseBooleanMatrix:
             raise InternalConsistencyError(
                 f"entry ({p}, {q}) outside a {self.dim}x{self.dim} matrix"
             )
-        # row-major keys in int64, whatever the pairs' dtype
-        keys = pq[:, 0].astype(np.int64)
-        keys *= self.dim
-        keys += pq[:, 1].astype(np.int64, copy=False)
+        keys = row_major_keys(pq, self.dim)
         keys.sort()
         repeated = keys[1:][keys[1:] == keys[:-1]]
         if len(repeated):

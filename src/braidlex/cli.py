@@ -42,12 +42,14 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_BAD_INPUT)
 
 
-def _emit(text: str, out: str | None) -> None:
-    """matrix's CSV text, which always ends in a newline, to stdout or --out."""
+def _stream(write, obj, out, end: str = "") -> None:
+    """write(obj, fh) into the file ``out``, or into stdout, left open, then ``end``."""
     if out is None:
-        sys.stdout.write(text)
+        write(obj, sys.stdout)
+        sys.stdout.write(end)
     else:
-        Path(out).write_text(text)
+        with open(out, "w") as fh:
+            write(obj, fh)
 
 
 def parse_config_spec(spec: str, n: int) -> cf.SegmentConfig:
@@ -110,29 +112,19 @@ def cmd_matrix(args) -> int:
         if dim * dim > CSV_CELL_BUDGET:
             raise ValueError(f"--format csv of a {dim}x{dim} matrix is past the "
                              f"budget of {CSV_CELL_BUDGET} cells; use --format mm")
-    # the BFS automaton serves M and --check only: R is generated directly
-    a = am.build(n) if args.which == "M" or args.check else None
-    if args.which == "M":
-        m = am.incidence_matrix(a, mg.canonical_full_ordering(a))
-    else:  # R, or its older spelling R-appendix
-        m = mg.build_R_direct(n)
+    m = mg.build_M_direct(n) if args.which == "M" else mg.build_R_direct(n)
     if args.check:
-        direct = mg.build_R_direct(n) if args.which == "M" else m
-        bfs = am.recurrent_matrix(a, mg.canonical_ordering(a))
-        diffs = mg.diff_matrices(direct, bfs)
+        a = am.build(n)
+        bfs = (am.incidence_matrix(a, mg.canonical_full_ordering(a)) if args.which == "M"
+               else am.recurrent_matrix(a, mg.canonical_ordering(a)))
+        del a  # free the automaton before the diff
+        diffs = mg.diff_matrices(m, bfs)
         if diffs:
             p, q, side = diffs[0]
             print(f"mismatch at ({p}, {q}): {side}", file=sys.stderr)
             return EXIT_MATRIX_MISMATCH
-        print(f"generated and BFS matrices agree for n={n} ({direct.dim}x{direct.dim})")
-    # Matrix Market streams into its destination, as export does
-    if args.format == "csv":
-        _emit(mg.to_csv(m), args.out)
-    elif args.out is None:
-        mg.to_matrix_market(m, sys.stdout)
-    else:
-        with open(args.out, "w") as fh:
-            mg.to_matrix_market(m, fh)
+        print(f"generated and BFS matrices agree for n={n} ({m.dim}x{m.dim})")
+    _stream(mg.to_csv if args.format == "csv" else mg.to_matrix_market, m, args.out)
     return EXIT_OK
 
 
@@ -260,32 +252,22 @@ def cmd_show_state(args) -> int:
 
 
 def cmd_export(args) -> int:
-    """Stream the automaton into stdout, then one newline, or into --out
-    as it is.  stdout is written to, never closed: main may run again in
-    the same process."""
+    """Stream the automaton into --out, or into stdout and one newline."""
     am.check_build_limit(args.n)
     a = am.build(args.n)
     write = am.write_json if args.format == "json" else am.write_dot
-    if args.out is None:
-        write(a, sys.stdout)
-        sys.stdout.write("\n")
-    else:
-        with open(args.out, "w") as fh:
-            write(a, fh)
+    _stream(write, a, args.out, end="\n")
     return EXIT_OK
 
 
 def cmd_seed_docs(args) -> int:
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
+    for name, m in (("m2.csv", mg.build_M_direct(2)), ("r2.csv", mg.build_R_direct(2))):
+        _stream(mg.to_csv, m, outdir / name)
     a = am.build(2)
-    full = mg.canonical_full_ordering(a)
-    m2 = am.incidence_matrix(a, full)
-    r2 = mg.build_R_direct(2)
     counts, total = am.count_words(a, 50)
-    row = " ".join(str(counts[s]) for s in full)
-    (outdir / "m2.csv").write_text(mg.to_csv(m2))
-    (outdir / "r2.csv").write_text(mg.to_csv(r2))
+    row = " ".join(str(counts[s]) for s in mg.canonical_full_ordering(a))
     (outdir / "m2_pow50_first_row.txt").write_text(row + f"\ntotal {total}\n")
     print(f"wrote m2.csv, r2.csv, m2_pow50_first_row.txt to {outdir}")
     return EXIT_OK
@@ -328,12 +310,12 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("n", type=int)
     # perfbench's scale workload still spells R as R-appendix
     p.add_argument("--which", choices=["M", "R", "R-appendix"], default="R",
-                   help="M: the whole automaton, from the BFS; R: its recurrent "
-                        "block, from the direct generator; R-appendix: an older "
+                   help="M: the whole automaton; R: its recurrent block; both "
+                        "from the direct generator; R-appendix: an older "
                         "spelling of R")
     p.add_argument("--format", choices=["mm", "csv"], default="mm")
     p.add_argument("--check", action="store_true",
-                   help="diff the generated R against the BFS one")
+                   help="diff the generated matrix against the BFS one")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_matrix)
 

@@ -1,4 +1,4 @@
-"""Direct recursive generator for the recurrent incidence matrix.
+"""Direct recursive generator for the recurrent and whole incidence matrices.
 
 The recurrent subautomaton on states (1, j, k, S) has a self-similar block
 structure, and its incidence matrix can be written down without building the
@@ -40,6 +40,7 @@ from .automaton import (
     SparseBooleanMatrix,
     StateCounts,
     check_build_limit,
+    row_major_keys,
     state_counts,
 )
 from .configs import shift_keys, unpack
@@ -147,6 +148,19 @@ def build_R_direct(n: int) -> SparseBooleanMatrix:
     return SparseBooleanMatrix(counts.s_star[n], submatrix(n, H, True, counts))
 
 
+def build_M_direct(n: int) -> SparseBooleanMatrix:
+    """The whole matrix in canonical full order, M_n = [[M_{n-1}, 1 e_0^T], [0, R_n]]:
+    level m is R_m at offset s_{m-1}, and each earlier state has one arrow to its t_11."""
+    check_build_limit(n)
+    s = state_counts(n).s
+    parts = []
+    for m in range(1, n + 1):
+        t = s[m - 1]
+        parts += [np.c_[np.arange(t), np.full(t, t)], build_R_direct(m).entries + t]
+    parts = np.concatenate(parts, dtype=np.int32)  # frees the blocks before the sort
+    return SparseBooleanMatrix(s[n], parts)
+
+
 # ---------------------------------------------------------------------------
 # canonical state orderings
 # ---------------------------------------------------------------------------
@@ -208,14 +222,11 @@ def diff_matrices(
     """Coordinates present in exactly one matrix, sorted; empty means equal."""
     if first.dim != second.dim:
         raise ValueError(f"dimension mismatch: {first.dim} vs {second.dim}")
-    # each matrix holds a pair at most once, so a pair seen once is in one only
-    both = np.concatenate((first.entries, second.entries))
-    side = np.repeat(
-        ["only-in-first", "only-in-second"], [len(first.entries), len(second.entries)]
-    )
-    pairs, at, seen = np.unique(both, axis=0, return_index=True, return_counts=True)
-    once = seen == 1
-    return [(p, q, s) for (p, q), s in zip(pairs[once].tolist(), side[at[once]].tolist())]
+    # each matrix holds a pair once, so its row-major keys are unique
+    a, b = (row_major_keys(m.entries, m.dim) for m in (first, second))
+    only = [(k, s) for mine, other, s in ((a, b, "only-in-first"), (b, a, "only-in-second"))
+            for k in mine[~np.isin(mine, other, assume_unique=True)].tolist()]
+    return [(*divmod(k, first.dim), s) for k, s in sorted(only)]
 
 
 _MM_BLOCK = 1 << 15
@@ -260,11 +271,13 @@ def to_matrix_market(m: SparseBooleanMatrix, fh) -> None:
         fh.write(b[b != 0].tobytes().decode("ascii"))
 
 
-def to_csv(m: SparseBooleanMatrix) -> str:
-    """The matrix as dense CSV: one line of 0/1 cells per row."""
+def to_csv(m: SparseBooleanMatrix, fh) -> None:
+    """The matrix as dense CSV, one line of 0/1 cells per row, into ``fh``."""
     # each row is dim cells "0,"; an entry writes its "1" over the "0", and
     # the comma closing the row becomes the newline
     buf = np.tile(np.frombuffer(b"0,", dtype=np.uint8), (m.dim, m.dim))
     buf[m.entries[:, 0], 2 * m.entries[:, 1]] = ord("1")
     buf[:, -1:] = ord("\n")
-    return str(buf, "ascii") or "\n"  # a 0 x 0 matrix is one empty line
+    text = str(buf, "ascii") or "\n"  # a 0 x 0 matrix is one empty line
+    del buf  # the write encodes the text: two copies of it at a time, not three
+    fh.write(text)

@@ -175,11 +175,14 @@ def test_criterion_08_generator_fidelity(build_cached):
         bfs = am.recurrent_matrix(a, mg.canonical_ordering(a))
         diffs = mg.diff_matrices(mg.build_R_direct(n), bfs)
         assert diffs == [], (n, diffs[:5])
+        bfs = am.incidence_matrix(a, mg.canonical_full_ordering(a))
+        diffs = mg.diff_matrices(mg.build_M_direct(n), bfs)
+        assert diffs == [], (n, diffs[:5])
     ledger = Path(__file__).resolve().parent.parent / "FIDELITY.md"
     assert ledger.is_file()
     text = ledger.read_text()
     assert "[0]" in text and "[1]" in text  # the repaired initialization is recorded
-    _passed(8, time.monotonic() - t0, 60, "H vectors exact; generated R_n = BFS R_n entrywise, n=1..9")
+    _passed(8, time.monotonic() - t0, 60, "H vectors exact; generated R_n and M_n = BFS entrywise, n=1..9")
 
 
 def test_criterion_09_psi_injectivity():

@@ -8,7 +8,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from test_matrixgen import to_matrix_market
+from test_matrixgen import to_csv, to_matrix_market
 
 from braidlex import automaton as am
 from braidlex import cli
@@ -138,18 +138,24 @@ class TestMatrix:
         code, out, _ = run(capsys, "matrix", "6", "--which", which, "--check")
         assert code == 0
         assert "agree" in out
-        assert calls == {"build": 1, "recurrent_states": 1, "build_R_direct": 1}
+        if which == "M":  # generated from R_1 .. R_6, checked with no recurrent split
+            assert calls == {"build": 1, "recurrent_states": 0, "build_R_direct": 6}
+        else:
+            assert calls == {"build": 1, "recurrent_states": 1, "build_R_direct": 1}
 
     @pytest.mark.parametrize("fmt", ["mm", "csv"])
-    @pytest.mark.parametrize("which", ["R", "R-appendix"])
+    @pytest.mark.parametrize("which", ["M", "R", "R-appendix"])
     def test_r_prints_the_generated_matrix_without_the_bfs(self, capsys, monkeypatch, which, fmt):
-        # the same bytes as the BFS block gives, with no BFS behind them
+        # the same bytes as the BFS matrix gives, with no BFS behind them
         a = am.build(6)
-        write = mg.to_csv if fmt == "csv" else to_matrix_market
-        expected = write(am.recurrent_matrix(a, mg.canonical_ordering(a)))
+        write = to_csv if fmt == "csv" else to_matrix_market
+        if which == "M":
+            expected = write(am.incidence_matrix(a, mg.canonical_full_ordering(a)))
+        else:
+            expected = write(am.recurrent_matrix(a, mg.canonical_ordering(a)))
 
         def never(*args, **kwargs):
-            raise AssertionError("built the automaton for R without --check")
+            raise AssertionError(f"built the automaton for {which} without --check")
 
         monkeypatch.setattr(am, "build", never)
         code, out, err = run(capsys, "matrix", "6", "--which", which, "--format", fmt)
@@ -157,10 +163,10 @@ class TestMatrix:
         assert out == expected
 
     def test_m_check_reports_the_compared_size(self, capsys):
-        # --check compares the two R matrices, 13x13 at n = 3, not M's 18x18
+        # --check compares the M it prints, 18x18 at n = 3, not R's 13x13
         code, out, _ = run(capsys, "matrix", "3", "--which", "M", "--check")
         assert code == 0
-        assert out.split("\n")[0] == "generated and BFS matrices agree for n=3 (13x13)"
+        assert out.split("\n")[0] == "generated and BFS matrices agree for n=3 (18x18)"
 
     def test_appendix_past_the_build_limit_refuses(self, capsys):
         code, out, err = run(capsys, "matrix", "15", "--which", "R-appendix")

@@ -2,6 +2,7 @@
 
 import hashlib
 import io
+import tracemalloc
 from array import array
 from functools import lru_cache
 from math import comb
@@ -101,6 +102,13 @@ def to_matrix_market(m):
     """The text mg.to_matrix_market writes."""
     fh = io.StringIO()
     mg.to_matrix_market(m, fh)
+    return fh.getvalue()
+
+
+def to_csv(m):
+    """The text mg.to_csv writes."""
+    fh = io.StringIO()
+    mg.to_csv(m, fh)
     return fh.getvalue()
 
 
@@ -299,6 +307,46 @@ class TestDiffAndExport:
             (1, 1, "only-in-second"),
         ]
         assert mg.diff_matrices(a, a) == []
+        # sides that alternate in row-major order around one shared entry
+        a = am.SparseBooleanMatrix(3, [(0, 1), (1, 1), (2, 0), (2, 2)])
+        b = am.SparseBooleanMatrix(3, [(0, 0), (1, 1), (1, 2), (2, 1)])
+        assert mg.diff_matrices(a, b) == [
+            (0, 0, "only-in-second"),
+            (0, 1, "only-in-first"),
+            (1, 2, "only-in-second"),
+            (2, 0, "only-in-first"),
+            (2, 1, "only-in-second"),
+            (2, 2, "only-in-first"),
+        ]
+        # a strict subset
+        full = mg.build_R_direct(3)
+        part = am.SparseBooleanMatrix(13, full.entries[::3])
+        missing = [(p, q) for i, (p, q) in enumerate(full.entries.tolist()) if i % 3]
+        assert mg.diff_matrices(part, full) == [(p, q, "only-in-second") for p, q in missing]
+        assert mg.diff_matrices(full, part) == [(p, q, "only-in-first") for p, q in missing]
+        # an empty matrix against a full one
+        empty = am.SparseBooleanMatrix(3, [])
+        cells = [(p, q) for p in range(3) for q in range(3)]
+        full = am.SparseBooleanMatrix(3, cells)
+        assert mg.diff_matrices(empty, full) == [(p, q, "only-in-second") for p, q in cells]
+        assert mg.diff_matrices(full, empty) == [(p, q, "only-in-first") for p, q in cells]
+        assert mg.diff_matrices(empty, empty) == []
+        with pytest.raises(ValueError, match="dimension mismatch: 3 vs 13"):
+            mg.diff_matrices(empty, part)
+
+    def test_diff_memory_is_a_few_entry_arrays(self, build_cached):
+        # the two key arrays and what np.isin sorts, and a label only per
+        # difference: about 4.4 times the bytes of both entry arrays at any n
+        a = build_cached(11)
+        first = mg.build_R_direct(11)
+        second = am.recurrent_matrix(a, mg.canonical_ordering(a))
+        tracemalloc.start()
+        try:
+            assert mg.diff_matrices(first, second) == []
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * (first.entries.nbytes + second.entries.nbytes)
 
     def test_matrix_market_format(self):
         m = mg.build_R_direct(2)
@@ -350,10 +398,10 @@ class TestDiffAndExport:
         )
 
     def test_csv(self):
-        assert mg.to_csv(mg.build_R_direct(1)) == "1\n"
-        assert mg.to_csv(am.SparseBooleanMatrix(0, [])) == "\n"
-        assert mg.to_csv(am.SparseBooleanMatrix(2, [])) == "0,0\n0,0\n"
-        assert mg.to_csv(am.SparseBooleanMatrix(2, [(1, 1), (0, 1)])) == "0,1\n0,1\n"
+        assert to_csv(mg.build_R_direct(1)) == "1\n"
+        assert to_csv(am.SparseBooleanMatrix(0, [])) == "\n"
+        assert to_csv(am.SparseBooleanMatrix(2, [])) == "0,0\n0,0\n"
+        assert to_csv(am.SparseBooleanMatrix(2, [(1, 1), (0, 1)])) == "0,1\n0,1\n"
 
     def test_csv_equals_the_per_cell_join(self, build_cached):
         for n in range(1, 7):
@@ -363,4 +411,4 @@ class TestDiffAndExport:
                 am.recurrent_matrix(a, mg.canonical_ordering(a)),
                 mg.build_R_direct(n),
             ):
-                assert mg.to_csv(m) == ref_to_csv(m), (n, m.dim)
+                assert to_csv(m) == ref_to_csv(m), (n, m.dim)
