@@ -10,15 +10,14 @@ i or j take them from the keys; ``Automaton.indices`` maps a key array to
 state indices, and a reader that needs a SegmentConfig (export, the psi
 check of ``verify``) unpacks each key where it reads it.  A key holds
 n <= 14.  Counting is exact: count_words keeps each state's count as int64
-limbs holding base-2^32 digits and advances all of them by int64 sparse
-products with M^T, or with (M^T)^S on small automata, S steps at once.  It
-carries only when the next product could pass 2^63 - 1 by the most
+limbs holding base-2^32 digits and advances all of them by int64 products
+with the sparse M^T, or with a dense (M^T)^S on small automata, S steps at
+once.  It carries only when the next product could pass 2^63 - 1 by the most
 length-s paths into one state, so it returns arbitrary precision integers.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, repeat
@@ -437,33 +436,23 @@ def _path_counts(mt: csr_matrix, k: int) -> tuple[list[int], int]:
     return r, len(r) - 1
 
 
-def _power(mt: csr_matrix, e: int) -> csr_matrix:
-    """(M^T)^e for e >= 1 by repeated squaring, reading the bits of e from
-    the top, so every power formed has an exponent of at most e."""
-    p = mt
-    for bit in bin(e)[3:]:
-        p = p @ p
-        if bit == "1":
-            p = p @ mt
-    return p
-
-
 def count_words(a: Automaton, k: int) -> tuple[list[int], int]:
     """First row of M^k as exact integers: per-state counts of length-k
     representatives ending at each state, plus their total.
 
     The counts are an (m, L) int64 array of base-2^32 digits, least
     significant first, starting at L = 1, and each product is one int64
-    sparse product with a power of the transpose of M, built once from the
-    same edge arrays as incidence_matrix.  s steps from digits at most c
+    product with a power of the transpose of M, built once from the same
+    edge arrays as incidence_matrix.  s steps from digits at most c
     leave digits at most c * r[s] (_path_counts), where c is 1 while the
     counts are still the first unit vector and 2^32 - 1 after a carry; the
     digits are carried (every digit below 2^32 again) just before a product
     that could pass 2^63 - 1 by this bound, and once at the end.  The carry
     period S is the largest s with (2^32 - 1) * r[s] <= 2^63 - 1.  When a
     dense m x m power costs no more than S single steps (m^2 <= S * nnz,
-    small n), the counts advance by k // S products with (M^T)^S and then
-    k % S single steps; otherwise by k single steps.
+    small n), the counts advance by k // S products with the dense (M^T)^S
+    (np.linalg.matrix_power, which forms no power of exponent above S) and
+    then k % S single steps; otherwise by k single steps.
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
@@ -474,7 +463,8 @@ def count_words(a: Automaton, k: int) -> tuple[list[int], int]:
     period = max(s for s, rs in enumerate(r) if _LIMB_MASK * rs <= _INT64_MAX)
     if period == len(r) - 1:
         period = top  # r[s] = r[-1] for every s up to top
-    block = (_power(mt, period), period) if m * m <= period * mt.nnz else (mt, 1)
+    block = ((np.linalg.matrix_power(mt.toarray(), period), period)
+             if m * m <= period * mt.nnz else (mt, 1))
     x = np.zeros((m, 1), dtype=np.int64)
     x[0, 0] = 1
     c, since = 1, 0
@@ -509,33 +499,41 @@ def ending_letter_counts(a: Automaton, k: int, counts: list[int]) -> dict[int, i
 # exports
 # ---------------------------------------------------------------------------
 
-def _arrows(a: Automaton) -> list[tuple[int, int, int]]:
+_ARROW_BLOCK = 1 << 15
+
+
+def _arrows(a: Automaton):
     """Every transition as (source, letter, target), sources ascending, then
-    letters.  The letter of an arrow is its target's square position j."""
-    src, dst = _edges(a).T
-    letters = key_fields(a.keys)[1][dst]
-    return list(zip(src.tolist(), letters.tolist(), dst.tolist()))
+    letters, converted to Python integers one block of _ARROW_BLOCK arrows
+    at a time.  The letter of an arrow is its target's square position j."""
+    edges = _edges(a)
+    letters = key_fields(a.keys)[1]
+    for s in range(0, len(edges), _ARROW_BLOCK):
+        src, dst = edges[s : s + _ARROW_BLOCK].T
+        yield from zip(src.tolist(), letters[dst].tolist(), dst.tolist())
 
 
 def write_json(a: Automaton, fh) -> None:
-    """The automaton as indented JSON, written into ``fh`` a chunk at a
-    time, so the whole text is never held."""
-    doc = {
-        "n": a.n,
-        "initial": 0,
-        "states": [
-            {
-                "i": c.i,
-                "j": c.j,
-                "k": c.k,
-                "S": [list(seg) for seg in c.segments],
-                "final_letter": c.j,
-            }
-            for c in map(unpack, a.keys.tolist())
-        ],
-        "transitions": _arrows(a),
-    }
-    json.dump(doc, fh, indent=2)
+    """The automaton as the text json.dump writes at indent=2 for
+    {"n", "initial": 0, "states": [{"i", "j", "k", "S", "final_letter"}],
+    "transitions": [[source, letter, target]]}, written into ``fh`` one
+    state and one arrow at a time, so neither the document nor the text is
+    held.  Every record holds only integers, so each is one f-string."""
+    fh.write(f'{{\n  "n": {a.n},\n  "initial": 0,\n  "states": [')
+    sep = "\n"
+    for c in map(unpack, a.keys.tolist()):
+        segs = ",".join(f"\n        [\n          {p},\n          {q}\n        ]"
+                        for p, q in c.segments)
+        segs = f"[{segs}\n      ]" if segs else "[]"
+        fh.write(f'{sep}    {{\n      "i": {c.i},\n      "j": {c.j},\n      "k": {c.k},\n'
+                 f'      "S": {segs},\n      "final_letter": {c.j}\n    }}')
+        sep = ",\n"
+    fh.write('\n  ],\n  "transitions": [')
+    sep = "\n"
+    for s, r, t in _arrows(a):
+        fh.write(f"{sep}    [\n      {s},\n      {r},\n      {t}\n    ]")
+        sep = ",\n"
+    fh.write("\n  ]\n}")
 
 
 def write_dot(a: Automaton, fh) -> None:

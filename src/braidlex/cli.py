@@ -4,7 +4,7 @@ Exit codes: 0 success, 1 stdout closed by its reader (a broken pipe, as in
 ``braidlex export 7 | head -3``; no traceback), 2 state-count mismatch,
 3 matrix mismatch, 4 non-convergence, 5 verification failure or a violated
 proved bound, 6 bad input, such as an n past 14 or an output path that
-cannot be written.
+cannot be written, or a run out of memory (one error line, no traceback).
 """
 
 from __future__ import annotations
@@ -178,7 +178,7 @@ def cmd_verify(args) -> int:
     the language up to --max-len, the forbidden-prefix set of each state
     reached by a word up to --max-forbidden-len, and psi injective on the
     states.  The walk reads the rows of the transition table, and each
-    state is unpacked from its key where it is checked."""
+    state's psi image is computed once from its key for both checks."""
     n = args.n
     am.check_build_limit(n)
     cap = min(args.max_len, 6) if args.max_forbidden_len is None else args.max_forbidden_len
@@ -210,10 +210,11 @@ def cmd_verify(args) -> int:
         if k <= cap:
             pairs.extend(sorted(frontier))
 
+    images = [cf.psi(cf.unpack(key), n) for key in keys]
     if not failures:
         checked = 0
         for w, s in pairs:
-            if oracle.minimal_forbidden_prefixes(w, n) != cf.psi(cf.unpack(keys[s]), n):
+            if oracle.minimal_forbidden_prefixes(w, n) != images[s]:
                 failures.append(f"forbidden-prefix mismatch after {w}")
                 break
             checked += 1
@@ -225,16 +226,14 @@ def cmd_verify(args) -> int:
     # build has already counted them to s_n; psi validates each one.
     # Injectivity over every valid configuration, and their count, are
     # tier-1 tests of configs (criterion 09).
-    images = {}
-    inj_ok = True
-    for c in map(cf.unpack, keys):
-        im = cf.psi(c, n)
-        if im in images:
-            inj_ok = False
-            failures.append(f"psi collision: {c} and {images[im]}")
+    state_of = {}
+    for s, im in enumerate(images):
+        t = state_of.setdefault(im, s)
+        if t != s:
+            failures.append(f"psi collision: {cf.unpack(keys[s])} and {cf.unpack(keys[t])}")
             break
-        images[im] = c
-    print(f"psi injectivity: {'pass' if inj_ok else 'FAIL'} ({len(images)} configs)")
+    inj_ok = len(state_of) == len(images)
+    print(f"psi injectivity: {'pass' if inj_ok else 'FAIL'} ({len(state_of)} configs)")
 
     if failures:
         print(failures[0], file=sys.stderr)
@@ -383,6 +382,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_VERIFY_FAILED
     except (BraidLexError, ValueError, OSError) as exc:  # OSError: an unwritable --out or --outdir
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_BAD_INPUT
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
     finally:
         sys.set_int_max_str_digits(digit_cap)

@@ -613,3 +613,12 @@ class TestBadInput:
         assert out == ""
         [line] = err.splitlines()  # one line, no traceback
         assert line.startswith("error: ") and path in line
+
+    def test_out_of_memory_is_one_error_line(self, capsys, monkeypatch):
+        def exhausted(n):
+            raise MemoryError("Unable to allocate 14.5 MiB")
+
+        monkeypatch.setattr(mg, "build_M_direct", exhausted)
+        assert run(capsys, "matrix", "5", "--which", "M") == (
+            6, "", "error: out of memory: Unable to allocate 14.5 MiB\n"
+        )
