@@ -4,12 +4,13 @@ States are segment configurations discovered by breadth-first closure from
 the initial configuration (n, n, n, {}); state 0 is the initial state and
 indices follow the order a queue would give.  The BFS walks one level at a
 time on packed uint64 keys (configs.pack) with the array rule
-configs.successors, so an Automaton holds a key array and a flat int32
-(state, letter) table, each allocated once, and nothing else.  Readers of
-i or j take them from the keys; ``Automaton.indices`` maps a key array to
-state indices, and a reader that needs a SegmentConfig (export, the psi
-check of ``verify``) unpacks each key where it reads it.  A key holds
-n <= 14.  Counting is exact: count_words keeps each state's count as int64
+configs.successors, and sorts each level's targets once, so that every
+lookup among the keys seen so far runs in key order.  An Automaton holds a
+key array and a flat int32 (state, letter) table, each allocated once, and
+nothing else.  Readers of i or j take them from the keys;
+``Automaton.indices`` maps a key array to state indices, and a reader that
+needs a SegmentConfig (export, the psi check of ``verify``) unpacks each
+key where it reads it.  A key holds n <= 14.  Counting is exact: count_words keeps each state's count as int64
 limbs holding base-2^32 digits and advances all of them by int64 products
 with the sparse M^T, or with a dense (M^T)^S on small automata, S steps at
 once.  It carries only when the next product could pass 2^63 - 1 by the most
@@ -103,10 +104,13 @@ class Automaton:
         return np.argsort(self.keys)
 
     def indices(self, keys) -> np.ndarray:
-        """The state index of each key, -1 where it is no state's."""
+        """The state index of each key, -1 where it is no state's; the
+        keys are looked up in key order and answered in the order given."""
         want = np.asarray(keys, dtype=np.uint64)
-        at = np.minimum(np.searchsorted(self.keys, want, sorter=self._by_key), len(self) - 1)
-        found = self._by_key[at]
+        order = np.argsort(want)  # queries in key order, answers scattered back
+        at = np.searchsorted(self.keys, want[order], sorter=self._by_key)
+        found = np.empty_like(order)
+        found[order] = self._by_key[np.minimum(at, len(self) - 1)]
         return np.where(self.keys[found] == want, found, -1)
 
 
@@ -131,9 +135,11 @@ def build(n: int) -> Automaton:
     ``keys`` and ``transitions`` are allocated once, for the closed-form
     count s_n, and filled in place: each level reads its frontier as a
     slice of ``keys`` and writes its rows of ``transitions`` and its new
-    keys after it.  Each level's targets are looked up among the sorted
-    keys seen so far, and the new ones are numbered in order of first
-    occurrence over (source, letter): the numbering a queue would give.
+    keys after it.  Each level's targets are sorted once, and each
+    distinct target is looked up, in key order, among the sorted keys seen
+    so far; that one search also gives where a new key goes in.  The new
+    ones are numbered in order of first occurrence over (source, letter):
+    the numbering a queue would give.
     Raises past the guard of check_build_limit, and
     InternalConsistencyError before a level could write past the arrays or
     when the BFS ends short of s_n.
@@ -148,25 +154,30 @@ def build(n: int) -> Automaton:
     while done < count:
         targets = successors(keys[done:count], n).ravel()
         live = np.flatnonzero(targets)
+        # every lookup in key order; the default argsort is not stable, so
+        # a key's first (source, letter) is the least position of its run
+        live = live[np.argsort(targets[live])]
         cand = targets[live]
-        at = np.minimum(np.searchsorted(known, cand), len(known) - 1)
-        seen = known[at] == cand
-        ids = known_ids[at]
-        fresh, first, inverse = np.unique(cand[~seen], return_index=True, return_inverse=True)
+        start = np.flatnonzero(np.r_[True, cand[1:] != cand[:-1]][: len(cand)])
+        uniq = cand[start]  # one per run of equal keys
+        at = np.searchsorted(known, uniq)  # also where a fresh key goes in
+        near = np.minimum(at, len(known) - 1)
+        new, ids = known[near] != uniq, known_ids[near]
+        fresh = uniq[new]
         if count + len(fresh) > expected:
             raise InternalConsistencyError(
                 f"BFS found more than {expected} states for n={n}, the formula's count"
             )
+        first = np.minimum.reduceat(live, start)[new]
         by_first = np.argsort(first)
         rank = np.empty(len(fresh), dtype=np.int32)
         rank[by_first] = np.arange(count, count + len(fresh))
-        ids[~seen] = rank[inverse]
+        ids[new] = rank
         row = transitions[done * n : count * n]
         row.fill(-1)
-        row[live] = ids
+        row[live] = np.repeat(ids, np.diff(start, append=len(cand)))
         keys[count : count + len(fresh)] = fresh[by_first]
-        at = np.searchsorted(known, fresh)
-        known, known_ids = np.insert(known, at, fresh), np.insert(known_ids, at, rank)
+        known, known_ids = np.insert(known, at[new], fresh), np.insert(known_ids, at[new], rank)
         done, count = count, count + len(fresh)
     if count != expected:
         raise InternalConsistencyError(
@@ -241,19 +252,19 @@ class SparseBooleanMatrix:
 
 def _edges(a: Automaton, order: list[int] | None = None) -> np.ndarray:
     """The transitions between the states listed in ``order``, as an
-    (nnz, 2) array of (source, target) positions in ``order``, sources
-    ascending.  ``order`` defaults to every state in BFS order."""
+    (nnz, 2) int32 array of (source, target) positions in ``order``,
+    sources ascending.  ``order`` defaults to every state in BFS order."""
     if order is None:
         targets = a.transitions
     else:
         m = len(a)
         # pos[m] = -1 also catches the forbidden targets, which are -1
-        pos = np.full(m + 1, -1, dtype=np.int64)
+        pos = np.full(m + 1, -1, dtype=np.int32)
         pos[order] = np.arange(len(order))
         targets = pos[a.transitions.reshape(m, a.n)[order]].ravel()
     live = np.flatnonzero(targets >= 0)
-    edges = np.empty((len(live), 2), dtype=np.int64)
-    np.floor_divide(live, a.n, out=edges[:, 0])
+    edges = np.empty((len(live), 2), dtype=np.int32)
+    np.floor_divide(live, a.n, out=edges[:, 0], casting="unsafe")
     edges[:, 1] = targets[live]
     return edges
 

@@ -67,6 +67,26 @@ def col_sums(m):
     return np.bincount(m.entries[:, 1], minlength=m.dim).tolist()
 
 
+def oracle_transitions(n):
+    """build's flat (state, letter) table, rebuilt by a queue BFS over words
+    that never calls configs.successors: a state is the set of minimal
+    forbidden prefixes of its first word, letter r is forbidden there iff
+    (r,) is in that set, and states are numbered as the queue meets them."""
+    start = oracle.minimal_forbidden_prefixes((), n)
+    index, queue, table = {start: 0}, [((), start)], []
+    for w, forbidden in queue:  # the queue grows while it is read
+        for r in range(1, n + 1):
+            if (r,) in forbidden:
+                table.append(-1)
+                continue
+            state = oracle.minimal_forbidden_prefixes(w + (r,), n)
+            if state not in index:
+                index[state] = len(queue)
+                queue.append((w + (r,), state))
+            table.append(index[state])
+    return table
+
+
 class TestStateCounts:
     def test_recurrence_values(self):
         assert [am.state_count_recurrence(n) for n in range(6)] == [0, 1, 5, 18, 56, 161]
@@ -168,6 +188,49 @@ class TestBuild:
         ) == self.BFS_DIGESTS[n]
         assert all(type(c) is SegmentConfig for c in configs)
         assert a.indices(keys_of(configs)).tolist() == list(range(len(a)))
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_oracle_rebuilds_the_table(self, build_cached, n):
+        assert oracle_transitions(n) == build_cached(n).transitions.tolist()
+
+    @pytest.mark.parametrize("reverse_ties", [False, True])
+    def test_fresh_keys_numbered_by_first_occurrence(self, monkeypatch, reverse_ties):
+        # a made-up successor rule on n = 2: level 1 meets c at (b, 1) and
+        # (a, 2), and d at (b, 2) and (a, 1). c comes first, though its key
+        # is the larger and its last occurrence comes after d's. The
+        # default argsort is not stable; with every run of equal keys
+        # reversed, the first element of c's run is its last occurrence
+        k0 = pack(initial_config(2))
+        a, b, d, c = k0 + 1, k0 + 2, k0 + 3, k0 + 4
+        rule = {k0: [b, a], b: [c, d], a: [d, c], c: [0, 0], d: [0, 0]}
+        monkeypatch.setattr(am, "successors", lambda frontier, n: np.array(
+            [rule[k] for k in frontier.tolist()], dtype=np.uint64))
+        monkeypatch.setattr(am, "state_count_formula", lambda n: 5)
+        if reverse_ties:
+            class ReversedTies:
+                def __getattr__(self, name):
+                    return getattr(np, name)
+
+                @staticmethod
+                def argsort(x):
+                    return np.lexsort((-np.arange(len(x)), x))
+
+            monkeypatch.setattr(am, "np", ReversedTies())
+        built = am.build(2)
+        assert built.keys.tolist() == [k0, b, a, c, d]
+        assert built.transitions.tolist() == [1, 2, 3, 4, 4, 3, -1, -1, -1, -1]
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_indices_of_shuffled_repeated_and_missing_keys(self, build_cached, n):
+        a = build_cached(n)
+        rng = np.random.default_rng(n)
+        missing = np.setdiff1d(np.concatenate([a.keys + 1, a.keys - 1]), a.keys)
+        extremes = np.array([0, 2**64 - 1], dtype=np.uint64)
+        queries = np.concatenate([a.keys, rng.choice(a.keys, 3 * len(a)), missing, extremes])
+        rng.shuffle(queries)
+        index = {k: s for s, k in enumerate(a.keys.tolist())}
+        assert a.indices(queries).tolist() == [index.get(k, -1) for k in queries.tolist()]
+        assert a.indices(queries[:0]).tolist() == []
 
     def test_single_incoming_label(self, build_cached):
         for n in (2, 3, 4, 5):
