@@ -7,20 +7,21 @@ time on packed uint64 keys (configs.pack) with the array rule
 configs.successors, and sorts each level's targets once, so that every
 lookup among the keys seen so far runs in key order.  An Automaton holds a
 key array and a flat int32 (state, letter) table, each allocated once, and
-nothing else.  Readers of i or j take them from the keys;
-``Automaton.indices`` maps a key array to state indices, and a reader that
+nothing else.  Readers of i or j take them from the keys, and a reader that
 needs a SegmentConfig (export, the psi check of ``verify``) unpacks each
-key where it reads it.  A key holds n <= 14.  Counting is exact: count_words keeps each state's count as int64
-limbs holding base-2^32 digits and advances all of them by int64 products
-with the sparse M^T, or with a dense (M^T)^S on small automata, S steps at
-once.  It carries only when the next product could pass 2^63 - 1 by the most
-length-s paths into one state, so it returns arbitrary precision integers.
+key where it reads it.  A key holds n <= 14.  A reader that needs another
+state order, such as the canonical order, ``relabel``s the automaton once
+and reads it in index order.  Counting is exact: count_words keeps each
+state's count as int64 limbs holding base-2^32 digits and advances all of
+them by int64 products with the sparse M^T, or with a dense (M^T)^S on
+small automata, S steps at once.  It carries only when the next product
+could pass 2^63 - 1 by the most length-s paths into one state, so it
+returns arbitrary precision integers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from itertools import chain, repeat
 from math import comb
 
@@ -86,8 +87,9 @@ def state_counts(n: int) -> StateCounts:
 
 @dataclass(eq=False)
 class Automaton:
-    """States are packed configuration keys (configs.pack), numbered in BFS
-    order; ``transitions`` is the flat (state, letter) table: entry
+    """States are packed configuration keys (configs.pack), numbered by
+    build in BFS order or as relabel permutes them, the initial state 0
+    first; ``transitions`` is the flat (state, letter) table: entry
     s * n + r - 1 is the state that letter r sends state s to, -1 if r is
     forbidden there.  build makes it int32, which holds every state index
     up to n = 14 (s_14 < 2^20); readers widen what they compute with."""
@@ -99,24 +101,10 @@ class Automaton:
     def __len__(self) -> int:
         return len(self.keys)
 
-    @cached_property
-    def _by_key(self) -> np.ndarray:
-        return np.argsort(self.keys)
-
-    def indices(self, keys) -> np.ndarray:
-        """The state index of each key, -1 where it is no state's; the
-        keys are looked up in key order and answered in the order given."""
-        want = np.asarray(keys, dtype=np.uint64)
-        order = np.argsort(want)  # queries in key order, answers scattered back
-        at = np.searchsorted(self.keys, want[order], sorter=self._by_key)
-        found = np.empty_like(order)
-        found[order] = self._by_key[np.minimum(at, len(self) - 1)]
-        return np.where(self.keys[found] == want, found, -1)
-
 
 def check_build_limit(n: int) -> None:
     """The one size guard: ValueError for n < 1, and BuildLimitError past
-    MAX_KEY_N.  The BFS, the canonical orderings and ``matrix --check``
+    MAX_KEY_N.  The BFS, the canonical ordering and ``matrix --check``
     pack each configuration into one 64-bit key, which holds no more, so
     past it no second route exists to check the direct generator against."""
     if n < 1:
@@ -198,6 +186,26 @@ def state_after(a: Automaton, w) -> int | None:
     return s
 
 
+def _targets(a: Automaton, order) -> np.ndarray:
+    """The (state, letter) rows of the states in ``order``, each target
+    renumbered to its position there, -1 if forbidden or not listed."""
+    m = len(a)
+    # pos[m] = -1 also catches the forbidden targets, which are -1
+    pos = np.full(m + 1, -1, dtype=np.int32)
+    pos[order] = np.arange(len(order))
+    return pos[a.transitions.reshape(m, a.n)[order]]
+
+
+def relabel(a: Automaton, order) -> Automaton:
+    """The automaton with state order[p] renumbered p.  Raises ValueError
+    unless ``order`` is a permutation of all states that keeps state 0,
+    where count_words and state_after start, first."""
+    order = np.asarray(order)
+    if not (np.array_equal(np.sort(order), np.arange(len(a))) and order[0] == 0):
+        raise ValueError("order must be a permutation of all state indices with 0 first")
+    return Automaton(a.n, a.keys[order], _targets(a, order).ravel())
+
+
 # ---------------------------------------------------------------------------
 # incidence matrices
 # ---------------------------------------------------------------------------
@@ -250,34 +258,31 @@ class SparseBooleanMatrix:
         return csr_matrix((np.ones(len(p)), (p, q)), shape=(self.dim, self.dim))
 
 
-def _edges(a: Automaton, order: list[int] | None = None) -> np.ndarray:
-    """The transitions between the states listed in ``order``, as an
-    (nnz, 2) int32 array of (source, target) positions in ``order``,
-    sources ascending.  ``order`` defaults to every state in BFS order."""
-    if order is None:
-        targets = a.transitions
-    else:
-        m = len(a)
-        # pos[m] = -1 also catches the forbidden targets, which are -1
-        pos = np.full(m + 1, -1, dtype=np.int32)
-        pos[order] = np.arange(len(order))
-        targets = pos[a.transitions.reshape(m, a.n)[order]].ravel()
-    live = np.flatnonzero(targets >= 0)
-    edges = np.empty((len(live), 2), dtype=np.int32)
-    np.floor_divide(live, a.n, out=edges[:, 0], casting="unsafe")
-    edges[:, 1] = targets[live]
+_EDGE_BLOCK = 1 << 18
+
+
+def _edges(a: Automaton, order=None) -> np.ndarray:
+    """The transitions between the states in ``order`` (default: all, in
+    index order) as an (nnz, 2) int32 array of (source, target) positions
+    there, sources ascending, then letters; written _EDGE_BLOCK sources
+    at a time, so that no index of every edge is made."""
+    flat = a.transitions if order is None else _targets(a, order).ravel()
+    live = flat >= 0
+    edges = np.empty((np.count_nonzero(live), 2), dtype=np.int32)
+    k, step = 0, _EDGE_BLOCK * a.n
+    for s in range(0, len(flat), step):
+        f = np.flatnonzero(live[s : s + step])
+        f += s  # (source, letter) positions in flat
+        np.floor_divide(f, a.n, out=edges[k : k + len(f), 0], casting="unsafe")
+        np.take(flat, f, out=edges[k : k + len(f), 1])
+        k += len(f)
     return edges
 
 
-def incidence_matrix(a: Automaton, order: list[int] | None = None) -> SparseBooleanMatrix:
-    """0/1 matrix with entry (p, q) = 1 iff some letter sends state p to q.
-
-    ``order`` lists state indices row by row; default is BFS insertion order.
-    """
-    m = len(a)
-    if order is not None and not np.array_equal(np.sort(order), np.arange(m)):
-        raise ValueError("order must be a permutation of all state indices")
-    return SparseBooleanMatrix(m, _edges(a, order))
+def incidence_matrix(a: Automaton) -> SparseBooleanMatrix:
+    """0/1 matrix with entry (p, q) = 1 iff some letter sends state p to q,
+    rows and columns in state index order."""
+    return SparseBooleanMatrix(len(a), _edges(a))
 
 
 # ---------------------------------------------------------------------------
@@ -373,22 +378,18 @@ def boolean_primitive(m: SparseBooleanMatrix) -> bool:
     return all(r == full for r in rows)
 
 
-def recurrent_matrix(a: Automaton, order: list[int] | None = None) -> SparseBooleanMatrix:
-    """Incidence matrix restricted to the recurrent states.
+def recurrent_matrix(a: Automaton) -> SparseBooleanMatrix:
+    """Incidence matrix restricted to the recurrent states in index order,
+    the canonical order on a relabelled automaton.
 
-    Rows follow ``order`` (a list of recurrent state indices; default sorted
-    ascending).  The result is checked to be primitive, and the check is
-    one loop: recurrent_states has proved the block strongly connected, so
-    in any order the matrix is irreducible, and its period divides the
-    length of every cycle, 1 for a loop.  t11 = (1, 1, 1, {}) loops on a_1
-    at every n.  Raises InternalConsistencyError if no state loops.
+    The result is checked to be primitive, and the check is one loop:
+    recurrent_states has proved the block strongly connected, so the
+    matrix is irreducible, and its period divides the length of every
+    cycle, 1 for a loop.  t11 = (1, 1, 1, {}) loops on a_1 at every n.
+    Raises InternalConsistencyError if no state loops.
     """
     rec = recurrent_states(a)
-    if order is None:
-        order = rec
-    elif not np.array_equal(np.sort(order), rec):
-        raise ValueError("order must be a permutation of the recurrent states")
-    m = SparseBooleanMatrix(len(order), _edges(a, order))
+    m = SparseBooleanMatrix(len(rec), _edges(a, rec))
     # strongly connected (recurrent_states) with a loop: aperiodic, so primitive
     if not (m.entries[:, 0] == m.entries[:, 1]).any():
         raise InternalConsistencyError(f"recurrent matrix for n={a.n} is not primitive")

@@ -115,8 +115,8 @@ def cmd_matrix(args) -> int:
     m = mg.build_M_direct(n) if args.which == "M" else mg.build_R_direct(n)
     if args.check:
         a = am.build(n)
-        bfs = (am.incidence_matrix(a, mg.canonical_full_ordering(a)) if args.which == "M"
-               else am.recurrent_matrix(a, mg.canonical_ordering(a)))
+        a = am.relabel(a, mg.canonical_full_ordering(a))
+        bfs = am.incidence_matrix(a) if args.which == "M" else am.recurrent_matrix(a)
         del a  # free the automaton before the diff
         diffs = mg.diff_matrices(m, bfs)
         if diffs:
@@ -131,10 +131,10 @@ def cmd_matrix(args) -> int:
 def cmd_count(args) -> int:
     am.check_build_limit(args.n)
     a = am.build(args.n)
+    a = am.relabel(a, mg.canonical_full_ordering(a))
     counts, total = am.count_words(a, args.k)
-    order = mg.canonical_full_ordering(a)
     print(f"total {total}")
-    print("per-state", " ".join(str(counts[s]) for s in order))
+    print("per-state", " ".join(map(str, counts)))
     if args.by_letter:
         per = am.ending_letter_counts(a, args.k, counts)
         for r in range(1, args.n + 1):
@@ -265,9 +265,9 @@ def cmd_seed_docs(args) -> int:
     for name, m in (("m2.csv", mg.build_M_direct(2)), ("r2.csv", mg.build_R_direct(2))):
         _stream(mg.to_csv, m, outdir / name)
     a = am.build(2)
+    a = am.relabel(a, mg.canonical_full_ordering(a))
     counts, total = am.count_words(a, 50)
-    row = " ".join(str(counts[s]) for s in mg.canonical_full_ordering(a))
-    (outdir / "m2_pow50_first_row.txt").write_text(row + f"\ntotal {total}\n")
+    (outdir / "m2_pow50_first_row.txt").write_text(" ".join(map(str, counts)) + f"\ntotal {total}\n")
     print(f"wrote m2.csv, r2.csv, m2_pow50_first_row.txt to {outdir}")
     return EXIT_OK
 

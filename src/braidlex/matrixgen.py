@@ -12,7 +12,8 @@ two places where the printed pseudocode needed repair), except that each
 printed ``for`` loop of arrows is one range of pairs: an ``np.arange`` of
 sources, or a slice of H, put at once.  It also produces the
 canonical state ordering that the recipe presupposes, so the result can be
-diffed entrywise against the BFS-derived matrix.
+diffed entrywise against the BFS-derived matrix of the automaton relabelled
+to it by ``automaton.relabel``.
 
 Canonical ordering of the recurrent block of size m, recursively:
 
@@ -24,7 +25,8 @@ Canonical ordering of the recurrent block of size m, recursively:
 The full automaton ordering stacks the white-shifted full ordering of size
 n-1 (the transient states) before the recurrent block.  ``canonical_keys``
 builds it as one array of packed keys (configs.pack), shifting by
-configs.shift_keys; the recurrent order is its tail.
+configs.shift_keys; the recurrent order is its tail.  canonical_full_ordering
+pairs it with the automaton's keys by one sort of each key array.
 """
 
 from __future__ import annotations
@@ -193,23 +195,19 @@ def canonical_keys(n: int) -> np.ndarray:
     return full
 
 
-def _bfs_indices(a: Automaton, keys: np.ndarray) -> list[int]:
-    order = a.indices(keys)
-    missing = np.flatnonzero(order < 0)
-    if len(missing):
-        c = unpack(keys[missing[0]])
+def canonical_full_ordering(a: Automaton) -> np.ndarray:
+    """The state index of each canonical full position (transients first),
+    as an int64 array: the k-th smallest state key and the k-th smallest
+    canonical key are one configuration.  Raises InternalConsistencyError
+    naming a canonical configuration that the automaton lacks."""
+    want = canonical_keys(a.n)
+    by_key, by_rank = np.argsort(a.keys), np.argsort(want)
+    if not np.array_equal(a.keys[by_key], want[by_rank]):
+        c = unpack(want[~np.isin(want, a.keys)][0])
         raise InternalConsistencyError(f"canonical config {c} missing from automaton")
-    return order.tolist()
-
-
-def canonical_ordering(a: Automaton) -> list[int]:
-    """Map canonical recurrent positions to BFS state indices."""
-    return _bfs_indices(a, canonical_keys(a.n)[-state_counts(a.n).s_star[a.n] :])
-
-
-def canonical_full_ordering(a: Automaton) -> list[int]:
-    """Map canonical full positions (transients first) to BFS state indices."""
-    return _bfs_indices(a, canonical_keys(a.n))
+    order = np.empty(len(want), dtype=np.int64)
+    order[by_rank] = by_key
+    return order
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from test_automaton import dense
+from test_automaton import canonical, dense
 from test_configs import ref_all_configs
 from test_spectral import resolvent_nonneg_check
 
@@ -92,10 +92,10 @@ def test_criterion_01_state_counts(build_cached):
 
 def test_criterion_02_printed_matrices(build_cached):
     t0 = time.monotonic()
-    a = build_cached(2)
-    m2 = am.incidence_matrix(a, mg.canonical_full_ordering(a))
+    a = canonical(build_cached(2))
+    m2 = am.incidence_matrix(a)
     assert dense(m2) == M2_DENSE
-    r2 = am.recurrent_matrix(a, mg.canonical_ordering(a))
+    r2 = am.recurrent_matrix(a)
     assert dense(r2) == R2_DENSE
     _passed(2, time.monotonic() - t0, 5, "M_2 and R_2 match the printed matrices entrywise")
 
@@ -125,8 +125,7 @@ def test_criterion_05_golden_ratio(build_cached, spectral_store):
     t0 = time.monotonic()
     lam = _analysis(spectral_store, build_cached, 2).result.lam
     assert abs(lam - PHI) < 1e-12
-    a = build_cached(2)
-    res = sp.perron(am.recurrent_matrix(a, mg.canonical_ordering(a)))
+    res = sp.perron(am.recurrent_matrix(canonical(build_cached(2))))
     scaled = res.v / res.v[1]
     assert np.max(np.abs(scaled - np.array([PHI, 1.0, 1.0, PHI]))) < 1e-10
     _passed(5, time.monotonic() - t0, 5, "lambda_2 = golden ratio, eigenvector prop. to (phi,1,1,phi)")
@@ -171,11 +170,11 @@ def test_criterion_08_generator_fidelity(build_cached):
     assert mg.compute_H(3) == (0, 1, 6, 7)
     assert mg.compute_H(4) == (0, 1, 6, 7, 21, 22, 27, 28)
     for n in range(1, 10):
-        a = build_cached(n)
-        bfs = am.recurrent_matrix(a, mg.canonical_ordering(a))
+        a = canonical(build_cached(n))
+        bfs = am.recurrent_matrix(a)
         diffs = mg.diff_matrices(mg.build_R_direct(n), bfs)
         assert diffs == [], (n, diffs[:5])
-        bfs = am.incidence_matrix(a, mg.canonical_full_ordering(a))
+        bfs = am.incidence_matrix(a)
         diffs = mg.diff_matrices(mg.build_M_direct(n), bfs)
         assert diffs == [], (n, diffs[:5])
     ledger = Path(__file__).resolve().parent.parent / "FIDELITY.md"

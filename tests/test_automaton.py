@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_configs import keys_of, ref_shift, states_of
+from test_configs import index_of, keys_of, ref_shift, states_of
 
 from braidlex import automaton as am
 from braidlex import matrixgen as mg
@@ -50,6 +50,11 @@ def out_letters(a, s):
 def target(a, s, r):
     """The state letter r sends state s to, -1 when r is forbidden there."""
     return int(a.transitions[s * a.n + r - 1])
+
+
+def canonical(a):
+    """The automaton relabelled to the canonical full order."""
+    return am.relabel(a, mg.canonical_full_ordering(a))
 
 
 def ref_accepts(a, w):
@@ -187,7 +192,8 @@ class TestBuild:
             hashlib.sha256(states.encode()).hexdigest(),
         ) == self.BFS_DIGESTS[n]
         assert all(type(c) is SegmentConfig for c in configs)
-        assert a.indices(keys_of(configs)).tolist() == list(range(len(a)))
+        index = index_of(a)
+        assert [index[key] for key in keys_of(configs).tolist()] == list(range(len(a)))
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_oracle_rebuilds_the_table(self, build_cached, n):
@@ -220,18 +226,6 @@ class TestBuild:
         assert built.keys.tolist() == [k0, b, a, c, d]
         assert built.transitions.tolist() == [1, 2, 3, 4, 4, 3, -1, -1, -1, -1]
 
-    @pytest.mark.parametrize("n", range(1, 7))
-    def test_indices_of_shuffled_repeated_and_missing_keys(self, build_cached, n):
-        a = build_cached(n)
-        rng = np.random.default_rng(n)
-        missing = np.setdiff1d(np.concatenate([a.keys + 1, a.keys - 1]), a.keys)
-        extremes = np.array([0, 2**64 - 1], dtype=np.uint64)
-        queries = np.concatenate([a.keys, rng.choice(a.keys, 3 * len(a)), missing, extremes])
-        rng.shuffle(queries)
-        index = {k: s for s, k in enumerate(a.keys.tolist())}
-        assert a.indices(queries).tolist() == [index.get(k, -1) for k in queries.tolist()]
-        assert a.indices(queries[:0]).tolist() == []
-
     def test_single_incoming_label(self, build_cached):
         for n in (2, 3, 4, 5):
             a = build_cached(n)
@@ -249,9 +243,10 @@ class TestBuild:
             a, prev = build_cached(n), build_cached(n - 1)
             # prev state -> the index of its shifted copy in a
             shifted = keys_of([ref_shift(c, n) for c in states_of(prev)])
-            up = dict(enumerate(a.indices(shifted).tolist()))
+            index = index_of(a)
+            up = {ps: index[key] for ps, key in enumerate(shifted.tolist())}
             assert set(up.values()) == {s for s, c in enumerate(states_of(a)) if c.i > 1}
-            t11 = a.indices(keys_of([SegmentConfig(1, 1, 1)]))[0]
+            t11 = index[pack(SegmentConfig(1, 1, 1))]
             for ps, s in up.items():
                 assert target(a, s, 1) == t11  # the only exit from the copy
                 for r in range(2, n + 1):
@@ -304,7 +299,7 @@ class TestSparseBooleanMatrix:
 class TestIncidenceMatrix:
     def test_m2_in_canonical_order(self, build_cached):
         a = build_cached(2)
-        m = am.incidence_matrix(a, mg.canonical_full_ordering(a))
+        m = am.incidence_matrix(canonical(a))
         assert dense(m) == M2_DENSE
         assert row_sums(m) == [2, 2, 1, 1, 2]
 
@@ -316,12 +311,50 @@ class TestIncidenceMatrix:
         m = am.incidence_matrix(a)
         assert row_sums(m) == [len(out_letters(a, s)) for s in range(len(a))]
 
+    @pytest.mark.parametrize("block", [1, 7, am._EDGE_BLOCK])
+    def test_edges_in_blocks_of_sources(self, build_cached, monkeypatch, block):
+        # every arrow once, sources ascending, then letters, across block
+        # boundaries; restricted to the recurrent states, in their positions
+        monkeypatch.setattr(am, "_EDGE_BLOCK", block)
+        for n in range(1, 6):
+            a = build_cached(n)
+            edges = am._edges(a)
+            assert edges.dtype == np.int32
+            assert edges.tolist() == [
+                [s, target(a, s, r)] for s in range(len(a)) for r in out_letters(a, s)
+            ]
+            rec = am.recurrent_states(a)
+            pos = {s: p for p, s in enumerate(rec)}
+            assert am._edges(a, rec).tolist() == [
+                [p, pos[target(a, s, r)]] for p, s in enumerate(rec) for r in out_letters(a, s)
+            ]
+
+
+class TestRelabel:
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_renumbers_every_state_and_arrow(self, build_cached, n):
+        a = build_cached(n)
+        order = mg.canonical_full_ordering(a).tolist()
+        b = am.relabel(a, order)
+        assert b.keys.tolist() == mg.canonical_keys(n).tolist()
+        new = {s: p for p, s in enumerate(order)}
+        for p, s in enumerate(order):
+            for r in range(1, n + 1):
+                t = target(a, s, r)
+                assert target(b, p, r) == (new[t] if t >= 0 else -1)
+
     def test_order_validation(self, build_cached):
         a = build_cached(2)
-        assert am.incidence_matrix(a, [4, 3, 2, 1, 0]).dim == 5
-        for order in ([0, 1, 2], [0, 1, 2, 3, 3], [0, 1, 2, 3, 5], [4, 3, 2, 1, 0, 5]):
-            with pytest.raises(ValueError, match="order must be a permutation of all state indices"):
-                am.incidence_matrix(a, order)
+        assert len(am.relabel(a, [0, 4, 3, 2, 1])) == 5
+        rec = am.recurrent_states(a)
+        bad = (
+            [0, 1, 2], [0, 1, 2, 3, 3], [0, 1, 2, 3, 5], [0, 4, 3, 2, 1, 5], [0, 1, 2, 3, -1],
+            [0] + rec[:-1], [0] + rec[:-1] + rec[:1], [0] + rec[:-1] + [0],
+            [4, 3, 2, 1, 0], [1, 0, 2, 3, 4],  # a permutation that moves state 0
+        )
+        for order in bad:
+            with pytest.raises(ValueError, match="permutation of all state indices with 0 first"):
+                am.relabel(a, order)
 
 
 class TestRecurrentStates:
@@ -351,7 +384,7 @@ class TestRecurrentStates:
         # every arrow into one i = 1 state s goes to t11 instead: the i = 1
         # set stays closed, but no other state of it reaches s any more
         a = build_cached(3)
-        t11 = int(a.indices([0x111])[0])
+        t11 = index_of(a)[0x111]
         s = next(x for x in am.recurrent_states(a) if x != t11)
         moved = np.where(a.transitions == s, t11, a.transitions)
         with pytest.raises(InternalConsistencyError):
@@ -361,7 +394,7 @@ class TestRecurrentStates:
 class TestRecurrentMatrix:
     def test_r2_in_canonical_order(self, build_cached):
         a = build_cached(2)
-        m = am.recurrent_matrix(a, mg.canonical_ordering(a))
+        m = am.recurrent_matrix(canonical(a))
         assert dense(m) == R2_DENSE
 
     def test_n1(self, build_cached):
@@ -371,14 +404,6 @@ class TestRecurrentMatrix:
         m = am.recurrent_matrix(build_cached(3))
         assert m.dim == 13
         assert set(row_sums(m)) <= {1, 2, 3}
-
-    def test_order_validation(self, build_cached):
-        a = build_cached(2)
-        rec = am.recurrent_states(a)
-        assert am.recurrent_matrix(a, rec[::-1]).dim == len(rec)
-        for order in (rec[:-1], rec[:-1] + rec[:1], rec[:-1] + [0]):
-            with pytest.raises(ValueError, match="order must be a permutation of the recurrent states"):
-                am.recurrent_matrix(a, order)
 
     def test_block_without_a_loop_is_refused(self):
         # the two i = 1 states form a 2-cycle: closed and strongly connected,
@@ -448,7 +473,7 @@ class TestIsPrimitive:
         # recurrent states (test_spectral checks R_n by boolean powers)
         for n in range(1, 10):
             a = build_cached(n)
-            t11 = a.indices(keys_of([SegmentConfig(1, 1, 1)]))[0]
+            t11 = index_of(a)[pack(SegmentConfig(1, 1, 1))]
             row = am.recurrent_states(a).index(t11)
             m = am.recurrent_matrix(a)
             assert ((m.entries[:, 0] == row) & (m.entries[:, 1] == row)).any()

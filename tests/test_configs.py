@@ -160,8 +160,13 @@ def keys_of(configs):
 
 
 def states_of(a):
-    """Every state of an automaton as a SegmentConfig, in BFS order."""
+    """Every state of an automaton as a SegmentConfig, in index order."""
     return [cf.unpack(key) for key in a.keys.tolist()]
+
+
+def index_of(a):
+    """Each key of an automaton mapped to its state index."""
+    return {key: s for s, key in enumerate(a.keys.tolist())}
 
 
 def ref_all_configs(n):

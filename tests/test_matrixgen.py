@@ -2,6 +2,7 @@
 
 import hashlib
 import io
+import re
 import tracemalloc
 from array import array
 from functools import lru_cache
@@ -12,8 +13,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_automaton import col_sums, dense, row_sums
+from test_automaton import canonical, col_sums, dense, row_sums
 from test_configs import (
+    index_of,
     keys_of,
     ref_all_configs,
     ref_bar_embed,
@@ -26,7 +28,7 @@ from test_configs import (
 from braidlex import automaton as am
 from braidlex import configs as cf
 from braidlex import matrixgen as mg
-from braidlex.configs import SegmentConfig
+from braidlex.configs import SegmentConfig, initial_config, pack
 from braidlex.errors import BuildLimitError, InternalConsistencyError
 
 R2_ENTRIES = {(0, 0), (0, 2), (1, 0), (2, 3), (3, 1), (3, 3)}
@@ -202,7 +204,7 @@ class TestBuildRDirect:
     def test_matches_bfs_small(self, build_cached):
         for n in range(1, 7):
             a = build_cached(n)
-            bfs = am.recurrent_matrix(a, mg.canonical_ordering(a))
+            bfs = am.recurrent_matrix(canonical(a))
             assert mg.diff_matrices(mg.build_R_direct(n), bfs) == []
 
     def test_characteristic_data_matches_bfs(self, build_cached):
@@ -231,10 +233,17 @@ class TestCanonicalOrdering:
         ]
         assert canonical_configs(2)[1] == star
         a = build_cached(2)
-        assert mg.canonical_ordering(a) == a.indices(keys_of(star)).tolist()
+        index = index_of(a)
+        order = mg.canonical_full_ordering(a)
+        assert order[-4:].tolist() == [index[key] for key in keys_of(star).tolist()]
 
     def test_n1(self):
         assert canonical_configs(1) == ([SegmentConfig(1, 1, 1)], [SegmentConfig(1, 1, 1)])
+
+    def test_initial_state_comes_first(self):
+        # relabel keeps state 0, the initial state, at position 0
+        for n in range(1, 15):
+            assert mg.canonical_keys(n)[0] == pack(initial_config(n))
 
     def test_n3_first_block(self):
         order = canonical_configs(3)[1]
@@ -285,17 +294,17 @@ class TestCanonicalOrdering:
         digest = hashlib.sha256(",".join(map(str, order)).encode()).hexdigest()
         assert digest == N12_FULL_ORDERING
 
-    def test_missing_config_is_reported(self, build_cached):
-        a = build_cached(2)
-        broken = am.Automaton(3, a.keys, a.transitions)
-        with pytest.raises(InternalConsistencyError):
-            mg.canonical_ordering(broken)
-
     def test_missing_config_is_reported_by_the_full_ordering(self, build_cached):
         a = build_cached(2)
         broken = am.Automaton(3, a.keys, a.transitions)
         with pytest.raises(InternalConsistencyError):
             mg.canonical_full_ordering(broken)
+        # the right number of states, the last key replaced by the first
+        keys = a.keys.copy()
+        keys[-1] = keys[0]
+        lost = re.escape(f"canonical config {cf.unpack(a.keys[-1])} missing from automaton")
+        with pytest.raises(InternalConsistencyError, match=lost):
+            mg.canonical_full_ordering(am.Automaton(2, keys, a.transitions))
 
 
 class TestDiffAndExport:
@@ -339,7 +348,7 @@ class TestDiffAndExport:
         # difference: about 4.4 times the bytes of both entry arrays at any n
         a = build_cached(11)
         first = mg.build_R_direct(11)
-        second = am.recurrent_matrix(a, mg.canonical_ordering(a))
+        second = am.recurrent_matrix(canonical(a))
         tracemalloc.start()
         try:
             assert mg.diff_matrices(first, second) == []
@@ -393,7 +402,7 @@ class TestDiffAndExport:
         assert digest(mg.build_R_direct(9)) == (
             "650f3147307d871025904120ad05e519880adea242338e69c4e10e242ba6b686"
         )
-        assert digest(am.incidence_matrix(a, mg.canonical_full_ordering(a))) == (
+        assert digest(am.incidence_matrix(canonical(a))) == (
             "9ab1a12da89982a5f0944b11520b3bdf13e80aaf4c5501a118b9c8298ef69e3e"
         )
 
@@ -405,10 +414,10 @@ class TestDiffAndExport:
 
     def test_csv_equals_the_per_cell_join(self, build_cached):
         for n in range(1, 7):
-            a = build_cached(n)
+            a = canonical(build_cached(n))
             for m in (
-                am.incidence_matrix(a, mg.canonical_full_ordering(a)),
-                am.recurrent_matrix(a, mg.canonical_ordering(a)),
+                am.incidence_matrix(a),
+                am.recurrent_matrix(a),
                 mg.build_R_direct(n),
             ):
                 assert to_csv(m) == ref_to_csv(m), (n, m.dim)
