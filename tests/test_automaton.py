@@ -311,6 +311,23 @@ class TestIncidenceMatrix:
         m = am.incidence_matrix(a)
         assert row_sums(m) == [len(out_letters(a, s)) for s in range(len(a))]
 
+    def test_order_validation(self, build_cached):
+        # the matrix is read in the order the automaton is relabelled to;
+        # relabel refuses anything but a permutation of all states, 0 first
+        a = build_cached(2)
+        order = [0, 4, 3, 2, 1]
+        m = am.incidence_matrix(am.relabel(a, order))
+        assert m.dim == 5
+        full = np.array(dense(am.incidence_matrix(a)))
+        assert dense(m) == full[np.ix_(order, order)].tolist()
+        bad = (
+            [0, 1, 2], [0, 1, 2, 3, 3], [0, 1, 2, 3, 5], [0, 4, 3, 2, 1, 5], [0, 1, 2, 3, -1],
+            [4, 3, 2, 1, 0], [1, 0, 2, 3, 4],  # a permutation that moves state 0
+        )
+        for order in bad:
+            with pytest.raises(ValueError, match="permutation of all state indices with 0 first"):
+                am.relabel(a, order)
+
     @pytest.mark.parametrize("block", [1, 7, am._EDGE_BLOCK])
     def test_edges_in_blocks_of_sources(self, build_cached, monkeypatch, block):
         # every arrow once, sources ascending, then letters, across block
@@ -342,19 +359,6 @@ class TestRelabel:
             for r in range(1, n + 1):
                 t = target(a, s, r)
                 assert target(b, p, r) == (new[t] if t >= 0 else -1)
-
-    def test_order_validation(self, build_cached):
-        a = build_cached(2)
-        assert len(am.relabel(a, [0, 4, 3, 2, 1])) == 5
-        rec = am.recurrent_states(a)
-        bad = (
-            [0, 1, 2], [0, 1, 2, 3, 3], [0, 1, 2, 3, 5], [0, 4, 3, 2, 1, 5], [0, 1, 2, 3, -1],
-            [0] + rec[:-1], [0] + rec[:-1] + rec[:1], [0] + rec[:-1] + [0],
-            [4, 3, 2, 1, 0], [1, 0, 2, 3, 4],  # a permutation that moves state 0
-        )
-        for order in bad:
-            with pytest.raises(ValueError, match="permutation of all state indices with 0 first"):
-                am.relabel(a, order)
 
 
 class TestRecurrentStates:
@@ -404,6 +408,19 @@ class TestRecurrentMatrix:
         m = am.recurrent_matrix(build_cached(3))
         assert m.dim == 13
         assert set(row_sums(m)) <= {1, 2, 3}
+
+    def test_order_validation(self, build_cached):
+        # the recurrent states are read in the order the automaton is
+        # relabelled to; an order that drops or repeats one is refused
+        a = build_cached(2)
+        rec = am.recurrent_states(a)
+        m = am.recurrent_matrix(am.relabel(a, [0] + rec[::-1]))
+        assert m.dim == len(rec)
+        r = np.array(dense(am.recurrent_matrix(a)))
+        assert dense(m) == r[::-1, ::-1].tolist()
+        for order in (rec[:-1], rec[:-1] + rec[:1], rec[:-1] + [0]):
+            with pytest.raises(ValueError, match="permutation of all state indices with 0 first"):
+                am.relabel(a, [0] + order)
 
     def test_block_without_a_loop_is_refused(self):
         # the two i = 1 states form a 2-cycle: closed and strongly connected,
