@@ -6,8 +6,9 @@ indices follow the order a queue would give.  The BFS walks one level at a
 time on packed uint64 keys (configs.pack) with the array rule
 configs.successors, and sorts each level's targets once, so that every
 lookup among the keys seen so far runs in key order.  An Automaton holds a
-key array and a flat int32 (state, letter) table, each allocated once, and
-nothing else.  Readers of i or j take them from the keys, and a reader that
+key array and a flat int32 (state, letter) table, each allocated once and
+handed out read-only, and the recurrent split once recurrent_states has
+proved it.  Readers of i or j take them from the keys, and a reader that
 needs a SegmentConfig (export, the psi check of ``verify``) unpacks each
 key where it reads it.  A key holds n <= 14.  A reader that needs another
 state order, such as the canonical order, ``relabel``s the automaton once
@@ -92,11 +93,14 @@ class Automaton:
     first; ``transitions`` is the flat (state, letter) table: entry
     s * n + r - 1 is the state that letter r sends state s to, -1 if r is
     forbidden there.  build makes it int32, which holds every state index
-    up to n = 14 (s_14 < 2^20); readers widen what they compute with."""
+    up to n = 14 (s_14 < 2^20); readers widen what they compute with.
+    build and relabel hand out read-only arrays, and recurrent_states
+    keeps what it has proved of an automaton on it."""
 
     n: int
     keys: np.ndarray = field(repr=False)         # uint64, one key per state
     transitions: np.ndarray = field(repr=False)  # int32 (state, letter) -> state, -1 if forbidden
+    _recurrent: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __len__(self) -> int:
         return len(self.keys)
@@ -125,7 +129,8 @@ def build(n: int) -> Automaton:
     slice of ``keys`` and writes its rows of ``transitions`` and its new
     keys after it.  Each level's targets are sorted once, and each
     distinct target is looked up, in key order, among the sorted keys seen
-    so far; that one search also gives where a new key goes in.  The new
+    so far; that one search also gives where a new key goes in, and the
+    new keys join the sorted ones by one mask per level.  The new
     ones are numbered in order of first occurrence over (source, letter):
     the numbering a queue would give.
     Raises past the guard of check_build_limit, and
@@ -146,7 +151,9 @@ def build(n: int) -> Automaton:
         # a key's first (source, letter) is the least position of its run
         live = live[np.argsort(targets[live])]
         cand = targets[live]
-        start = np.flatnonzero(np.r_[True, cand[1:] != cand[:-1]][: len(cand)])
+        run_start = np.ones(len(cand), dtype=bool)
+        np.not_equal(cand[1:], cand[:-1], out=run_start[1:])
+        start = np.flatnonzero(run_start)
         uniq = cand[start]  # one per run of equal keys
         at = np.searchsorted(known, uniq)  # also where a fresh key goes in
         near = np.minimum(at, len(known) - 1)
@@ -163,15 +170,38 @@ def build(n: int) -> Automaton:
         ids[new] = rank
         row = transitions[done * n : count * n]
         row.fill(-1)
-        row[live] = np.repeat(ids, np.diff(start, append=len(cand)))
+        row[live] = ids[np.cumsum(run_start) - 1]
         keys[count : count + len(fresh)] = fresh[by_first]
-        known, known_ids = np.insert(known, at[new], fresh), np.insert(known_ids, at[new], rank)
+        # the fresh keys join the known ones in key order: fresh key f goes
+        # in at at[f] + f, so one mask places both arrays, with no sort
+        into = at[new] + np.arange(len(fresh))
+        old = np.ones(len(known) + len(fresh), dtype=bool)
+        old[into] = False
+        known, known_ids = _merged(known, fresh, old, into), _merged(known_ids, rank, old, into)
         done, count = count, count + len(fresh)
     if count != expected:
         raise InternalConsistencyError(
             f"BFS found {count} states for n={n}, formula gives {expected}"
         )
-    return Automaton(n, keys, transitions)
+    return _sealed(Automaton(n, keys, transitions))
+
+
+def _merged(old_values: np.ndarray, new_values: np.ndarray, old: np.ndarray,
+            into: np.ndarray) -> np.ndarray:
+    """One array of len(old) holding ``old_values`` where ``old`` is set
+    and ``new_values`` at the positions ``into``."""
+    out = np.empty(len(old), dtype=old_values.dtype)
+    out[old] = old_values
+    out[into] = new_values
+    return out
+
+
+def _sealed(a: Automaton) -> Automaton:
+    """``a`` with its arrays made read-only, so that what recurrent_states
+    proves of it stays true."""
+    a.keys.flags.writeable = False
+    a.transitions.flags.writeable = False
+    return a
 
 
 def state_after(a: Automaton, w) -> int | None:
@@ -203,7 +233,7 @@ def relabel(a: Automaton, order) -> Automaton:
     order = np.asarray(order)
     if not (np.array_equal(np.sort(order), np.arange(len(a))) and order[0] == 0):
         raise ValueError("order must be a permutation of all state indices with 0 first")
-    return Automaton(a.n, a.keys[order], _targets(a, order).ravel())
+    return _sealed(Automaton(a.n, a.keys[order], _targets(a, order).ravel()))
 
 
 # ---------------------------------------------------------------------------
@@ -250,12 +280,6 @@ class SparseBooleanMatrix:
         np.divmod(keys, self.dim, out=(entries[:, 0], entries[:, 1]))
         entries.flags.writeable = False
         object.__setattr__(self, "entries", entries)
-
-    def to_csr(self) -> csr_matrix:
-        """The matrix as scipy CSR with float ones at the entries, on
-        int64 indices."""
-        p, q = self.entries.T.astype(np.int64)
-        return csr_matrix((np.ones(len(p)), (p, q)), shape=(self.dim, self.dim))
 
 
 _EDGE_BLOCK = 1 << 18
@@ -317,6 +341,22 @@ def _levels(src: np.ndarray, dst: np.ndarray, m: int, start: int) -> np.ndarray:
     return level
 
 
+def _forward_reach(a: Automaton, start: int) -> np.ndarray:
+    """Boolean mask of the states reachable from ``start``, read level by
+    level off the rows of the transition table."""
+    table = a.transitions.reshape(len(a), a.n)
+    reached = np.zeros(len(a), dtype=bool)
+    reached[start] = True
+    frontier = np.array([start])
+    while len(frontier):
+        heads = table[frontier].ravel()
+        heads = heads[heads >= 0]
+        heads = heads[~reached[heads]]
+        reached[heads] = True
+        frontier = np.unique(heads)
+    return reached
+
+
 def recurrent_states(a: Automaton) -> list[int]:
     """Indices of states with i = 1, verified to be the unique closed SCC.
 
@@ -328,20 +368,26 @@ def recurrent_states(a: Automaton) -> list[int]:
     reached from it), and every closed SCC holds s0 since its states reach
     s0; conversely, a closed strongly connected S is what s0 reaches, and
     every state reaches a closed SCC, which is then S.
+
+    The proof runs once per automaton object: it is kept on ``a`` as an
+    index array, and every call returns a new list of it.  A copy made by
+    dataclasses.replace is proved again.
     """
-    m = len(a)
-    src, dst = _edges(a).T
-    predicate = key_fields(a.keys)[0] == 1
-    rec = np.flatnonzero(predicate)
-    if not (
-        len(rec)
-        and np.array_equal(_levels(src, dst, m, rec[0]) >= 0, predicate)
-        and (_levels(dst, src, m, rec[0]) >= 0).all()
-    ):
-        raise InternalConsistencyError(
-            f"i=1 predicate and closed SCC disagree for n={a.n}"
-        )
-    return rec.tolist()
+    if a._recurrent is None:
+        m = len(a)
+        src, dst = _edges(a).T
+        predicate = key_fields(a.keys)[0] == 1
+        rec = np.flatnonzero(predicate)
+        if not (
+            len(rec)
+            and np.array_equal(_forward_reach(a, rec[0]), predicate)
+            and (_levels(dst, src, m, rec[0]) >= 0).all()
+        ):
+            raise InternalConsistencyError(
+                f"i=1 predicate and closed SCC disagree for n={a.n}"
+            )
+        a._recurrent = rec
+    return a._recurrent.tolist()
 
 
 def boolean_primitive(m: SparseBooleanMatrix) -> bool:

@@ -19,8 +19,9 @@ A configuration of size n <= 14 packs into one uint64 key (``pack``,
 right end of the segment starting at p, or 0 if none does.
 
 Each fact about a state has one routine: ``successors(keys, n)`` is the
-letter-transition rule, on a whole array of keys at once, that the BFS of
-``automaton.build`` reads; ``shift_keys`` prepends a white circle to every
+letter-transition rule that the BFS of ``automaton.build`` reads, computed
+for every letter of a whole array of keys at once, one (rows, n) array pass
+per outcome; ``shift_keys`` prepends a white circle to every
 key, the step from which matrixgen builds the canonical orderings;
 ``_marks(c, n)`` reads the diagram off (i, j, k, S), and ``psi`` and
 ``render_diagram`` draw from it; ``c.j`` is the final letter.  The
@@ -165,6 +166,11 @@ def key_fields(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return tuple((keys >> _U(4 * f) & _NIBBLE).astype(np.int64) for f in range(3))
 
 
+#: successors works through its keys this many rows at a time, so that its
+#: (rows, n) temporaries stay small whatever the size of a BFS level.
+_ROW_BLOCK = 1 << 11
+
+
 def successors(keys: np.ndarray, n: int) -> np.ndarray:
     """(F, n) uint64 array: row f, column r - 1 holds the key that letter r
     leads to from ``keys[f]``, or 0 when r is forbidden there.
@@ -182,38 +188,53 @@ def successors(keys: np.ndarray, n: int) -> np.ndarray:
       * r = j+1 extends the segments ending at the square to j+1, and
         k becomes max(k, j+1).
 
-    Keys and constants are uint64 throughout: no Python int meets a key, so
-    numpy's old and new promotion rules (NEP 50) give the same types.
+    Every letter is computed at once, on (rows, n) arrays of _ROW_BLOCK
+    keys at a time: each outcome once, in the columns where it applies.
+    The segment starts and the square share one rule (they differ only in
+    where q comes from), and r = j+1 falls in one column per key, so it is
+    computed once per key and written into column j.  Keys and constants
+    are uint64 throughout: no Python int meets a key, so numpy's old and
+    new promotion rules (NEP 50) give the same types.
     """
     keys = np.asarray(keys, dtype=np.uint64)
-    i, j, k = (keys >> _U(4 * f) & _NIBBLE for f in range(3))
-    segs = keys & _SEGMENT_BITS
-    out = np.zeros((len(keys), n), dtype=np.uint64)
-    for r in range(1, n + 1):
-        ur = _U(r)
-        # r at a segment start (its right end q) or at the square (k = j)
-        q = keys >> _U(4 * (r + 2)) & _NIBBLE if r < n else np.zeros_like(keys)
-        at_square = j == ur
-        q[at_square] = ur
-        left = keys & _U(((1 << 4 * (r + 2)) - 1) ^ 0xFFF)
-        if r > 1:
-            # cell r-1 is black: at or right of i and no segment starts there
-            black = (i < ur) & ((keys >> _U(4 * (r + 1)) & _NIBBLE) == _U(0))
-            left |= np.where(black, _U(r << 4 * (r + 1)), _U(0))
-        to_start = i | _U(r << 4) | q << _U(8) | left
-        # r = j+1: the segments ending at j = r-1 grow to r
-        # nibble by nibble: bit 0 of differ is set where the nibble is not j
-        differ = segs ^ _SEGMENT_ONES * _U(r - 1)
+    out = np.empty((len(keys), n), dtype=np.uint64)
+    r = np.arange(1, n + 1, dtype=np.uint64)
+    # column r - 1: the shift to the nibble of the segment starting at r
+    # (r < n only: at n = 14 the one of r = n would be 64 bits), the mask of
+    # the segments starting left of r, and the run [r-1, r] in nibble r + 1
+    shift = _U(4) * (r[:-1] + _U(2))
+    left_mask = np.array([((1 << 4 * (c + 2)) - 1) ^ 0xFFF for c in range(1, n + 1)],
+                         dtype=np.uint64)
+    run = np.array([c << 4 * (c + 1) for c in range(2, n + 1)], dtype=np.uint64)
+    for s in range(0, len(keys), _ROW_BLOCK):
+        block, to = keys[s : s + _ROW_BLOCK], out[s : s + _ROW_BLOCK]
+        i, j, k = (block >> _U(4 * f) & _NIBBLE for f in range(3))
+        # q: the right end of the segment starting at r, or r at the square,
+        # 0 elsewhere; r = n starts no segment
+        q = np.zeros(to.shape, dtype=np.uint64)
+        np.right_shift(block[:, None], shift, out=q[:, :-1])
+        q[:, :-1] &= _NIBBLE
+        # cell r-1 is black: at or right of i and no segment starts there
+        black = (q[:, :-1] == _U(0)) & (i[:, None] < r[1:])
+        q[np.arange(len(block)), j - _U(1)] = j
+        np.bitwise_and(block[:, None], left_mask, out=to)
+        to[:, 1:] |= black * run
+        to |= q << _U(8)
+        to |= r << _U(4)
+        to |= i[:, None]
+        np.copyto(to, _U(0), where=q == _U(0))
+        np.copyto(to, r * _U(0x111), where=i[:, None] > r)
+        # r = j+1, if j < n and cell j+1 is not black: the segments ending
+        # at j grow to j+1, nibble by nibble; bit 0 of differ is set where
+        # the nibble is not j
+        nxt = np.flatnonzero((j < _U(n)) & (k != j + _U(1)))
+        i, j, k = i[nxt], j[nxt], k[nxt]
+        segs = block[nxt] & _SEGMENT_BITS
+        differ = segs ^ _SEGMENT_ONES * j
         differ |= differ >> _U(1)
         differ |= differ >> _U(2)
         grown = segs + (_SEGMENT_ONES & ~differ)
-        to_next = i | _U(r << 4) | np.maximum(k, ur) << _U(8) | grown
-        out[:, r - 1] = np.where(
-            i > ur,
-            _U(r * 0x111),
-            np.where(q != _U(0), to_start,
-                     np.where((j == _U(r - 1)) & (k != ur), to_next, _U(0))),
-        )
+        to[nxt, j] = i | (j + _U(1)) << _U(4) | np.maximum(k, j + _U(1)) << _U(8) | grown
     return out
 
 

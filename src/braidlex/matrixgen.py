@@ -220,11 +220,22 @@ def diff_matrices(
     """Coordinates present in exactly one matrix, sorted; empty means equal."""
     if first.dim != second.dim:
         raise ValueError(f"dimension mismatch: {first.dim} vs {second.dim}")
-    # each matrix holds a pair once, so its row-major keys are unique
+    # each matrix holds its pairs once in row-major order, so its row-major
+    # keys are sorted and unique
     a, b = (row_major_keys(m.entries, m.dim) for m in (first, second))
     only = [(k, s) for mine, other, s in ((a, b, "only-in-first"), (b, a, "only-in-second"))
-            for k in mine[~np.isin(mine, other, assume_unique=True)].tolist()]
+            for k in _absent(mine, other).tolist()]
     return [(*divmod(k, first.dim), s) for k, s in sorted(only)]
+
+
+def _absent(keys: np.ndarray, other: np.ndarray) -> np.ndarray:
+    """The entries of ``keys`` missing from the sorted array ``other``:
+    one binary search of each key, with no sort."""
+    if not len(other):
+        return keys
+    at = np.searchsorted(other, keys)
+    np.minimum(at, len(other) - 1, out=at)
+    return keys[other[at] != keys]
 
 
 _MM_BLOCK = 1 << 15

@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import csr_matrix
 
 from .automaton import Automaton, SparseBooleanMatrix, recurrent_matrix, recurrent_states
 from .configs import key_fields
@@ -77,7 +78,9 @@ def perron(
     before the loop: ``v @ R`` would have scipy transpose R into a new CSC
     object on every step, half the cost of a step.  Entry q of R^T v still
     sums v_p over the rows p of R with an arrow to q, in ascending order
-    from 0.0, so every iterate is bitwise what ``v @ R`` gives.
+    from 0.0, so every iterate is bitwise what ``v @ R`` gives.  Row q of
+    R^T lists those p in that order because R's pairs are row-major and
+    one stable sort by column keeps it.
     """
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
@@ -87,19 +90,23 @@ def perron(
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     if R.dim == 0:
         raise ValueError("perron needs a matrix of positive dimension, got 0x0")
-    mat_t = R.to_csr().T.tocsr()
+    rows, cols = R.entries.T
+    by_col = np.argsort(cols, kind="stable")
+    starts = np.zeros(R.dim + 1, dtype=np.int64)
+    np.cumsum(np.bincount(cols, minlength=R.dim), out=starts[1:])
+    mat_t = csr_matrix((np.ones(len(by_col)), rows[by_col], starts), shape=(R.dim, R.dim))
     v = np.full(R.dim, 1.0 / R.dim)
     gap = np.empty(R.dim)  # |w - lam v|, one buffer for every step
     lam_prev = 0.0
     best, best_it = float("inf"), 0
     for it in range(1, max_iter + 1):
         w = mat_t @ v
-        lam = float(w.sum())  # = ||w||_1 since w >= 0 and ||v||_1 = 1
+        lam = float(np.add.reduce(w))  # = ||w||_1 since w >= 0 and ||v||_1 = 1
         if lam <= 0.0:
             raise ConvergenceError(f"iterate vanished at step {it}", residual=None)
         np.multiply(v, lam, out=gap)
         np.subtract(w, gap, out=gap)
-        residual = float(np.abs(gap, out=gap).max())
+        residual = float(np.maximum.reduce(np.abs(gap, out=gap)))
         v = w / lam
         if abs(lam - lam_prev) < tol and residual < tol:
             return SpectralResult(lam, v, it, residual)

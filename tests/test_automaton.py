@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse import csr_matrix
 from test_configs import index_of, keys_of, ref_shift, states_of
 
 from braidlex import automaton as am
@@ -32,6 +33,12 @@ R2_DENSE = [
     [0, 0, 0, 1],
     [0, 1, 0, 1],
 ]
+
+
+def to_csr(m):
+    """The matrix as scipy CSR with float ones at the entries."""
+    p, q = m.entries.T.astype(np.int64)
+    return csr_matrix((np.ones(len(p)), (p, q)), shape=(m.dim, m.dim))
 
 
 def dense(m):
@@ -395,6 +402,28 @@ class TestRecurrentStates:
             am.recurrent_states(dataclasses.replace(a, transitions=moved))
 
 
+    def test_one_proof_per_automaton(self, monkeypatch):
+        levels = am._levels
+        calls = []
+        monkeypatch.setattr(am, "_levels", lambda *args: calls.append(1) or levels(*args))
+        a = am.build(4)
+        first = am.recurrent_states(a)
+        first.clear()  # each call hands out a new list
+        assert am.recurrent_states(a) == am.recurrent_states(am.build(4)) != []
+        assert len(calls) == 2  # a, then the second build
+        copy = dataclasses.replace(a)
+        assert am.recurrent_states(copy) == am.recurrent_states(a)
+        assert len(calls) == 3
+
+    def test_built_and_relabelled_arrays_are_read_only(self):
+        a = am.build(3)
+        for b in (a, am.relabel(a, range(len(a)))):
+            with pytest.raises(ValueError, match="read-only"):
+                b.keys[0] = 1
+            with pytest.raises(ValueError, match="read-only"):
+                b.transitions[0] = 0
+
+
 class TestRecurrentMatrix:
     def test_r2_in_canonical_order(self, build_cached):
         a = build_cached(2)
@@ -585,7 +614,7 @@ class TestCountWords:
     @pytest.mark.parametrize("n, k", [(1, 0), (1, 5000), (2, 0), (2, 10), (2, 200), (5, 100)])
     def test_path_counts_table(self, build_cached, n, k):
         a = build_cached(n)
-        mt = am.incidence_matrix(a).to_csr().T.tocsr().astype(np.int64)
+        mt = to_csr(am.incidence_matrix(a)).T.tocsr().astype(np.int64)
         r, top = am._path_counts(mt, k)
         ref = ref_path_counts(a, min(k, 100))
         assert r == ref[: len(r)]

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from braidlex import configs as cf
+from braidlex import matrixgen as mg
 from braidlex import oracle
 from braidlex.configs import SegmentConfig
 from braidlex.errors import BraidLexError, ConfigError
@@ -318,6 +319,42 @@ class TestDiagram:
             cf.render_diagram(SegmentConfig(1, 2, 3, ((2, 3),)), 3)
 
 
+def ref_successors(keys, n):
+    """configs.successors as it was computed one letter at a time: about
+    25 array passes per letter over every key."""
+    U = np.uint64
+    keys = np.asarray(keys, dtype=U)
+    nibble = U(15)
+    i, j, k = (keys >> U(4 * f) & nibble for f in range(3))
+    segs = keys & U(((1 << 64) - 1) ^ 0xFFF)
+    ones = U(sum(1 << 4 * (p + 2) for p in range(1, cf.MAX_KEY_N)))
+    out = np.zeros((len(keys), n), dtype=U)
+    for r in range(1, n + 1):
+        ur = U(r)
+        # r at a segment start (its right end q) or at the square (k = j)
+        q = keys >> U(4 * (r + 2)) & nibble if r < n else np.zeros_like(keys)
+        q[j == ur] = ur
+        left = keys & U(((1 << 4 * (r + 2)) - 1) ^ 0xFFF)
+        if r > 1:
+            # cell r-1 is black: at or right of i and no segment starts there
+            black = (i < ur) & ((keys >> U(4 * (r + 1)) & nibble) == U(0))
+            left |= np.where(black, U(r << 4 * (r + 1)), U(0))
+        to_start = i | U(r << 4) | q << U(8) | left
+        # r = j+1: the segments ending at j = r-1 grow to r
+        differ = segs ^ ones * U(r - 1)
+        differ |= differ >> U(1)
+        differ |= differ >> U(2)
+        grown = segs + (ones & ~differ)
+        to_next = i | U(r << 4) | np.maximum(k, ur) << U(8) | grown
+        out[:, r - 1] = np.where(
+            i > ur,
+            U(r * 0x111),
+            np.where(q != U(0), to_start,
+                     np.where((j == U(r - 1)) & (k != ur), to_next, U(0))),
+        )
+    return out
+
+
 def successor_list(c, n):
     """(r, target) for every permitted letter r, ascending: the array rule
     read on the single key of ``c``."""
@@ -382,6 +419,18 @@ class TestTransition:
                     for r in range(1, n + 1)
                 ]
                 assert row == expected, c
+
+    @pytest.mark.parametrize("block", [None, 1, 7])
+    def test_successors_equal_the_letter_by_letter_rule(self, monkeypatch, block):
+        # every state of every size up to 12, at once; a small row block
+        # puts block seams inside every level
+        if block is not None:
+            monkeypatch.setattr(cf, "_ROW_BLOCK", block)
+        for n in range(1, 13):
+            keys = mg.canonical_keys(n)
+            if block is not None:
+                keys = keys[:2000]
+            assert np.array_equal(cf.successors(keys, n), ref_successors(keys, n)), n
 
     def test_closure_and_final_letter(self):
         for n in range(1, EXHAUSTIVE_N + 1):

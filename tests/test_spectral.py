@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from test_automaton import canonical, dense
+from test_automaton import canonical, dense, to_csr
 from test_configs import states_of
 
 from braidlex import automaton as am
@@ -35,7 +35,7 @@ def resolvent_nonneg_check(R, lam):
     Requires lam safely above the spectral radius, taken from the
     eigenvalues of the dense matrix: this is a check for small R.
     """
-    dense = R.to_csr().toarray()
+    dense = to_csr(R).toarray()
     rho = float(np.abs(np.linalg.eigvals(dense)).max(initial=0.0))
     if lam <= rho + 1e-6:
         raise SpectralPreconditionError(
@@ -58,7 +58,7 @@ def resolvent_nonneg_check(R, lam):
 def ref_perron(R, tol=sp.DEFAULT_TOL, max_iter=sp.DEFAULT_MAX_ITER):
     """Power iteration as perron ran it with ``v @ R``: scipy transposes
     the CSR matrix on every step.  Stops on perron's test; no stall rule."""
-    mat = R.to_csr()
+    mat = to_csr(R)
     v = np.full(R.dim, 1.0 / R.dim)
     lam_prev = 0.0
     for it in range(1, max_iter + 1):
@@ -106,7 +106,7 @@ class TestPerron:
         with pytest.raises(ValueError, match="max_iter"):
             sp.perron(am.SparseBooleanMatrix(1, [(0, 0)]), max_iter=max_iter)
 
-    @pytest.mark.parametrize("n", range(2, 10))
+    @pytest.mark.parametrize("n", range(2, 11))
     def test_iterates_are_bitwise_those_of_v_at_R(self, build_cached, n):
         R = am.recurrent_matrix(build_cached(n))
         got, want = sp.perron(R), ref_perron(R)
