@@ -151,9 +151,11 @@ def build(n: int) -> Automaton:
         # a key's first (source, letter) is the least position of its run
         live = live[np.argsort(targets[live])]
         cand = targets[live]
-        run_start = np.ones(len(cand), dtype=bool)
-        np.not_equal(cand[1:], cand[:-1], out=run_start[1:])
-        start = np.flatnonzero(run_start)
+        # the bounds of the runs of equal keys: each run's start, then len(cand)
+        bound = np.ones(len(cand) + 1, dtype=bool)
+        np.not_equal(cand[1:], cand[:-1], out=bound[1:-1])
+        bounds = np.flatnonzero(bound)
+        start = bounds[:-1]
         uniq = cand[start]  # one per run of equal keys
         at = np.searchsorted(known, uniq)  # also where a fresh key goes in
         near = np.minimum(at, len(known) - 1)
@@ -170,7 +172,8 @@ def build(n: int) -> Automaton:
         ids[new] = rank
         row = transitions[done * n : count * n]
         row.fill(-1)
-        row[live] = ids[np.cumsum(run_start) - 1]
+        # int32 ids straight from the runs, with no int64 index per target
+        row[live] = np.repeat(ids, np.diff(bounds))
         keys[count : count + len(fresh)] = fresh[by_first]
         # the fresh keys join the known ones in key order: fresh key f goes
         # in at at[f] + f, so one mask places both arrays, with no sort

@@ -166,8 +166,8 @@ def key_fields(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return tuple((keys >> _U(4 * f) & _NIBBLE).astype(np.int64) for f in range(3))
 
 
-#: successors works through its keys this many rows at a time, so that its
-#: (rows, n) temporaries stay small whatever the size of a BFS level.
+#: successors works through its keys at most this many rows at a time, so
+#: that its (rows, n) temporaries stay small whatever the size of a BFS level.
 _ROW_BLOCK = 1 << 11
 
 
@@ -188,8 +188,9 @@ def successors(keys: np.ndarray, n: int) -> np.ndarray:
       * r = j+1 extends the segments ending at the square to j+1, and
         k becomes max(k, j+1).
 
-    Every letter is computed at once, on (rows, n) arrays of _ROW_BLOCK
-    keys at a time: each outcome once, in the columns where it applies.
+    Every letter is computed at once, on (rows, n) arrays of at most
+    _ROW_BLOCK keys at a time: each outcome once, in the columns where it
+    applies.
     The segment starts and the square share one rule (they differ only in
     where q comes from), and r = j+1 falls in one column per key, so it is
     computed once per key and written into column j.  Keys and constants
@@ -206,8 +207,12 @@ def successors(keys: np.ndarray, n: int) -> np.ndarray:
     left_mask = np.array([((1 << 4 * (c + 2)) - 1) ^ 0xFFF for c in range(1, n + 1)],
                          dtype=np.uint64)
     run = np.array([c << 4 * (c + 1) for c in range(2, n + 1)], dtype=np.uint64)
-    for s in range(0, len(keys), _ROW_BLOCK):
-        block, to = keys[s : s + _ROW_BLOCK], out[s : s + _ROW_BLOCK]
+    # blocks of equal size, to a row: every block of a level then allocates
+    # temporaries of one size, each in the memory the last one freed; a
+    # short last block would leave holes in the heap that raise the peak RSS
+    # of the commands that run after the BFS
+    parts = -(-len(keys) // _ROW_BLOCK) or 1
+    for block, to in zip(np.array_split(keys, parts), np.array_split(out, parts)):
         i, j, k = (block >> _U(4 * f) & _NIBBLE for f in range(3))
         # q: the right end of the segment starting at r, or r at the square,
         # 0 elsewhere; r = n starts no segment
