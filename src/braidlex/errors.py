@@ -22,11 +22,15 @@ class InternalConsistencyError(BraidLexError):
 
 
 class ConvergenceError(BraidLexError):
-    """Power iteration failed to converge within the iteration budget."""
+    """Power iteration failed to converge within the iteration budget.
 
-    def __init__(self, message, residual=None):
+    ``history`` holds (iteration, lambda, residual) triples, oldest first.
+    """
+
+    def __init__(self, message, residual=None, history=()):
         super().__init__(message)
         self.residual = residual
+        self.history = tuple(history)
 
 
 class BoundViolationError(BraidLexError):

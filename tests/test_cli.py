@@ -330,6 +330,22 @@ class TestSpectrum:
         assert code == 4
         assert "error" in err
 
+    def test_digits_do_not_depend_on_the_openblas_thread_count(self):
+        # perron calls no BLAS routine, so the printed digits are the same
+        # whatever pool OpenBLAS starts
+        outs = []
+        for threads in ("1", "2"):
+            proc = subprocess.run(
+                [sys.executable, "-m", "braidlex.cli", "spectrum", "9"],
+                capture_output=True, timeout=120,
+                env=dict(os.environ, PYTHONPATH=str(ROOT / "src"),
+                         OPENBLAS_NUM_THREADS=threads),
+            )
+            assert proc.returncode == 0, proc.stderr.decode()
+            outs.append(proc.stdout)
+        assert outs[0] == outs[1]
+        assert outs[0].startswith(b"n 9\nlambda 2.96648976449")
+
     @pytest.mark.parametrize("tol", ["-1", "nan"])
     def test_bad_tol_exit_code(self, capsys, tol):
         code, out, err = run(capsys, "spectrum", "3", "--tol", tol)
@@ -349,12 +365,14 @@ class TestTable:
         assert all(line.endswith("ok") for line in lines if line.startswith("bound"))
 
     def test_output_is_pinned(self, capsys):
-        # sha256 of the output when Perron stepped with v @ R, which
-        # transposed R on every step: every printed digit is unchanged
+        # sha256 of the output of Perron with RRE restarts. Against plain
+        # power iteration the printed lambda and P_a1 move in the 14th-17th
+        # decimal (n = 2: 1.61803398874990867 became 1.61803398874989490)
+        # and P_1 not at all; every change of these digits must be recorded
         code, out, _ = run(capsys, "table", "--from", "2", "--to", "10")
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == (
-            "7bc8cdab5157abc0a69fb3d8247ee07e7181e5020c28301d317c153081a522fc"
+            "24d4eab4c7e877ea857d8f9af584a3d846947551b1ceb5fd8264e67405b8caef"
         )
 
     def test_empty_range_refuses_before_printing(self, capsys):

@@ -107,13 +107,36 @@ class TestPerron:
             sp.perron(am.SparseBooleanMatrix(1, [(0, 0)]), max_iter=max_iter)
 
     @pytest.mark.parametrize("n", range(2, 11))
-    def test_iterates_are_bitwise_those_of_v_at_R(self, build_cached, n):
+    def test_iterates_are_bitwise_those_of_v_at_R(self, build_cached, n, monkeypatch):
+        # with the extrapolation switched off, every step is bitwise a step
+        # of v @ R: the CSR form of R^T adds each column in R's row order
+        monkeypatch.setattr(sp, "RRE_EVERY", sp.DEFAULT_MAX_ITER + 1)
         R = am.recurrent_matrix(build_cached(n))
         got, want = sp.perron(R), ref_perron(R)
         assert (got.lam, got.residual, got.iterations) == (
             want.lam, want.residual, want.iterations
         )
         assert np.array_equal(got.v, want.v)
+
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_matches_plain_power_iteration(self, build_cached, n):
+        a = build_cached(n)
+        R = am.recurrent_matrix(a)
+        got, want = sp.perron(R), ref_perron(R)
+        assert abs(got.lam - want.lam) < 1e-13
+        per_got = sp.proportions(a, got).per_letter
+        per_want = sp.proportions(a, want).per_letter
+        assert max(abs(x - y) for x, y in zip(per_got, per_want)) < 1e-12
+        assert got.residual < sp.DEFAULT_TOL
+        # the residual of the returned pair, through a matrix perron never saw
+        assert np.max(np.abs(got.v @ to_csr(R) - got.lam * got.v)) < sp.DEFAULT_TOL
+        assert np.all(got.v > 0)
+        assert abs(got.v.sum() - 1.0) < 1e-15
+
+    def test_extrapolation_cuts_the_steps(self, build_cached):
+        # plain power iteration takes 722 steps at n = 10: a silent fall
+        # back to it fails here
+        assert sp.perron(am.recurrent_matrix(build_cached(10))).iterations < 300
 
     def test_left_eigen_residual(self, build_cached):
         a = build_cached(4)
@@ -126,13 +149,45 @@ class TestPerron:
         with pytest.raises(ConvergenceError) as exc:
             sp.perron(am.recurrent_matrix(build_cached(3)), max_iter=2)
         assert exc.value.residual is not None
+        assert exc.value.history == ((2, pytest.approx(2.1538461538), exc.value.residual),)
+
+    def test_history_records_each_restart_and_the_failing_step(self, build_cached):
+        with pytest.raises(ConvergenceError) as exc:
+            sp.perron(am.recurrent_matrix(build_cached(3)), max_iter=45)
+        steps = [it for it, _, _ in exc.value.history]
+        assert steps == [20, 40, 45]
+        assert exc.value.history[-1][2] == exc.value.residual
+        assert all(0 < r < 1e-5 for _, _, r in exc.value.history)
 
     def test_unreachable_tol_stops_when_the_residual_stalls(self, build_cached):
-        # in double precision the n = 5 residual bottoms out near 3e-17 by
-        # step 151, so the run ends STALL_STEPS later, not at max_iter
+        # in double precision the n = 5 residual bottoms out near 1.4e-17 by
+        # step 90, so the run ends STALL_STEPS later, not at max_iter
         with pytest.raises(ConvergenceError, match="not improved") as exc:
             sp.perron(am.recurrent_matrix(build_cached(5)), tol=1e-30, max_iter=5000)
         assert 0 < exc.value.residual < 1e-15
+        *restarts, (last_it, _, last_res) = exc.value.history
+        assert last_res == exc.value.residual and last_it > restarts[-1][0]
+        assert [it for it, _, _ in restarts[:3]] == [20, 40, 60]
+
+    def test_singular_gram_matrix_falls_back_to_power_steps(self):
+        # [[1, 1], [1, 0]]: after the restart at step 20 the iterates settle
+        # into a floating-point 2-cycle, so the differences alternate in
+        # sign and every later Gram matrix has rank one (a zero pivot);
+        # perron steps on until the stall rule ends it
+        fib = am.SparseBooleanMatrix(2, [(0, 0), (0, 1), (1, 0)])
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            with pytest.raises(ConvergenceError, match="not improved") as exc:
+                sp.perron(fib, tol=1e-30, max_iter=5000)
+        assert [it for it, _, _ in exc.value.history] == [20, 22 + sp.STALL_STEPS]
+        assert all(math.isfinite(lam) and r >= 0 for _, lam, r in exc.value.history)
+
+    def test_exact_after_one_step_stops_before_any_extrapolation(self):
+        # the all-ones matrix maps the uniform vector to a multiple of
+        # itself in exact arithmetic and in floating point: the stop test
+        # fires at step 2 with residual 0, even at tol = 1e-30
+        ones = am.SparseBooleanMatrix(3, [(p, q) for p in range(3) for q in range(3)])
+        res = sp.perron(ones, tol=1e-30, max_iter=5000)
+        assert (res.lam, res.iterations, res.residual) == (3.0, 2, 0.0)
 
     @settings(deadline=None, max_examples=15)
     @given(data=st.data())
