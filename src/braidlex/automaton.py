@@ -6,9 +6,9 @@ indices follow the order a queue would give.  The BFS walks one level at a
 time on packed uint64 keys (configs.pack) with the array rule
 configs.successors, and sorts each level's targets once, so that every
 lookup among the keys seen so far runs in key order.  An Automaton holds a
-key array and a flat int32 (state, letter) table, each allocated once and
-handed out read-only, and the recurrent split once recurrent_states has
-proved it.  Readers of i or j take them from the keys, and a reader that
+key array and a flat int32 (state, letter) table, each allocated once, and
+nothing else: recurrent_states proves the recurrent split from the table
+on every call.  Readers of i or j take them from the keys, and a reader that
 needs a SegmentConfig (export, the psi check of ``verify``) unpacks each
 key where it reads it.  A key holds n <= 14.  A reader that needs another
 state order, such as the canonical order, ``relabel``s the automaton once
@@ -94,13 +94,12 @@ class Automaton:
     s * n + r - 1 is the state that letter r sends state s to, -1 if r is
     forbidden there.  build makes it int32, which holds every state index
     up to n = 14 (s_14 < 2^20); readers widen what they compute with.
-    build and relabel hand out read-only arrays, and recurrent_states
-    keeps what it has proved of an automaton on it."""
+    Nothing is cached on it, so every reader reads the arrays as they
+    are."""
 
     n: int
     keys: np.ndarray = field(repr=False)         # uint64, one key per state
     transitions: np.ndarray = field(repr=False)  # int32 (state, letter) -> state, -1 if forbidden
-    _recurrent: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __len__(self) -> int:
         return len(self.keys)
@@ -132,7 +131,8 @@ def build(n: int) -> Automaton:
     so far; that one search also gives where a new key goes in, and the
     new keys join the sorted ones by one mask per level.  The new
     ones are numbered in order of first occurrence over (source, letter):
-    the numbering a queue would give.
+    the numbering a queue would give.  The two arrays are the automaton's
+    own, and nothing proved of them is kept beside them.
     Raises past the guard of check_build_limit, and
     InternalConsistencyError before a level could write past the arrays or
     when the BFS ends short of s_n.
@@ -186,7 +186,7 @@ def build(n: int) -> Automaton:
         raise InternalConsistencyError(
             f"BFS found {count} states for n={n}, formula gives {expected}"
         )
-    return _sealed(Automaton(n, keys, transitions))
+    return Automaton(n, keys, transitions)
 
 
 def _merged(old_values: np.ndarray, new_values: np.ndarray, old: np.ndarray,
@@ -197,14 +197,6 @@ def _merged(old_values: np.ndarray, new_values: np.ndarray, old: np.ndarray,
     out[old] = old_values
     out[into] = new_values
     return out
-
-
-def _sealed(a: Automaton) -> Automaton:
-    """``a`` with its arrays made read-only, so that what recurrent_states
-    proves of it stays true."""
-    a.keys.flags.writeable = False
-    a.transitions.flags.writeable = False
-    return a
 
 
 def state_after(a: Automaton, w) -> int | None:
@@ -232,11 +224,12 @@ def _targets(a: Automaton, order) -> np.ndarray:
 def relabel(a: Automaton, order) -> Automaton:
     """The automaton with state order[p] renumbered p.  Raises ValueError
     unless ``order`` is a permutation of all states that keeps state 0,
-    where count_words and state_after start, first."""
+    where count_words and state_after start, first.  The result holds new
+    arrays, and ``a`` is left as it was."""
     order = np.asarray(order)
     if not (np.array_equal(np.sort(order), np.arange(len(a))) and order[0] == 0):
         raise ValueError("order must be a permutation of all state indices with 0 first")
-    return _sealed(Automaton(a.n, a.keys[order], _targets(a, order).ravel()))
+    return Automaton(a.n, a.keys[order], _targets(a, order).ravel())
 
 
 # ---------------------------------------------------------------------------
@@ -316,81 +309,68 @@ def incidence_matrix(a: Automaton) -> SparseBooleanMatrix:
 # recurrent / transient split
 # ---------------------------------------------------------------------------
 
-def _levels(src: np.ndarray, dst: np.ndarray, m: int, start: int) -> np.ndarray:
-    """BFS levels from ``start`` over the edges src -> dst of a graph on
-    states 0..m-1, as an int64 array with -1 at every unreached state.
-
-    The edges are sorted by source once; each level then gathers the
-    targets of the whole frontier in one array pass, and reads the new
-    frontier off the level array in another.
-    """
-    heads = dst[np.argsort(src)]
-    out_degree = np.bincount(src, minlength=m)
-    first = np.cumsum(out_degree) - out_degree  # each state's first edge in heads
-    level = np.full(m, -1, dtype=np.int64)
-    level[start] = 0
-    frontier = np.array([start], dtype=np.int64)
-    depth = 0
-    while len(frontier):
-        depth += 1
-        degree = out_degree[frontier]
-        ends = np.cumsum(degree)
-        # frontier edge e, ends[k-1] <= e < ends[k], is the (e - ends[k] +
-        # degree[k])-th edge of state frontier[k]
-        at = np.repeat(first[frontier] - ends + degree, degree) + np.arange(ends[-1])
-        reach = heads[at]
-        level[reach[level[reach] < 0]] = depth
-        frontier = np.flatnonzero(level == depth)
-    return level
-
-
 def _forward_reach(a: Automaton, start: int) -> np.ndarray:
     """Boolean mask of the states reachable from ``start``, read level by
     level off the rows of the transition table."""
     table = a.transitions.reshape(len(a), a.n)
-    reached = np.zeros(len(a), dtype=bool)
-    reached[start] = True
+    # reached[-1] is set, so a forbidden letter (-1) reads reached
+    reached = np.zeros(len(a) + 1, dtype=bool)
+    reached[[start, -1]] = True
     frontier = np.array([start])
     while len(frontier):
         heads = table[frontier].ravel()
-        heads = heads[heads >= 0]
-        heads = heads[~reached[heads]]
-        reached[heads] = True
-        frontier = np.unique(heads)
-    return reached
+        fresh = np.zeros(len(a), dtype=bool)
+        fresh[heads[~reached[heads]]] = True
+        reached[:-1] |= fresh
+        frontier = np.flatnonzero(fresh)
+    return reached[:-1]
+
+
+def _backward_reach(a: Automaton, goal: int) -> np.ndarray:
+    """Boolean mask of the states from which ``goal`` is reachable, by a
+    pull fixpoint on the rows of the transition table: each round, the
+    unreached states with a letter into a reached one become reached,
+    until a round adds none (n + 1 rounds reach every state, n = 2..13)."""
+    table = a.transitions.reshape(len(a), a.n)
+    # reached[-1] stays False, so a forbidden letter (-1) reads unreached
+    reached = np.zeros(len(a) + 1, dtype=bool)
+    reached[goal] = True
+    left = np.flatnonzero(~reached[:-1])
+    while len(left):
+        pulled = reached[table[left]].any(axis=1)
+        if not pulled.any():
+            break
+        reached[left[pulled]] = True
+        left = left[~pulled]
+    return reached[:-1]
 
 
 def recurrent_states(a: Automaton) -> list[int]:
     """Indices of states with i = 1, verified to be the unique closed SCC.
 
     Let S = {i = 1} and s0 its first state.  The check is that the forward
-    BFS from s0 reaches exactly S and the backward BFS from s0 reaches every
-    state.  That is equivalent to S being the unique closed SCC:
+    search from s0 reaches exactly S and that every state reaches s0.
+    That is equivalent to S being the unique closed SCC:
     if it holds, S is closed (a reached state's arrows end at reached
     states) and strongly connected (each state of S reaches s0 and is
     reached from it), and every closed SCC holds s0 since its states reach
     s0; conversely, a closed strongly connected S is what s0 reaches, and
     every state reaches a closed SCC, which is then S.
 
-    The proof runs once per automaton object: it is kept on ``a`` as an
-    index array, and every call returns a new list of it.  A copy made by
-    dataclasses.replace is proved again.
+    Both searches read the transition table alone, and every call proves
+    the split again and returns a new list.
     """
-    if a._recurrent is None:
-        m = len(a)
-        src, dst = _edges(a).T
-        predicate = key_fields(a.keys)[0] == 1
-        rec = np.flatnonzero(predicate)
-        if not (
-            len(rec)
-            and np.array_equal(_forward_reach(a, rec[0]), predicate)
-            and (_levels(dst, src, m, rec[0]) >= 0).all()
-        ):
-            raise InternalConsistencyError(
-                f"i=1 predicate and closed SCC disagree for n={a.n}"
-            )
-        a._recurrent = rec
-    return a._recurrent.tolist()
+    predicate = key_fields(a.keys)[0] == 1
+    rec = np.flatnonzero(predicate)
+    if not (
+        len(rec)
+        and np.array_equal(_forward_reach(a, rec[0]), predicate)
+        and _backward_reach(a, rec[0]).all()
+    ):
+        raise InternalConsistencyError(
+            f"i=1 predicate and closed SCC disagree for n={a.n}"
+        )
+    return rec.tolist()
 
 
 def boolean_primitive(m: SparseBooleanMatrix) -> bool:

@@ -376,6 +376,10 @@ def main(argv: list[str] | None = None) -> int:
         raise  # the reader of stdout has gone: entry's exit 1
     except ConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        if exc.history:  # the restarts, then the failing step
+            it, lam, residual = exc.history[-1]
+            print(f"history: restarts {len(exc.history) - 1}, last step {it}, "
+                  f"lambda {lam!r}, residual {residual!r}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
     except BoundViolationError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 from test_configs import index_of, keys_of, ref_shift, states_of
 
 from braidlex import automaton as am
@@ -402,26 +403,38 @@ class TestRecurrentStates:
             am.recurrent_states(dataclasses.replace(a, transitions=moved))
 
 
-    def test_one_proof_per_automaton(self, monkeypatch):
-        levels = am._levels
-        calls = []
-        monkeypatch.setattr(am, "_levels", lambda *args: calls.append(1) or levels(*args))
-        a = am.build(4)
-        first = am.recurrent_states(a)
-        first.clear()  # each call hands out a new list
-        assert am.recurrent_states(a) == am.recurrent_states(am.build(4)) != []
-        assert len(calls) == 2  # a, then the second build
-        copy = dataclasses.replace(a)
-        assert am.recurrent_states(copy) == am.recurrent_states(a)
-        assert len(calls) == 3
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_is_the_closed_strong_component(self, build_cached, n):
+        # an independent route: scipy's Tarjan on the incidence matrix, and
+        # the one strong component that no arrow leaves
+        a = build_cached(n)
+        m = am.incidence_matrix(a)
+        count, label = connected_components(to_csr(m), directed=True, connection="strong")
+        leaves = np.zeros(count, dtype=bool)
+        src, dst = label[m.entries].T
+        leaves[src[src != dst]] = True
+        (closed,) = np.flatnonzero(~leaves)
+        assert am.recurrent_states(a) == np.flatnonzero(label == closed).tolist()
 
-    def test_built_and_relabelled_arrays_are_read_only(self):
-        a = am.build(3)
-        for b in (a, am.relabel(a, range(len(a)))):
-            with pytest.raises(ValueError, match="read-only"):
-                b.keys[0] = 1
-            with pytest.raises(ValueError, match="read-only"):
-                b.transitions[0] = 0
+    def test_dead_end_is_rejected(self, build_cached):
+        # a transient state with every letter forbidden reaches nothing; the
+        # last state is recurrent, so a -1 read as index m - 1 would hide it
+        a = build_cached(3)
+        rec = am.recurrent_states(a)
+        assert len(a) - 1 in rec
+        s = next(x for x in range(len(a)) if x not in rec)
+        dead = a.transitions.copy()
+        dead[s * a.n : (s + 1) * a.n] = -1
+        with pytest.raises(InternalConsistencyError, match="n=3"):
+            am.recurrent_states(dataclasses.replace(a, transitions=dead))
+
+    def test_reads_no_edge_list(self, build_cached, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the proof built an edge list")
+
+        monkeypatch.setattr(am, "_edges", refuse)
+        a = dataclasses.replace(build_cached(6))  # a new object, proved anew
+        assert len(am.recurrent_states(a)) == 443 - 161
 
 
 class TestRecurrentMatrix:

@@ -18,6 +18,7 @@ from braidlex import matrixgen as mg
 from braidlex import oracle
 from braidlex import spectral as sp
 from braidlex.configs import SegmentConfig
+from braidlex.errors import ConvergenceError
 
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -50,9 +51,10 @@ def test_import_leaves_csgraph_unloaded():
 
 
 def test_table_leaves_csgraph_and_linalg_unloaded():
-    # the recurrent split and the primitivity check walk the edge arrays
-    # themselves; csgraph would pull in scipy.sparse.linalg and scipy.linalg,
-    # about 0.1 s on the first call of a process
+    # the recurrent split reads the transition table and the primitivity
+    # check the recurrent edge pairs, with no csgraph, which would pull in
+    # scipy.sparse.linalg and scipy.linalg, about 0.1 s on the first call
+    # of a process
     probe = (
         "import contextlib, io, sys\n"
         "from braidlex import cli\n"
@@ -326,9 +328,28 @@ class TestSpectrum:
         assert float(fields["P_1"]) == pytest.approx(1.0)
 
     def test_non_convergence_exit_code(self, capsys):
-        code, _, err = run(capsys, "spectrum", "5", "--tol", "1e-30")
+        code, out, err = run(capsys, "spectrum", "5", "--tol", "1e-30")
         assert code == 4
-        assert "error" in err
+        assert out == ""
+        # the error, then the restarts and the failing step of its history
+        with pytest.raises(ConvergenceError) as caught:
+            sp.perron(am.recurrent_matrix(am.build(5)), tol=1e-30)
+        *restarts, (it, lam, residual) = caught.value.history
+        assert len(restarts) > 0
+        assert err == (
+            f"error: {caught.value}\n"
+            f"history: restarts {len(restarts)}, last step {it}, "
+            f"lambda {lam!r}, residual {residual!r}\n"
+        )
+
+    def test_non_convergence_without_a_history(self, capsys, monkeypatch):
+        # a ConvergenceError with no history prints its error line alone
+        def fail(*args, **kwargs):
+            raise ConvergenceError("no history")
+
+        monkeypatch.setattr(sp, "perron", fail)
+        code, out, err = run(capsys, "spectrum", "3")
+        assert (code, out, err) == (4, "", "error: no history\n")
 
     def test_digits_do_not_depend_on_the_openblas_thread_count(self):
         # perron calls no BLAS routine, so the printed digits are the same
