@@ -94,8 +94,7 @@ class Automaton:
     s * n + r - 1 is the state that letter r sends state s to, -1 if r is
     forbidden there.  build makes it int32, which holds every state index
     up to n = 14 (s_14 < 2^20); readers widen what they compute with.
-    Nothing is cached on it, so every reader reads the arrays as they
-    are."""
+    Nothing derived from the arrays is cached on it."""
 
     n: int
     keys: np.ndarray = field(repr=False)         # uint64, one key per state
@@ -131,8 +130,7 @@ def build(n: int) -> Automaton:
     so far; that one search also gives where a new key goes in, and the
     new keys join the sorted ones by one mask per level.  The new
     ones are numbered in order of first occurrence over (source, letter):
-    the numbering a queue would give.  The two arrays are the automaton's
-    own, and nothing proved of them is kept beside them.
+    the numbering a queue would give.
     Raises past the guard of check_build_limit, and
     InternalConsistencyError before a level could write past the arrays or
     when the BFS ends short of s_n.

@@ -402,7 +402,6 @@ class TestRecurrentStates:
         with pytest.raises(InternalConsistencyError):
             am.recurrent_states(dataclasses.replace(a, transitions=moved))
 
-
     @pytest.mark.parametrize("n", range(1, 10))
     def test_is_the_closed_strong_component(self, build_cached, n):
         # an independent route: scipy's Tarjan on the incidence matrix, and
@@ -433,7 +432,7 @@ class TestRecurrentStates:
             raise AssertionError("the proof built an edge list")
 
         monkeypatch.setattr(am, "_edges", refuse)
-        a = dataclasses.replace(build_cached(6))  # a new object, proved anew
+        a = dataclasses.replace(build_cached(6))  # a new object: no earlier proof answers
         assert len(am.recurrent_states(a)) == 443 - 161
 
 
