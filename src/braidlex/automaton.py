@@ -15,9 +15,9 @@ state order, such as the canonical order, ``relabel``s the automaton once
 and reads it in index order.  Counting is exact: count_words keeps each
 state's count as int64 limbs holding base-2^32 digits and advances all of
 them by int64 products with the sparse M^T, or with a dense (M^T)^S on
-small automata, S steps at once.  It carries only when the next product
-could pass 2^63 - 1 by the most length-s paths into one state, so it
-returns arbitrary precision integers.
+small automata, S steps at once.  It carries once every S products, S
+the most steps whose paths into one state, times a carried digit, stay
+below 2^63, so it returns arbitrary precision integers.
 """
 
 from __future__ import annotations
@@ -453,26 +453,24 @@ def _carry(x: np.ndarray) -> np.ndarray:
             c = np.empty_like(x)
 
 
-def _path_counts(mt: csr_matrix, k: int) -> tuple[list[int], int]:
-    """r[s], the largest row sum of (M^T)^s: the most length-s paths into
-    one state, so s steps of M^T on digits at most c leave digits at most
-    c * r[s].  Returns the list r and the largest s it speaks for.  The
-    list is computed from the ones vector by int64 products and ends at
-    s = k, or at the first s with r[s] > (2^63 - 1) // D, where D = r[1] is
-    the largest in-degree and the next product could overflow.  When M^T
-    maps the row sums to themselves (n = 1), r stays at its last value and
-    the list speaks for every s up to k.  r need not be monotone."""
+def _carry_period(mt: csr_matrix, k: int) -> int:
+    """The carry period S: the largest s <= k with (2^32 - 1) * r[s] <=
+    2^63 - 1, where r[s], the largest row sum of (M^T)^s, is the most
+    length-s paths into one state.  So s <= S steps of M^T on carried
+    digits leave every digit below 2^63.  r is computed from the ones
+    vector by int64 products.  It never decreases, because every state has
+    a successor, so the first s past the bound ends the search.  When M^T
+    maps the row sums to themselves (n = 1), r stays at its last value
+    and S = k."""
     v = np.ones(mt.shape[0], dtype=np.int64)
-    r = [1]
-    while len(r) <= k:
+    for s in range(k):
         w = mt @ v
         if np.array_equal(w, v):
-            return r, k
+            return k
+        if _LIMB_MASK * int(w.max()) > _INT64_MAX:
+            return s
         v = w
-        r.append(int(v.max()))
-        if r[-1] > _INT64_MAX // r[1]:
-            break
-    return r, len(r) - 1
+    return k
 
 
 def count_words(a: Automaton, k: int) -> tuple[list[int], int]:
@@ -482,14 +480,12 @@ def count_words(a: Automaton, k: int) -> tuple[list[int], int]:
     The counts are an (m, L) int64 array of base-2^32 digits, least
     significant first, starting at L = 1, and each product is one int64
     product with a power of the transpose of M, built once from the same
-    edge arrays as incidence_matrix.  s steps from digits at most c
-    leave digits at most c * r[s] (_path_counts), where c is 1 while the
-    counts are still the first unit vector and 2^32 - 1 after a carry; the
-    digits are carried (every digit below 2^32 again) just before a product
-    that could pass 2^63 - 1 by this bound, and once at the end.  The carry
-    period S is the largest s with (2^32 - 1) * r[s] <= 2^63 - 1.  When a
-    dense m x m power costs no more than S single steps (m^2 <= S * nnz,
-    small n), the counts advance by k // S products with the dense (M^T)^S
+    edge arrays as incidence_matrix.  The digits are carried (every digit
+    below 2^32 again) just before a product that would take the products
+    since the last carry past the carry period S (_carry_period), and once
+    at the end; the start counts as a carry.  When a dense m x m power
+    costs no more than S single steps (m^2 <= S * nnz, small n), the counts
+    advance by k // S products with the dense (M^T)^S
     (np.linalg.matrix_power, which forms no power of exponent above S) and
     then k % S single steps; otherwise by k single steps.
     """
@@ -498,21 +494,18 @@ def count_words(a: Automaton, k: int) -> tuple[list[int], int]:
     m = len(a)
     src, dst = _edges(a).T
     mt = csr_matrix((np.ones(len(src), dtype=np.int64), (dst, src)), shape=(m, m))
-    r, top = _path_counts(mt, k)
-    period = max(s for s, rs in enumerate(r) if _LIMB_MASK * rs <= _INT64_MAX)
-    if period == len(r) - 1:
-        period = top  # r[s] = r[-1] for every s up to top
+    period = _carry_period(mt, k)
     block = ((np.linalg.matrix_power(mt.toarray(), period), period)
              if m * m <= period * mt.nnz else (mt, 1))
     x = np.zeros((m, 1), dtype=np.int64)
     x[0, 0] = 1
-    c, since = 1, 0
+    since = 0
     # as D < 2^31, a carried x has room for a product of either width
     for p, steps in chain(repeat(block, k // block[1]), repeat((mt, 1), k % block[1])):
         since += steps
-        if since > top or c * r[min(since, len(r) - 1)] > _INT64_MAX:
+        if since > period:
             x = _carry(x)
-            c, since = _LIMB_MASK, steps
+            since = steps
         x = p @ x
     x = _carry(x)
     raw = x.astype("<u4").tobytes()

@@ -110,7 +110,8 @@ def perron(
     sums v_p over the rows p of R with an arrow to q, in ascending order
     from 0.0, so between restarts every iterate is bitwise what ``v @ R``
     gives.  Row q of R^T lists those p in that order because R's pairs are
-    row-major and one stable sort by column keeps it.
+    row-major and scipy's COO to CSR conversion, the one count_words uses
+    for M^T, places them by a stable counting sort on the column.
     """
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
@@ -121,10 +122,7 @@ def perron(
     if R.dim == 0:
         raise ValueError("perron needs a matrix of positive dimension, got 0x0")
     rows, cols = R.entries.T
-    by_col = np.argsort(cols, kind="stable")
-    starts = np.zeros(R.dim + 1, dtype=np.int64)
-    np.cumsum(np.bincount(cols, minlength=R.dim), out=starts[1:])
-    mat_t = csr_matrix((np.ones(len(by_col)), rows[by_col], starts), shape=(R.dim, R.dim))
+    mat_t = csr_matrix((np.ones(len(rows)), (cols, rows)), shape=(R.dim, R.dim))
     last = np.empty((RRE_K + 2, R.dim))  # the iterate of step s in row s % (RRE_K + 2)
     v = np.full(R.dim, 1.0 / R.dim)
     gap = np.empty(R.dim)  # |w - lam v|, one buffer for every step

@@ -553,7 +553,7 @@ def ref_count_words(a, k):
 
 def one_state_automaton(n):
     """Every letter loops on the only state: n^k words of length k, and the
-    largest count after each step equals the deferral bound of count_words."""
+    count after each step equals the path bound of count_words."""
     key = pack(initial_config(n))
     return am.Automaton(n, np.array([key], dtype=np.uint64), np.zeros(n, dtype=np.int64))
 
@@ -610,33 +610,32 @@ class TestCountWords:
         assert am.count_words(build_cached(1), 5000) == ([1], 1)
         assert carries == [1]  # only the final one
 
-    @pytest.mark.parametrize("n, s", [(2, 62), (3, 39), (7, 22)])
-    def test_carry_deferral_is_exact(self, carries, n, s):
-        # n^s <= 2^63 - 1 < n^(s+1), and the count after s steps is n^s,
-        # the bound itself: s steps need no carry before the final one, and
-        # step s + 1 needs one just before it
-        assert n**s <= 2**63 - 1 < n ** (s + 1)
+    @pytest.mark.parametrize("n, s", [(2, 31), (3, 19), (7, 11)])
+    def test_carry_period_is_exact(self, monkeypatch, n, s):
+        # (2^32 - 1) n^s <= 2^63 - 1 < (2^32 - 1) n^(s+1), and the count
+        # after s steps is n^s: s steps need no carry before the final one,
+        # and step s + 1 needs one just before it
+        assert (2**32 - 1) * n**s <= 2**63 - 1 < (2**32 - 1) * n ** (s + 1)
+        seen = []
+        carry = am._carry
+        monkeypatch.setattr(am, "_carry", lambda x: seen.append(digits_value(x)) or carry(x))
         a = one_state_automaton(n)
         assert am.count_words(a, s) == ([n**s], n**s)
-        assert carries == [1]
-        carries.clear()
+        assert seen == [[n**s]]
+        seen.clear()
         assert am.count_words(a, s + 1) == ([n ** (s + 1)], n ** (s + 1))
-        assert carries == [1, 2]  # the first carry widened the counts
+        assert seen == [[n**s], [n ** (s + 1)]]
 
-    @pytest.mark.parametrize("n, k", [(1, 0), (1, 5000), (2, 0), (2, 10), (2, 200), (5, 100)])
-    def test_path_counts_table(self, build_cached, n, k):
+    @pytest.mark.parametrize("n", [1, 2, 5, 9])
+    def test_carry_period(self, build_cached, n):
         a = build_cached(n)
         mt = to_csr(am.incidence_matrix(a)).T.tocsr().astype(np.int64)
-        r, top = am._path_counts(mt, k)
-        ref = ref_path_counts(a, min(k, 100))
-        assert r == ref[: len(r)]
-        if n == 1:  # every row sum is 1 for good
-            assert (r, top) == ([1], k)
-        else:
-            # the table ends at k or where one more product could overflow
-            assert top == len(r) - 1
-            assert top == k or r[-1] > (2**63 - 1) // r[1]
-            assert all(rs <= (2**63 - 1) // r[1] for rs in r[:-1])
+        r = ref_path_counts(a, 64)
+        assert r == sorted(r)  # every state has a successor
+        over = [s for s, rs in enumerate(r) if (2**32 - 1) * rs > 2**63 - 1]
+        period = over[0] - 1 if over else 5000  # n = 1: every row sum is 1 for good
+        for k in (0, 1, period - 1, period, period + 1, 5000):
+            assert am._carry_period(mt, k) == (min(k, period) if over else k), k
 
     @pytest.mark.parametrize("n, period, blocked", [
         (2, 43, True), (3, 27, True), (4, 21, True), (5, 18, False), (7, 14, False),
@@ -662,7 +661,8 @@ class TestCountWords:
         assert carries == [1]
 
     def test_n9_carries_by_the_path_bound(self, build_cached, carries):
-        # the in-degree bound D^s, D = 3,165, carried 199 times here
+        # the carry period is S = 11 here: 36 stretches of 11 products and
+        # one of 4, each carried once at its end
         am.count_words(build_cached(9), 400)
         assert len(carries) <= 37
 

@@ -307,6 +307,39 @@ class TestCanonicalOrdering:
             mg.canonical_full_ordering(am.Automaton(2, keys, a.transitions))
 
 
+class TestEmbeddingLemmas:
+    """The two embedding lemmas of the successor rule that the generator's
+    recursion rests on, checked on every canonical key of size n <= 11."""
+
+    @pytest.mark.parametrize("n", range(1, 12))
+    def test_white_shift(self, n):
+        # letter r + 1 on a shifted state is the shift of letter r, or
+        # forbidden exactly when r is; letter 1 goes to t11 = (1,1,1,{})
+        keys = mg.canonical_keys(n)
+        succ = cf.successors(keys, n)
+        shifted = cf.successors(cf.shift_keys(keys), n + 1)
+        assert (shifted[:, 0] == pack(SegmentConfig(1, 1, 1))).all()
+        assert np.array_equal(shifted[:, 1:], np.where(succ == 0, 0, cf.shift_keys(succ)))
+
+    @pytest.mark.parametrize("n", range(1, 12))
+    def test_black_prepend(self, n):
+        # on a recurrent state with a black cell prepended, letters 3..n+1
+        # are the prepended letters 2..n and letter 1 is forbidden; letter 2
+        # is forbidden on s*_{n-1} of them and leads to one of the n states
+        # (1,2,k,{[1-2]}), k = 2..n+1, on the rest
+        s_star = am.state_counts(n).s_star
+        star = mg.canonical_keys(n)[-s_star[n] :]
+        succ = cf.successors(star, n)
+        black = cf.successors(mg._prepend_black(star), n + 1)
+        assert not black[:, 0].any()
+        assert np.array_equal(black[:, 2:],
+                              np.where(succ[:, 1:] == 0, 0, mg._prepend_black(succ[:, 1:])))
+        second = black[:, 1]
+        assert (second == 0).sum() == s_star[n - 1]
+        bars = {pack(SegmentConfig(1, 2, k, ((1, 2),))) for k in range(2, n + 2)}
+        assert set(second[second != 0].tolist()) == bars
+
+
 class TestDiffAndExport:
     def test_diff_reports_both_directions(self):
         a = am.SparseBooleanMatrix(2, [(0, 0)])
