@@ -626,6 +626,20 @@ class TestCountWords:
         assert am.count_words(a, s + 1) == ([n ** (s + 1)], n ** (s + 1))
         assert seen == [[n**s], [n ** (s + 1)]]
 
+    @pytest.mark.parametrize("n, k", [(1, 0), (1, 5000), (2, 0), (2, 10), (2, 200), (5, 100)])
+    def test_path_counts_table(self, build_cached, n, k):
+        # the carry period at k agrees with the path counts on Python ints
+        a = build_cached(n)
+        mt = to_csr(am.incidence_matrix(a)).T.tocsr().astype(np.int64)
+        r = ref_path_counts(a, min(k, 64))
+        assert r == sorted(r)  # every state has a successor
+        over = [s for s, rs in enumerate(r) if (2**32 - 1) * rs > 2**63 - 1]
+        if n == 1:  # every row sum is 1 for good
+            assert r == [1] * len(r)
+            assert am._carry_period(mt, k) == k
+        else:
+            assert am._carry_period(mt, k) == (over[0] - 1 if over else k)
+
     @pytest.mark.parametrize("n", [1, 2, 5, 9])
     def test_carry_period(self, build_cached, n):
         a = build_cached(n)
