@@ -13,17 +13,18 @@ needs a SegmentConfig (export, the psi check of ``verify``) unpacks each
 key where it reads it.  A key holds n <= 14.  A reader that needs another
 state order, such as the canonical order, ``relabel``s the automaton once
 and reads it in index order.  Counting is exact: count_words keeps each
-state's count as int64 limbs holding base-2^32 digits and advances all of
-them by int64 products with the sparse M^T, or with a dense (M^T)^S on
-small automata, S steps at once.  It carries once every S products, S
-the most steps whose paths into one state, times a carried digit, stay
-below 2^63, so it returns arbitrary precision integers.
+state's count as a row of int64 limbs holding base-2^32 digits, in one
+C-order array, and advances all of them by int64 products with the sparse
+M^T, or, on small automata, by float64 BLAS products with a dense power of
+M^T whose every sum stays below 2^53.  One carry pass along the flat array
+leaves every digit below 2^32 + 2^31 - 1, and the int64 steps carry once
+every S, S the most steps whose paths into one state, times such a digit,
+stay below 2^63, so it returns arbitrary precision integers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain, repeat
 from math import comb
 
 import numpy as np
@@ -430,44 +431,60 @@ def recurrent_matrix(a: Automaton) -> SparseBooleanMatrix:
 _LIMB_BITS = 32
 _LIMB_MASK = (1 << _LIMB_BITS) - 1
 _INT64_MAX = (1 << 63) - 1
+#: every digit is below this after one carry pass: 2^32 - 1 of its own at
+#: most, plus the carry (2^63 - 1) >> 32 = 2^31 - 1 of the digit below
+_DIGIT_BOUND = _LIMB_MASK + (_INT64_MAX >> _LIMB_BITS) + 1
+#: float64 holds every integer below this exactly
+_FLOAT_EXACT = 1 << 53
+
+
+def _carry_pass(x: np.ndarray) -> np.ndarray:
+    """One carry pass over a C-order (m, L) int64 array of nonnegative
+    base-2^32 digits, least significant first: every digit keeps its low
+    32 bits and takes the carry of the digit below it, by one shifted add
+    along the flat array, and the top column's carry, if any, becomes a new
+    column.  Every digit is then below _DIGIT_BOUND.  The array returned may
+    be x itself, changed in place.  A negative digit has wrapped past
+    2^63 - 1, and no carry can repair it: it raises
+    InternalConsistencyError."""
+    if x.min() < 0:
+        raise InternalConsistencyError("a base-2^32 digit wrapped below zero before its carry")
+    x = np.ascontiguousarray(x)
+    c = x >> _LIMB_BITS
+    top = c[:, -1].copy()
+    c[:, -1] = 0  # a row's top carry goes to its new column, not the next row
+    x &= _LIMB_MASK
+    x.ravel()[1:] += c.ravel()[:-1]
+    if top.any():
+        x = np.concatenate((x, top[:, None]), axis=1)
+    return x
 
 
 def _carry(x: np.ndarray) -> np.ndarray:
-    """Normalise an (m, L) int64 array of nonnegative base-2^32 digits,
-    least significant first, until every digit is below 2^32.  Each pass
-    moves every digit's carry one column up, and the top column's carry, if
-    any, becomes a new column; the array returned may be x itself, changed
-    in place.  A negative digit has wrapped past 2^63 - 1, and no carry
-    can repair it: it raises InternalConsistencyError."""
-    if x.size and x.min() < 0:
-        raise InternalConsistencyError("a base-2^32 digit wrapped below zero before its carry")
-    c = np.empty_like(x)
-    while True:
-        np.right_shift(x, _LIMB_BITS, out=c)
-        if not c.any():
-            return x
-        x &= _LIMB_MASK
-        x[:, 1:] += c[:, :-1]
-        if c[:, -1].any():
-            x = np.concatenate((x, c[:, -1:]), axis=1)
-            c = np.empty_like(x)
+    """Normalise an (m, L) int64 array of nonnegative base-2^32 digits by
+    carry passes (_carry_pass) until every digit is below 2^32."""
+    x = _carry_pass(x)
+    while x.max() > _LIMB_MASK:
+        x = _carry_pass(x)
+    return x
 
 
-def _carry_period(mt: csr_matrix, k: int) -> int:
-    """The carry period S: the largest s <= k with (2^32 - 1) * r[s] <=
-    2^63 - 1, where r[s], the largest row sum of (M^T)^s, is the most
-    length-s paths into one state.  So s <= S steps of M^T on carried
-    digits leave every digit below 2^63.  r is computed from the ones
-    vector by int64 products.  It never decreases, because every state has
-    a successor, so the first s past the bound ends the search.  When M^T
-    maps the row sums to themselves (n = 1), r stays at its last value
-    and S = k."""
+def _carry_period(mt: csr_matrix, k: int, limit: int = _INT64_MAX) -> int:
+    """The largest s <= k with _DIGIT_BOUND * r[s] <= limit, where r[s],
+    the largest row sum of (M^T)^s, is the most length-s paths into one
+    state.  So s such steps of M^T after a carry pass leave every digit
+    below ``limit``: the int64 carry period S at limit 2^63 - 1, and the
+    float64 block's period at 2^53, below which float64 sums of integers
+    are exact in any order.  r is computed from the ones vector by int64
+    products.  It never decreases, because every state has a successor, so
+    the first s past the bound ends the search.  When M^T maps the row sums
+    to themselves (n = 1), r stays at its last value and the period is k."""
     v = np.ones(mt.shape[0], dtype=np.int64)
     for s in range(k):
         w = mt @ v
         if np.array_equal(w, v):
             return k
-        if _LIMB_MASK * int(w.max()) > _INT64_MAX:
+        if _DIGIT_BOUND * int(w.max()) > limit:
             return s
         v = w
     return k
@@ -477,17 +494,22 @@ def count_words(a: Automaton, k: int) -> tuple[list[int], int]:
     """First row of M^k as exact integers: per-state counts of length-k
     representatives ending at each state, plus their total.
 
-    The counts are an (m, L) int64 array of base-2^32 digits, least
-    significant first, starting at L = 1, and each product is one int64
-    product with a power of the transpose of M, built once from the same
-    edge arrays as incidence_matrix.  The digits are carried (every digit
-    below 2^32 again) just before a product that would take the products
-    since the last carry past the carry period S (_carry_period), and once
-    at the end; the start counts as a carry.  When a dense m x m power
-    costs no more than S single steps (m^2 <= S * nnz, small n), the counts
-    advance by k // S products with the dense (M^T)^S
-    (np.linalg.matrix_power, which forms no power of exponent above S) and
-    then k % S single steps; otherwise by k single steps.
+    The counts are a C-order (m, L) int64 array of base-2^32 digits, least
+    significant first, starting at L = 1, and each single step is one int64
+    product with the transpose of M, built once from the same edge arrays as
+    incidence_matrix.  Just before a step that would take the steps since
+    the last carry past the carry period S (_carry_period at 2^63 - 1), one
+    carry pass (_carry_pass) leaves every digit below _DIGIT_BOUND again;
+    the start counts as a carry.  When a dense m x m power costs no more
+    than S single steps (m^2 <= S * nnz, n <= 4), the counts first advance
+    by k // S_f float64 products with (M^T)^S_f, S_f the period at 2^53:
+    the power is formed in int64 by np.linalg.matrix_power, which forms no
+    power of exponent above S_f, and cast, so the product runs on BLAS and
+    every product and partial sum is an integer below 2^53, exact in any
+    order.  Each block product follows a carry pass, and one that reaches
+    2^53 raises InternalConsistencyError.  The k % S_f steps left are
+    single steps, the first after a carry.  The digits are normalised below
+    2^32 (_carry) once, at the end.
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
@@ -495,18 +517,28 @@ def count_words(a: Automaton, k: int) -> tuple[list[int], int]:
     src, dst = _edges(a).T
     mt = csr_matrix((np.ones(len(src), dtype=np.int64), (dst, src)), shape=(m, m))
     period = _carry_period(mt, k)
-    block = ((np.linalg.matrix_power(mt.toarray(), period), period)
-             if m * m <= period * mt.nnz else (mt, 1))
     x = np.zeros((m, 1), dtype=np.int64)
     x[0, 0] = 1
     since = 0
-    # as D < 2^31, a carried x has room for a product of either width
-    for p, steps in chain(repeat(block, k // block[1]), repeat((mt, 1), k % block[1])):
-        since += steps
+    if m * m <= period * mt.nnz:
+        block = _carry_period(mt, k, _FLOAT_EXACT)
+        power = np.linalg.matrix_power(mt.toarray(), block).astype(np.float64)
+        for q in range(k // block):
+            if q:
+                x = _carry_pass(x)
+            y = power @ x.astype(np.float64)
+            if y.max() >= _FLOAT_EXACT:
+                raise InternalConsistencyError("a float64 block product reached 2^53")
+            x = y.astype(np.int64)
+        if k >= block:
+            since = period  # the digits after a block product need a carry first
+        k %= block
+    for _ in range(k):
+        since += 1
         if since > period:
-            x = _carry(x)
-            since = steps
-        x = p @ x
+            x = _carry_pass(x)
+            since = 1
+        x = mt @ x
     x = _carry(x)
     raw = x.astype("<u4").tobytes()
     width = 4 * x.shape[1]

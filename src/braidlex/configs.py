@@ -20,11 +20,12 @@ right end of the segment starting at p, or 0 if none does.
 
 Each fact about a state has one routine: ``successors(keys, n)`` is the
 letter-transition rule that the BFS of ``automaton.build`` reads, computed
-for every letter of a whole array of keys at once, one (rows, n) array pass
-per outcome; ``shift_keys`` prepends a white circle to every
-key, the step from which matrixgen builds the canonical orderings;
-``_marks(c, n)`` reads the diagram off (i, j, k, S), and ``psi`` and
-``render_diagram`` draw from it; ``c.j`` is the final letter.  The
+for every letter of a whole array of keys at once, letter-major: one
+(n, rows) array pass per outcome, whose inner loop runs along the rows;
+``shift_keys`` prepends a white circle to every key, the step from which
+matrixgen builds the canonical orderings; ``_marks(c, n)`` reads the
+diagram off (i, j, k, S), and ``psi`` and ``render_diagram`` draw from
+it; ``c.j`` is the final letter.  The
 package meets configurations only as the states that BFS reaches; the
 exhaustive enumeration of every valid configuration is a test reference.
 """
@@ -188,25 +189,29 @@ def successors(keys: np.ndarray, n: int) -> np.ndarray:
       * r = j+1 extends the segments ending at the square to j+1, and
         k becomes max(k, j+1).
 
-    Every letter is computed at once, on (rows, n) arrays of at most
-    _ROW_BLOCK keys at a time: each outcome once, in the columns where it
-    applies.
-    The segment starts and the square share one rule (they differ only in
-    where q comes from), and r = j+1 falls in one column per key, so it is
-    computed once per key and written into column j.  Keys and constants
-    are uint64 throughout: no Python int meets a key, so numpy's old and
-    new promotion rules (NEP 50) give the same types.
+    Every letter is computed at once, letter-major: each block of at most
+    _ROW_BLOCK keys is worked on as (n, rows) arrays, so that every inner
+    loop runs along the rows, each outcome once, in the letters where it
+    applies, and the block's rows of the output are written by one
+    transpose.  The segment starts and the square share one rule (they
+    differ only in where q comes from), and r = j+1 falls on one letter
+    per key, so it is computed once per key and written into letter j.
+    Keys, nibbles and constants are uint64 arrays or scalars throughout:
+    no Python int meets a key, so numpy's old and new promotion rules
+    (NEP 50) give the same types.
     """
     keys = np.asarray(keys, dtype=np.uint64)
     out = np.empty((len(keys), n), dtype=np.uint64)
-    r = np.arange(1, n + 1, dtype=np.uint64)
-    # column r - 1: the shift to the nibble of the segment starting at r
-    # (r < n only: at n = 14 the one of r = n would be 64 bits), the mask of
-    # the segments starting left of r, and the run [r-1, r] in nibble r + 1
+    r = np.arange(1, n + 1, dtype=np.uint64)[:, None]
+    # letter r: the shift to the nibble of the segment starting at r (r < n
+    # only: at n = 14 the one of r = n would be 64 bits), the mask of the
+    # segments starting left of r, the run [r-1, r] in nibble r + 1, and
+    # the key (r, r, r, {}) of r < i
     shift = _U(4) * (r[:-1] + _U(2))
     left_mask = np.array([((1 << 4 * (c + 2)) - 1) ^ 0xFFF for c in range(1, n + 1)],
-                         dtype=np.uint64)
-    run = np.array([c << 4 * (c + 1) for c in range(2, n + 1)], dtype=np.uint64)
+                         dtype=np.uint64)[:, None]
+    run = np.array([c << 4 * (c + 1) for c in range(2, n + 1)], dtype=np.uint64)[:, None]
+    below_i = r * _U(0x111)
     # blocks of equal size, to a row: every block of a level then allocates
     # temporaries of one size, each in the memory the last one freed; a
     # short last block would leave holes in the heap that raise the peak RSS
@@ -216,19 +221,20 @@ def successors(keys: np.ndarray, n: int) -> np.ndarray:
         i, j, k = (block >> _U(4 * f) & _NIBBLE for f in range(3))
         # q: the right end of the segment starting at r, or r at the square,
         # 0 elsewhere; r = n starts no segment
-        q = np.zeros(to.shape, dtype=np.uint64)
-        np.right_shift(block[:, None], shift, out=q[:, :-1])
-        q[:, :-1] &= _NIBBLE
+        q = np.empty((n, len(block)), dtype=np.uint64)
+        np.right_shift(block, shift, out=q[:-1])
+        q[:-1] &= _NIBBLE
+        q[-1] = _U(0)
         # cell r-1 is black: at or right of i and no segment starts there
-        black = (q[:, :-1] == _U(0)) & (i[:, None] < r[1:])
-        q[np.arange(len(block)), j - _U(1)] = j
-        np.bitwise_and(block[:, None], left_mask, out=to)
-        to[:, 1:] |= black * run
-        to |= q << _U(8)
-        to |= r << _U(4)
-        to |= i[:, None]
-        np.copyto(to, _U(0), where=q == _U(0))
-        np.copyto(to, r * _U(0x111), where=i[:, None] > r)
+        black = (q[:-1] == _U(0)) & (i < r[1:])
+        q[j - _U(1), np.arange(len(block))] = j
+        t = block & left_mask
+        t[1:] |= black * run
+        t |= q << _U(8)
+        t |= r << _U(4)
+        t |= i
+        np.copyto(t, _U(0), where=q == _U(0))
+        np.copyto(t, below_i, where=i > r)
         # r = j+1, if j < n and cell j+1 is not black: the segments ending
         # at j grow to j+1, nibble by nibble; bit 0 of differ is set where
         # the nibble is not j
@@ -239,7 +245,8 @@ def successors(keys: np.ndarray, n: int) -> np.ndarray:
         differ |= differ >> _U(1)
         differ |= differ >> _U(2)
         grown = segs + (_SEGMENT_ONES & ~differ)
-        to[nxt, j] = i | (j + _U(1)) << _U(4) | np.maximum(k, j + _U(1)) << _U(8) | grown
+        t[j, nxt] = i | (j + _U(1)) << _U(4) | np.maximum(k, j + _U(1)) << _U(8) | grown
+        to[...] = t.T
     return out
 
 

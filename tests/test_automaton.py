@@ -558,6 +558,11 @@ def one_state_automaton(n):
     return am.Automaton(n, np.array([key], dtype=np.uint64), np.zeros(n, dtype=np.int64))
 
 
+#: every digit is below this after one carry pass: 2^32 - 1 of its own and
+#: a carry of at most (2^63 - 1) >> 32 from the digit below
+DIGIT_BOUND = 2**32 + 2**31 - 1
+
+
 def digits_value(x):
     """The integers an (m, L) array of base-2^32 digits stands for."""
     return [sum(int(d) << (32 * i) for i, d in enumerate(row)) for row in x]
@@ -579,18 +584,37 @@ def ref_path_counts(a, steps):
 
 @pytest.fixture
 def carries(monkeypatch):
-    """Record the width of each array _carry is given, and check that no
-    digit in it wrapped past 2^63 - 1."""
+    """A copy of each array count_words carries: every periodic carry pass,
+    and the final normalisation once, whose own passes are not listed
+    again.  Checks that no digit in them wrapped past 2^63 - 1."""
     calls = []
-    carry = am._carry
+    carry, carry_pass = am._carry, am._carry_pass
+    final = []  # set while the final normalisation runs
 
-    def recording(x):
+    def record(x):
         assert x.min() >= 0, "a digit passed 2^63 - 1 before the carry"
-        calls.append(x.shape[1])
-        return carry(x)
+        calls.append(x.copy())
 
-    monkeypatch.setattr(am, "_carry", recording)
+    def periodic(x):
+        if not final:
+            record(x)
+        return carry_pass(x)
+
+    def normalise(x):
+        record(x)
+        final.append(True)
+        try:
+            return carry(x)
+        finally:
+            final.pop()
+
+    monkeypatch.setattr(am, "_carry_pass", periodic)
+    monkeypatch.setattr(am, "_carry", normalise)
     return calls
+
+
+def widths(arrays):
+    return [x.shape[1] for x in arrays]
 
 
 class TestCountWords:
@@ -608,23 +632,22 @@ class TestCountWords:
 
     def test_in_degree_one_never_forces_a_carry(self, build_cached, carries):
         assert am.count_words(build_cached(1), 5000) == ([1], 1)
-        assert carries == [1]  # only the final one
+        assert widths(carries) == [1]  # only the final one
 
-    @pytest.mark.parametrize("n, s", [(2, 31), (3, 19), (7, 11)])
-    def test_carry_period_is_exact(self, monkeypatch, n, s):
-        # (2^32 - 1) n^s <= 2^63 - 1 < (2^32 - 1) n^(s+1), and the count
-        # after s steps is n^s: s steps need no carry before the final one,
-        # and step s + 1 needs one just before it
-        assert (2**32 - 1) * n**s <= 2**63 - 1 < (2**32 - 1) * n ** (s + 1)
-        seen = []
-        carry = am._carry
-        monkeypatch.setattr(am, "_carry", lambda x: seen.append(digits_value(x)) or carry(x))
+    @pytest.mark.parametrize("n, s", [(2, 20), (3, 12), (7, 7)])
+    def test_carry_period_is_exact(self, carries, n, s):
+        # B n^s <= 2^53 < B n^(s+1), and the count after s steps is n^s:
+        # one state always takes the float64 block, s steps are one block
+        # product with no carry before the final one, and s + 1 steps are
+        # one block product and one single step with a carry pass just
+        # before it
+        assert DIGIT_BOUND * n**s <= 2**53 < DIGIT_BOUND * n ** (s + 1)
         a = one_state_automaton(n)
         assert am.count_words(a, s) == ([n**s], n**s)
-        assert seen == [[n**s]]
-        seen.clear()
+        assert [digits_value(x) for x in carries] == [[n**s]]
+        carries.clear()
         assert am.count_words(a, s + 1) == ([n ** (s + 1)], n ** (s + 1))
-        assert seen == [[n**s], [n ** (s + 1)]]
+        assert [digits_value(x) for x in carries] == [[n**s], [n ** (s + 1)]]
 
     @pytest.mark.parametrize("n, k", [(1, 0), (1, 5000), (2, 0), (2, 10), (2, 200), (5, 100)])
     def test_path_counts_table(self, build_cached, n, k):
@@ -633,7 +656,7 @@ class TestCountWords:
         mt = to_csr(am.incidence_matrix(a)).T.tocsr().astype(np.int64)
         r = ref_path_counts(a, min(k, 64))
         assert r == sorted(r)  # every state has a successor
-        over = [s for s, rs in enumerate(r) if (2**32 - 1) * rs > 2**63 - 1]
+        over = [s for s, rs in enumerate(r) if DIGIT_BOUND * rs > 2**63 - 1]
         if n == 1:  # every row sum is 1 for good
             assert r == [1] * len(r)
             assert am._carry_period(mt, k) == k
@@ -642,27 +665,36 @@ class TestCountWords:
 
     @pytest.mark.parametrize("n", [1, 2, 5, 9])
     def test_carry_period(self, build_cached, n):
+        # at both limits: the int64 carry period and the float64 block's
         a = build_cached(n)
         mt = to_csr(am.incidence_matrix(a)).T.tocsr().astype(np.int64)
         r = ref_path_counts(a, 64)
         assert r == sorted(r)  # every state has a successor
-        over = [s for s, rs in enumerate(r) if (2**32 - 1) * rs > 2**63 - 1]
-        period = over[0] - 1 if over else 5000  # n = 1: every row sum is 1 for good
-        for k in (0, 1, period - 1, period, period + 1, 5000):
-            assert am._carry_period(mt, k) == (min(k, period) if over else k), k
+        for limit in (2**63 - 1, 2**53):
+            over = [s for s, rs in enumerate(r) if DIGIT_BOUND * rs > limit]
+            period = over[0] - 1 if over else 5000  # n = 1: every row sum is 1 for good
+            for k in (0, 1, period - 1, period, period + 1, 5000):
+                expected = min(k, period) if over else k
+                assert am._carry_period(mt, k, limit) == expected, (limit, k)
+                if limit == 2**63 - 1:
+                    assert am._carry_period(mt, k) == expected, k
 
     @pytest.mark.parametrize("n, period, blocked", [
-        (2, 43, True), (3, 27, True), (4, 21, True), (5, 18, False), (7, 14, False),
+        (2, 42, True), (3, 26, True), (4, 21, True), (5, 18, False), (7, 14, False),
     ])
     def test_exact_around_multiples_of_the_carry_period(self, build_cached, n, period, blocked):
         a = build_cached(n)
         r = ref_path_counts(a, 64)
-        assert period == max(s for s, rs in enumerate(r) if (2**32 - 1) * rs <= 2**63 - 1)
+        assert period == max(s for s, rs in enumerate(r) if DIGIT_BOUND * rs <= 2**63 - 1)
         # one dense power of M^T costs no more than S single steps only for n <= 4
         assert (len(a) ** 2 <= period * len(am._edges(a))) == blocked
-        for q in (1, 2, 3):
-            for k in (q * period - 1, q * period, q * period + 1):
-                assert am.count_words(a, k) == ref_count_words(a, k), k
+        periods = [period]
+        if blocked:  # and the dense block advances by its own period
+            periods.append(max(s for s, rs in enumerate(r) if DIGIT_BOUND * rs <= 2**53))
+        for p in periods:
+            for q in (1, 2, 3):
+                for k in (q * p - 1, q * p, q * p + 1):
+                    assert am.count_words(a, k) == ref_count_words(a, k), (p, k)
 
     def test_one_state_counts_in_one_block(self, build_cached, carries, monkeypatch):
         powers = []
@@ -672,11 +704,12 @@ class TestCountWords:
         a = build_cached(1)
         assert am.count_words(a, 5000) == ref_count_words(a, 5000)
         assert powers == [5000]  # one product with (M^T)^5000
-        assert carries == [1]
+        assert widths(carries) == [1]
 
     def test_n9_carries_by_the_path_bound(self, build_cached, carries):
         # the carry period is S = 11 here: 36 stretches of 11 products and
-        # one of 4, each carried once at its end
+        # one of 4, the first 36 carried by one pass each just after, and
+        # the last by the final normalisation
         am.count_words(build_cached(9), 400)
         assert len(carries) <= 37
 
@@ -740,6 +773,26 @@ class TestCarry:
 
     def test_all_zero_stays_one_column(self):
         assert am._carry(np.zeros((3, 1), dtype=np.int64)).shape == (3, 1)
+
+    def test_one_pass_leaves_every_digit_below_the_bound(self):
+        x = np.full((3, 4), 2**63 - 1, dtype=np.int64)
+        before = digits_value(x)
+        out = am._carry_pass(x.copy())
+        assert out.shape == (3, 5)  # the top column's carry is a new column
+        assert out.max() == DIGIT_BOUND - 1
+        assert digits_value(out) == before
+
+    @pytest.mark.parametrize("rows", [[[-1]], [[5, -3]]])
+    def test_one_pass_refuses_a_wrapped_digit(self, rows):
+        with pytest.raises(InternalConsistencyError, match="wrapped below zero"):
+            am._carry_pass(np.array(rows, dtype=np.int64))
+
+    def test_block_product_past_2_53_is_refused(self, build_cached, monkeypatch):
+        # a digit bound of 1 leaves the block period no room for the digits
+        # a carry pass leaves, so the second block product passes 2^53
+        monkeypatch.setattr(am, "_DIGIT_BOUND", 1)
+        with pytest.raises(InternalConsistencyError, match="reached 2\\^53"):
+            am.count_words(build_cached(2), 300)
 
     @settings(deadline=None, max_examples=50)
     @given(st.lists(

@@ -432,6 +432,15 @@ class TestTransition:
                 keys = keys[:2000]
             assert np.array_equal(cf.successors(keys, n), ref_successors(keys, n)), n
 
+    @pytest.mark.parametrize("n", [13, 14])
+    def test_successors_at_the_top_nibbles(self, monkeypatch, n):
+        # n = 14's keys use nibble 15, the segment starting at 13: every 7th
+        # key, then a slice in row blocks of 7
+        keys = mg.canonical_keys(n)
+        assert np.array_equal(cf.successors(keys[::7], n), ref_successors(keys[::7], n))
+        monkeypatch.setattr(cf, "_ROW_BLOCK", 7)
+        assert np.array_equal(cf.successors(keys[:2000], n), ref_successors(keys[:2000], n))
+
     def test_closure_and_final_letter(self):
         for n in range(1, EXHAUSTIVE_N + 1):
             for c in ref_all_configs(n):
