@@ -708,8 +708,8 @@ class TestCountWords:
 
     def test_n9_carries_by_the_path_bound(self, build_cached, carries):
         # the carry period is S = 11 here: 36 stretches of 11 products and
-        # one of 4, the first 36 carried by one pass each just after, and
-        # the last by the final normalisation
+        # one of 4, each of the first 36 carried by one pass just before
+        # the next product, and the last by the final normalisation
         am.count_words(build_cached(9), 400)
         assert len(carries) <= 37
 
