@@ -13,13 +13,15 @@ needs a SegmentConfig (export, the psi check of ``verify``) unpacks each
 key where it reads it.  A key holds n <= 14.  A reader that needs another
 state order, such as the canonical order, ``relabel``s the automaton once
 and reads it in index order.  Counting is exact: count_words keeps each
-state's count as a row of int64 limbs holding base-2^32 digits, in one
+state's count as a row of int64 limbs holding base-2^b digits, in one
 C-order array, and advances all of them by int64 products with the sparse
 M^T, or, on small automata, by float64 BLAS products with a dense power of
 M^T whose every sum stays below 2^53.  One carry pass along the flat array
-leaves every digit below 2^32 + 2^31 - 1, and the int64 steps carry once
-every S, S the most steps whose paths into one state, times such a digit,
-stay below 2^63, so it returns arbitrary precision integers.
+leaves every digit below 2^b + ((2^63 - 1) >> b), and the int64 steps carry
+once every S, S the most steps whose paths into one state, times such a
+digit, stay below 2^63, so it returns arbitrary precision integers.  The
+width b is the widest of 56, 48, 40 and 32 bits whose S is at least 2, and
+32 bits on the dense block.
 """
 
 from __future__ import annotations
@@ -428,80 +430,127 @@ def recurrent_matrix(a: Automaton) -> SparseBooleanMatrix:
 # exact counting
 # ---------------------------------------------------------------------------
 
-_LIMB_BITS = 32
-_LIMB_MASK = (1 << _LIMB_BITS) - 1
 _INT64_MAX = (1 << 63) - 1
-#: every digit is below this after one carry pass: 2^32 - 1 of its own at
-#: most, plus the carry (2^63 - 1) >> 32 = 2^31 - 1 of the digit below
-_DIGIT_BOUND = _LIMB_MASK + (_INT64_MAX >> _LIMB_BITS) + 1
+#: the digit widths of the sparse int64 steps, widest first: each a whole
+#: number of bytes, so that the digits become integers by one bytes view
+_WIDTHS = (56, 48, 40, 32)
+#: the fewest steps between carry passes that a width wider than the last
+#: must allow, or a narrower one is taken
+_MIN_PERIOD = 2
 #: float64 holds every integer below this exactly
 _FLOAT_EXACT = 1 << 53
 
 
-def _carry_pass(x: np.ndarray) -> np.ndarray:
+def _digit_bound(bits: int) -> int:
+    """Every base-2^bits digit is below this after one carry pass: 2^bits - 1
+    of its own at most, plus the carry (2^63 - 1) >> bits of the digit below."""
+    return (1 << bits) + (_INT64_MAX >> bits)
+
+
+#: the bound of the 32-bit digits, which the dense float64 block keeps
+_DIGIT_BOUND = _digit_bound(32)
+
+
+def _carry_pass(x: np.ndarray, bits: int) -> np.ndarray:
     """One carry pass over a C-order (m, L) int64 array of nonnegative
-    base-2^32 digits, least significant first: every digit keeps its low
-    32 bits and takes the carry of the digit below it, by one shifted add
-    along the flat array, and the top column's carry, if any, becomes a new
-    column.  Every digit is then below _DIGIT_BOUND.  The array returned may
-    be x itself, changed in place.  A negative digit has wrapped past
-    2^63 - 1, and no carry can repair it: it raises
+    base-2^bits digits, least significant first: every digit keeps its low
+    ``bits`` bits and takes the carry of the digit below it, by one shifted
+    add along the flat array, and the top column's carry, if any, becomes a
+    new column.  Every digit is then below _digit_bound(bits).  The array
+    returned may be x itself, changed in place.  A negative digit has
+    wrapped past 2^63 - 1, and no carry can repair it: it raises
     InternalConsistencyError."""
     if x.min() < 0:
-        raise InternalConsistencyError("a base-2^32 digit wrapped below zero before its carry")
+        raise InternalConsistencyError(
+            f"a base-2^{bits} digit wrapped below zero before its carry")
     x = np.ascontiguousarray(x)
-    c = x >> _LIMB_BITS
+    c = x >> bits
     top = c[:, -1].copy()
     c[:, -1] = 0  # a row's top carry goes to its new column, not the next row
-    x &= _LIMB_MASK
+    x &= (1 << bits) - 1
     x.ravel()[1:] += c.ravel()[:-1]
     if top.any():
         x = np.concatenate((x, top[:, None]), axis=1)
     return x
 
 
-def _carry(x: np.ndarray) -> np.ndarray:
-    """Normalise an (m, L) int64 array of nonnegative base-2^32 digits by
-    carry passes (_carry_pass) until every digit is below 2^32."""
-    x = _carry_pass(x)
-    while x.max() > _LIMB_MASK:
-        x = _carry_pass(x)
+def _carry(x: np.ndarray, bits: int) -> np.ndarray:
+    """Normalise an (m, L) int64 array of nonnegative base-2^bits digits by
+    carry passes (_carry_pass) until every digit is below 2^bits."""
+    x = _carry_pass(x, bits)
+    while x.max() >> bits:
+        x = _carry_pass(x, bits)
     return x
 
 
-def _carry_period(mt: csr_matrix, k: int, limit: int = _INT64_MAX) -> int:
-    """The largest s <= k with _DIGIT_BOUND * r[s] <= limit, where r[s],
-    the largest row sum of (M^T)^s, is the most length-s paths into one
-    state.  So s such steps of M^T after a carry pass leave every digit
-    below ``limit``: the int64 carry period S at limit 2^63 - 1, and the
-    float64 block's period at 2^53, below which float64 sums of integers
-    are exact in any order.  r is computed from the ones vector by int64
-    products.  It never decreases, because every state has a successor, so
-    the first s past the bound ends the search.  When M^T maps the row sums
-    to themselves (n = 1), r stays at its last value and the period is k."""
+def _path_counts(mt: csr_matrix, k: int) -> list[int]:
+    """r[0..t], r[s] the largest row sum of (M^T)^s: the most length-s paths
+    into one state.  It is computed from the ones vector by int64 products
+    and ends at s = k, at the first s with _DIGIT_BOUND * r[s] past
+    2^63 - 1, the farthest any carry period looks, or early when M^T maps
+    the row sums to themselves (n = 1), after which r would stay at its
+    last value.  r never decreases, because every state has a successor."""
     v = np.ones(mt.shape[0], dtype=np.int64)
-    for s in range(k):
+    r = [1]
+    for _ in range(k):
         w = mt @ v
         if np.array_equal(w, v):
-            return k
-        if _DIGIT_BOUND * int(w.max()) > limit:
-            return s
+            break
+        r.append(int(w.max()))
+        if _DIGIT_BOUND * r[-1] > _INT64_MAX:
+            break
         v = w
-    return k
+    return r
+
+
+def _carry_period(r: list[int], k: int, bound: int, limit: int = _INT64_MAX) -> int:
+    """The largest s <= k with bound * r[s] <= limit, r from _path_counts:
+    s steps of M^T after a carry pass that leaves every digit below
+    ``bound`` leave every digit below ``limit``.  That is the int64 carry
+    period at 2^63 - 1 and the float64 block's period at 2^53, below which
+    float64 sums of integers are exact in any order.  When no r[s] passes
+    the bound, r ended at k or where it stays constant (n = 1), and the
+    period is k."""
+    over = next((s for s, rs in enumerate(r) if bound * rs > limit), None)
+    return k if over is None else over - 1
+
+
+def _digits(m: int, nnz: int, r: list[int], k: int) -> tuple[int, int, int]:
+    """(bits, S, S_f): the digit width and carry period count_words steps
+    on, and the period of its dense float64 block, 0 for none, for an
+    m-state automaton whose M^T has nnz entries and path counts r.  When a
+    dense m x m power costs no more than S_32 single steps (m^2 <=
+    S_32 * nnz), the block runs, on 32-bit digits, with S_f the period at
+    2^53.  Otherwise the width is the widest of _WIDTHS whose period is at
+    least _MIN_PERIOD, or the last, and there is no block."""
+    period = _carry_period(r, k, _DIGIT_BOUND)
+    if m * m <= period * nnz:
+        return 32, period, _carry_period(r, k, _DIGIT_BOUND, _FLOAT_EXACT)
+    for bits in _WIDTHS:
+        period = _carry_period(r, k, _digit_bound(bits))
+        if period >= _MIN_PERIOD:
+            break
+    return bits, period, 0
 
 
 def count_words(a: Automaton, k: int) -> tuple[list[int], int]:
     """First row of M^k as exact integers: per-state counts of length-k
     representatives ending at each state, plus their total.
 
-    The counts are a C-order (m, L) int64 array of base-2^32 digits, least
+    The counts are a C-order (m, L) int64 array of base-2^b digits, least
     significant first, starting at L = 1, and each single step is one int64
     product with the transpose of M, built once from the same edge arrays as
     incidence_matrix.  Just before a step that would take the steps since
-    the last carry past the carry period S (_carry_period at 2^63 - 1), one
-    carry pass (_carry_pass) leaves every digit below _DIGIT_BOUND again;
-    the start counts as a carry.  When a dense m x m power costs no more
-    than S single steps (m^2 <= S * nnz, n <= 4), the counts first advance
+    the last carry past the carry period S, one carry pass (_carry_pass)
+    leaves every digit below B(b) = 2^b + ((2^63 - 1) >> b) again; the
+    start counts as a carry.  S is the most steps whose paths into one
+    state, times B(b), stay within 2^63 - 1 (_carry_period, on the path
+    counts r of _path_counts, computed once per call).  The width b is
+    whole bytes, and _digits chooses it from m, nnz and r alone: the widest
+    of 56, 48, 40 and 32 bits whose S is at least _MIN_PERIOD, since every
+    digit column costs the sparse product the same time per entry.  When a
+    dense m x m power costs no more than S single steps at 32 bits (m^2 <=
+    S * nnz, n <= 4), the digits stay 32-bit and the counts first advance
     by k // S_f float64 products with (M^T)^S_f, S_f the period at 2^53:
     the power is formed in int64 by np.linalg.matrix_power, which forms no
     power of exponent above S_f, and cast, so the product runs on BLAS and
@@ -509,23 +558,23 @@ def count_words(a: Automaton, k: int) -> tuple[list[int], int]:
     order.  Each block product follows a carry pass, and one that reaches
     2^53 raises InternalConsistencyError.  The k % S_f steps left are
     single steps, the first after a carry.  The digits are normalised below
-    2^32 (_carry) once, at the end.
+    2^b (_carry) once, at the end, and each row's b / 8 low bytes per digit
+    are read as one integer.
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
     m = len(a)
     src, dst = _edges(a).T
     mt = csr_matrix((np.ones(len(src), dtype=np.int64), (dst, src)), shape=(m, m))
-    period = _carry_period(mt, k)
+    bits, period, block = _digits(m, mt.nnz, _path_counts(mt, k), k)
     x = np.zeros((m, 1), dtype=np.int64)
     x[0, 0] = 1
     since = 0
-    if m * m <= period * mt.nnz:
-        block = _carry_period(mt, k, _FLOAT_EXACT)
+    if block:
         power = np.linalg.matrix_power(mt.toarray(), block).astype(np.float64)
         for q in range(k // block):
             if q:
-                x = _carry_pass(x)
+                x = _carry_pass(x, bits)
             y = power @ x.astype(np.float64)
             if y.max() >= _FLOAT_EXACT:
                 raise InternalConsistencyError("a float64 block product reached 2^53")
@@ -536,12 +585,15 @@ def count_words(a: Automaton, k: int) -> tuple[list[int], int]:
     for _ in range(k):
         since += 1
         if since > period:
-            x = _carry_pass(x)
+            x = _carry_pass(x, bits)
             since = 1
         x = mt @ x
-    x = _carry(x)
-    raw = x.astype("<u4").tobytes()
-    width = 4 * x.shape[1]
+    x = _carry(x, bits)
+    # the digits are nonnegative and below 2^bits: the low bits // 8 bytes
+    # of each little-endian int64 digit, row by row, are each row's integer
+    digit_bytes = x.astype("<i8", copy=False).view(np.uint8).reshape(m, -1, 8)
+    raw = digit_bytes[:, :, : bits // 8].tobytes()
+    width = bits // 8 * x.shape[1]
     counts = [
         int.from_bytes(raw[i : i + width], "little") for i in range(0, len(raw), width)
     ]

@@ -558,14 +558,28 @@ def one_state_automaton(n):
     return am.Automaton(n, np.array([key], dtype=np.uint64), np.zeros(n, dtype=np.int64))
 
 
-#: every digit is below this after one carry pass: 2^32 - 1 of its own and
-#: a carry of at most (2^63 - 1) >> 32 from the digit below
-DIGIT_BOUND = 2**32 + 2**31 - 1
+def digit_bound(bits):
+    """Every base-2^bits digit is below this after one carry pass: 2^bits - 1
+    of its own and a carry of at most (2^63 - 1) >> bits from the digit below."""
+    return 2**bits - 1 + ((2**63 - 1) >> bits) + 1
 
 
-def digits_value(x):
-    """The integers an (m, L) array of base-2^32 digits stands for."""
-    return [sum(int(d) << (32 * i) for i, d in enumerate(row)) for row in x]
+DIGIT_BOUND = digit_bound(32)
+assert DIGIT_BOUND == 2**32 + 2**31 - 1
+
+#: the digit widths count_words may step on
+WIDTHS = [32, 40, 48, 56]
+
+
+def digits_value(x, bits=32):
+    """The integers an (m, L) array of base-2^bits digits stands for."""
+    return [sum(int(d) << (bits * i) for i, d in enumerate(row)) for row in x]
+
+
+def last_period(r, bound, limit=2**63 - 1):
+    """The last s before bound * r[s] passes limit, None if it never does in r."""
+    over = [s for s, rs in enumerate(r) if bound * rs > limit]
+    return over[0] - 1 if over else None
 
 
 def ref_path_counts(a, steps):
@@ -595,16 +609,16 @@ def carries(monkeypatch):
         assert x.min() >= 0, "a digit passed 2^63 - 1 before the carry"
         calls.append(x.copy())
 
-    def periodic(x):
+    def periodic(x, bits):
         if not final:
             record(x)
-        return carry_pass(x)
+        return carry_pass(x, bits)
 
-    def normalise(x):
+    def normalise(x, bits):
         record(x)
         final.append(True)
         try:
-            return carry(x)
+            return carry(x, bits)
         finally:
             final.pop()
 
@@ -651,17 +665,20 @@ class TestCountWords:
 
     @pytest.mark.parametrize("n, k", [(1, 0), (1, 5000), (2, 0), (2, 10), (2, 200), (5, 100)])
     def test_path_counts_table(self, build_cached, n, k):
-        # the carry period at k agrees with the path counts on Python ints
+        # the path counts and the carry period at k agree with the path
+        # counts on Python ints
         a = build_cached(n)
         mt = to_csr(am.incidence_matrix(a)).T.tocsr().astype(np.int64)
         r = ref_path_counts(a, min(k, 64))
         assert r == sorted(r)  # every state has a successor
         over = [s for s, rs in enumerate(r) if DIGIT_BOUND * rs > 2**63 - 1]
+        path = am._path_counts(mt, k)  # ends at k, at the first s past the bound, or at n = 1
+        assert path == (r[: over[0] + 1] if over else [1] if n == 1 else r)
         if n == 1:  # every row sum is 1 for good
             assert r == [1] * len(r)
-            assert am._carry_period(mt, k) == k
+            assert am._carry_period(path, k, DIGIT_BOUND) == k
         else:
-            assert am._carry_period(mt, k) == (over[0] - 1 if over else k)
+            assert am._carry_period(path, k, DIGIT_BOUND) == (over[0] - 1 if over else k)
 
     @pytest.mark.parametrize("n", [1, 2, 5, 9])
     def test_carry_period(self, build_cached, n):
@@ -675,9 +692,10 @@ class TestCountWords:
             period = over[0] - 1 if over else 5000  # n = 1: every row sum is 1 for good
             for k in (0, 1, period - 1, period, period + 1, 5000):
                 expected = min(k, period) if over else k
-                assert am._carry_period(mt, k, limit) == expected, (limit, k)
+                r_k = am._path_counts(mt, k)
+                assert am._carry_period(r_k, k, DIGIT_BOUND, limit) == expected, (limit, k)
                 if limit == 2**63 - 1:
-                    assert am._carry_period(mt, k) == expected, k
+                    assert am._carry_period(r_k, k, DIGIT_BOUND) == expected, k
 
     @pytest.mark.parametrize("n, period, blocked", [
         (2, 42, True), (3, 26, True), (4, 21, True), (5, 18, False), (7, 14, False),
@@ -696,6 +714,62 @@ class TestCountWords:
                 for k in (q * p - 1, q * p, q * p + 1):
                     assert am.count_words(a, k) == ref_count_words(a, k), (p, k)
 
+    @pytest.mark.parametrize("n", range(1, 12))
+    def test_width_choice(self, build_cached, n):
+        # (width, carry period, block period) from the path counts on Python
+        # ints: 32-bit digits and the float64 block for n <= 4, then the
+        # widest width whose carry period is at least 2
+        a = build_cached(n)
+        r = ref_path_counts(a, 44 if n <= 4 else 20)
+        if n > 1:  # r ends past every bound, so every period is within it
+            assert DIGIT_BOUND * r[-1] > 2**63 - 1
+        expected = {
+            1: (32, 1000, 1000), 2: (32, 42, 28), 3: (32, 26, 17), 4: (32, 21, 13),
+            5: (48, 6, 0), 6: (48, 5, 0), 7: (48, 4, 0), 8: (48, 3, 0), 9: (48, 2, 0),
+            10: (40, 5, 0), 11: (40, 4, 0),
+        }[n]
+        assert am._digits(len(a), len(am._edges(a)), r, 1000) == expected
+        bits, period, _ = expected
+        if n > 4:  # the period of the width, and a wider width has too short a one
+            assert period == last_period(r, digit_bound(bits)) >= 2
+            assert all(last_period(r, digit_bound(b)) < 2 for b in WIDTHS if b > bits)
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_exact_at_every_width(self, build_cached, carries, monkeypatch, n):
+        # count_words held to the sparse steps of each width, at that width's
+        # carry period, equals the reference around multiples of the period
+        # on Python ints, and carries once before every period's first step
+        a = build_cached(n)
+        r = ref_path_counts(a, 64)
+        for bits in WIDTHS:
+            period = last_period(r, digit_bound(bits))
+            if period == 0:  # not one step fits below 2^63: never chosen
+                continue
+            monkeypatch.setattr(am, "_digits", lambda m, nnz, r, k, bits=bits: (
+                bits, am._carry_period(r, k, am._digit_bound(bits)), 0))
+            if period is None:  # n = 1: one path into the state, for good
+                ks = [0, 1, 2, 5000]
+            else:
+                ks = [q * period + d for q in (1, 2, 3) for d in (-1, 0, 1)]
+            for k in ks:
+                carries.clear()
+                assert am.count_words(a, k) == ref_count_words(a, k), (bits, k)
+                periodic = 0 if period is None else max(k - 1, 0) // period
+                assert len(carries) == periodic + 1, (bits, k)
+
+    @pytest.mark.parametrize("bits", WIDTHS)
+    @pytest.mark.parametrize("n", [1, 2, 5, 9])
+    def test_carry_period_at_every_width(self, build_cached, n, bits):
+        a = build_cached(n)
+        mt = to_csr(am.incidence_matrix(a)).T.tocsr().astype(np.int64)
+        period = last_period(ref_path_counts(a, 44 if n <= 4 else 20), digit_bound(bits))
+        ks = {0, 1, 2, 5000}
+        if period is not None:
+            ks |= {period - 1, period, period + 1} - {-1}
+        for k in sorted(ks):
+            expected = k if period is None else min(k, period)  # n = 1: never past
+            assert am._carry_period(am._path_counts(mt, k), k, am._digit_bound(bits)) == expected, k
+
     def test_one_state_counts_in_one_block(self, build_cached, carries, monkeypatch):
         powers = []
         power = np.linalg.matrix_power
@@ -707,11 +781,16 @@ class TestCountWords:
         assert widths(carries) == [1]
 
     def test_n9_carries_by_the_path_bound(self, build_cached, carries):
-        # the carry period is S = 11 here: 36 stretches of 11 products and
-        # one of 4, each of the first 36 carried by one pass just before
-        # the next product, and the last by the final normalisation
-        am.count_words(build_cached(9), 400)
-        assert len(carries) <= 37
+        # n = 9 steps on 48-bit digits with the carry period S = 2 of the
+        # path counts on Python ints: 200 stretches of 2 products, each of
+        # the first 199 carried by one pass just before the next product,
+        # and the last by the final normalisation
+        a = build_cached(9)
+        r = ref_path_counts(a, 20)
+        bits, period, block = am._digits(len(a), len(am._edges(a)), r, 400)
+        assert (bits, period, block) == (48, last_period(r, digit_bound(48)), 0) == (48, 2, 0)
+        am.count_words(a, 400)
+        assert len(carries) == (400 - 1) // period + 1 == 200
 
     def test_negative_length_is_rejected(self, build_cached):
         with pytest.raises(ValueError):
@@ -755,13 +834,13 @@ class TestCountWords:
 class TestCarry:
     def test_top_digit_near_2_62_gets_a_new_column(self):
         x = np.array([[2**62 + 5], [7]], dtype=np.int64)
-        out = am._carry(x)
+        out = am._carry(x, 32)
         assert out.tolist() == [[5, 2**30], [7, 0]]
 
     def test_carry_ripples_across_digits(self):
         top = 2**32 - 1
         x = np.array([[2**32, top, top, top], [1, 2, 3, 4]], dtype=np.int64)
-        out = am._carry(x)
+        out = am._carry(x, 32)
         assert out.tolist() == [[0, 0, 0, 0, 1], [1, 2, 3, 4, 0]]
 
     @pytest.mark.parametrize("rows", [[[-1]], [[5, -3]]])
@@ -769,15 +848,15 @@ class TestCarry:
         # x >> 32 of a negative digit stays negative: without the check the
         # carry loop would never end
         with pytest.raises(InternalConsistencyError, match="wrapped below zero"):
-            am._carry(np.array(rows, dtype=np.int64))
+            am._carry(np.array(rows, dtype=np.int64), 32)
 
     def test_all_zero_stays_one_column(self):
-        assert am._carry(np.zeros((3, 1), dtype=np.int64)).shape == (3, 1)
+        assert am._carry(np.zeros((3, 1), dtype=np.int64), 32).shape == (3, 1)
 
     def test_one_pass_leaves_every_digit_below_the_bound(self):
         x = np.full((3, 4), 2**63 - 1, dtype=np.int64)
         before = digits_value(x)
-        out = am._carry_pass(x.copy())
+        out = am._carry_pass(x.copy(), 32)
         assert out.shape == (3, 5)  # the top column's carry is a new column
         assert out.max() == DIGIT_BOUND - 1
         assert digits_value(out) == before
@@ -785,7 +864,7 @@ class TestCarry:
     @pytest.mark.parametrize("rows", [[[-1]], [[5, -3]]])
     def test_one_pass_refuses_a_wrapped_digit(self, rows):
         with pytest.raises(InternalConsistencyError, match="wrapped below zero"):
-            am._carry_pass(np.array(rows, dtype=np.int64))
+            am._carry_pass(np.array(rows, dtype=np.int64), 32)
 
     def test_block_product_past_2_53_is_refused(self, build_cached, monkeypatch):
         # a digit bound of 1 leaves the block period no room for the digits
@@ -793,6 +872,36 @@ class TestCarry:
         monkeypatch.setattr(am, "_DIGIT_BOUND", 1)
         with pytest.raises(InternalConsistencyError, match="reached 2\\^53"):
             am.count_words(build_cached(2), 300)
+
+    @pytest.mark.parametrize("bits", WIDTHS)
+    def test_one_pass_bound_at_every_width(self, bits):
+        x = np.full((3, 4), 2**63 - 1, dtype=np.int64)
+        before = digits_value(x, bits)
+        out = am._carry_pass(x.copy(), bits)
+        assert out.shape == (3, 5)  # the top column's carry is a new column
+        assert out.max() == am._digit_bound(bits) - 1 == digit_bound(bits) - 1
+        assert digits_value(out, bits) == before
+
+    @pytest.mark.parametrize("bits", WIDTHS)
+    def test_carry_ripples_at_every_width(self, bits):
+        top = 2**bits - 1
+        x = np.array([[2**bits, top, top, top], [1, 2, 3, 4]], dtype=np.int64)
+        assert am._carry(x, bits).tolist() == [[0, 0, 0, 0, 1], [1, 2, 3, 4, 0]]
+
+    @pytest.mark.parametrize("bits", WIDTHS)
+    @settings(deadline=None, max_examples=25)
+    @given(rows=st.lists(
+        st.lists(st.integers(0, 2**63 - 1), min_size=3, max_size=3),
+        min_size=1, max_size=4,
+    ))
+    def test_value_kept_at_every_width(self, bits, rows):
+        x = np.array(rows, dtype=np.int64)
+        before = digits_value(x, bits)
+        out = am._carry(x.copy(), bits)
+        assert digits_value(out, bits) == before
+        assert out.max() < 2**bits
+        # a digit below 2^63 spans at most two base-2^bits digits
+        assert out.shape[1] <= x.shape[1] + 1
 
     @settings(deadline=None, max_examples=50)
     @given(st.lists(
@@ -802,7 +911,7 @@ class TestCarry:
     def test_value_kept_and_digits_below_2_32(self, rows):
         x = np.array(rows, dtype=np.int64)
         before = digits_value(x)
-        out = am._carry(x.copy())
+        out = am._carry(x.copy(), 32)
         assert digits_value(out) == before
         assert out.max() < 2**32
         # a digit below 2^63 spans at most two base-2^32 digits
