@@ -745,8 +745,8 @@ class TestCountWords:
             period = last_period(r, digit_bound(bits))
             if period == 0:  # not one step fits below 2^63: never chosen
                 continue
-            monkeypatch.setattr(am, "_digits", lambda m, nnz, r, k, bits=bits: (
-                bits, am._carry_period(r, k, am._digit_bound(bits)), 0))
+            monkeypatch.setattr(am, "_digits", lambda m, nnz, path, k, bits=bits: (
+                bits, am._carry_period(path, k, am._digit_bound(bits)), 0))
             if period is None:  # n = 1: one path into the state, for good
                 ks = [0, 1, 2, 5000]
             else:
