@@ -27,6 +27,7 @@ width b is the widest of 56, 48, 40 and 32 bits whose S is at least 2, and
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import accumulate
 from math import comb
 
 import numpy as np
@@ -615,26 +616,61 @@ def ending_letter_counts(a: Automaton, k: int, counts: list[int]) -> dict[int, i
 # exports
 # ---------------------------------------------------------------------------
 
-_ARROW_BLOCK = 1 << 15
+_WRITE_BLOCK = 1 << 15
 
 
-def _arrows(a: Automaton):
-    """Every transition as (source, letter, target), sources ascending, then
-    letters, converted to Python integers one block of _ARROW_BLOCK arrows
-    at a time.  The letter of an arrow is its target's square position j."""
-    edges = _edges(a)
-    letters = key_fields(a.keys)[1]
-    for s in range(0, len(edges), _ARROW_BLOCK):
-        src, dst = edges[s : s + _ARROW_BLOCK].T
-        yield from zip(src.tolist(), letters[dst].tolist(), dst.tolist())
+def _digit_table(top: int) -> np.ndarray:
+    """The decimal digits of 0 .. top as a (top + 1, width) uint8 table of
+    ASCII codes: row v spells v right-aligned, its leading zeros NUL."""
+    width = len(str(top))
+    v = np.arange(top + 1, dtype=np.int64)
+    table = np.zeros((top + 1, width), dtype=np.uint8)
+    for col in range(width - 1, -1, -1):
+        table[:, col] = np.where(v > 0, v % 10 + ord("0"), 0)
+        v //= 10
+    table[0, -1] = ord("0")
+    return table
+
+
+def write_rows(fh, template: str, columns, top: int, base: int = 0, sep: str = "") -> None:
+    """``template`` once per row t, its i-th ``{}`` spelling
+    columns[i][t] + base (at most ``top``), the rows joined by ``sep`` and
+    written into ``fh`` one block of _WRITE_BLOCK rows at a time, so the
+    whole text is never held."""
+    # every row is one fixed-width row of a reused byte buffer: the digit
+    # rows of its values, NUL-padded, between the template's constant
+    # pieces, and sep last; one mask per block drops the NULs
+    digits = _digit_table(top)
+    w = digits.shape[1]
+    number = np.dtype(f"V{w}")  # one table row as a single item
+    pieces = template.split("{}")
+    pieces[-1] += sep
+    starts = list(accumulate((len(p) + w for p in pieces[:-1]), initial=0))
+    offsets = [at - w for at in starts[1:]]
+    row = np.dtype({"names": [f"f{i}" for i in range(len(offsets))],
+                    "formats": [number] * len(offsets), "offsets": offsets,
+                    "itemsize": starts[-1] + len(pieces[-1])})
+    total = len(columns[0])
+    buf = np.zeros((min(total, _WRITE_BLOCK), row.itemsize), dtype=np.uint8)
+    for p, at in zip(pieces, starts):
+        buf[:, at : at + len(p)] = np.frombuffer(p.encode("ascii"), dtype=np.uint8)
+    spell, fields = digits.view(number).ravel()[base:], buf.view(row).ravel()
+    for s in range(0, total, _WRITE_BLOCK):
+        f = fields[: min(total - s, _WRITE_BLOCK)]
+        for name, col in zip(row.names, columns):
+            f[name] = spell[col[s : s + _WRITE_BLOCK]]
+        b = buf[: len(f)].ravel()
+        text = b[b != 0].tobytes().decode("ascii")
+        fh.write(text if s + _WRITE_BLOCK < total else text[: len(text) - len(sep)])
 
 
 def write_json(a: Automaton, fh) -> None:
     """The automaton as the text json.dump writes at indent=2 for
     {"n", "initial": 0, "states": [{"i", "j", "k", "S", "final_letter"}],
     "transitions": [[source, letter, target]]}, written into ``fh`` one
-    state and one arrow at a time, so neither the document nor the text is
-    held.  Every record holds only integers, so each is one f-string."""
+    state and one block of arrows at a time, so neither the document nor
+    the text is held.  Every record holds only integers, so each state is
+    one f-string and each arrow one row of write_rows."""
     fh.write(f'{{\n  "n": {a.n},\n  "initial": 0,\n  "states": [')
     sep = "\n"
     for c in map(unpack, a.keys.tolist()):
@@ -644,21 +680,23 @@ def write_json(a: Automaton, fh) -> None:
         fh.write(f'{sep}    {{\n      "i": {c.i},\n      "j": {c.j},\n      "k": {c.k},\n'
                  f'      "S": {segs},\n      "final_letter": {c.j}\n    }}')
         sep = ",\n"
-    fh.write('\n  ],\n  "transitions": [')
-    sep = "\n"
-    for s, r, t in _arrows(a):
-        fh.write(f"{sep}    [\n      {s},\n      {r},\n      {t}\n    ]")
-        sep = ",\n"
+    fh.write('\n  ],\n  "transitions": [\n')
+    src, dst = _edges(a).T
+    letter = key_fields(a.keys)[1].astype(np.uint8)[dst]
+    write_rows(fh, "    [\n      {},\n      {},\n      {}\n    ]", (src, letter, dst),
+               len(a), sep=",\n")
     fh.write("\n  ]\n}")
 
 
 def write_dot(a: Automaton, fh) -> None:
-    """The automaton as a DOT digraph, written into ``fh`` a line at a
-    time; the last line, ``}``, has no newline."""
+    """The automaton as a DOT digraph, written into ``fh`` a state line at
+    a time and the arrow lines by write_rows; the last line, ``}``, has no
+    newline."""
     fh.write("digraph automaton {\n  rankdir=LR;\n")
     for s, c in enumerate(map(unpack, a.keys.tolist())):
         shape = "doublecircle" if s == 0 else "circle"
         fh.write(f'  q{s} [label="{c}" shape={shape}];\n')
-    for s, r, t in _arrows(a):
-        fh.write(f'  q{s} -> q{t} [label="a{r}"];\n')
+    src, dst = _edges(a).T
+    letter = key_fields(a.keys)[1].astype(np.uint8)[dst]
+    write_rows(fh, '  q{} -> q{} [label="a{}"];\n', (src, dst, letter), len(a))
     fh.write("}")

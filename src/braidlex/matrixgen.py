@@ -44,6 +44,7 @@ from .automaton import (
     check_build_limit,
     row_major_keys,
     state_counts,
+    write_rows,
 )
 from .configs import shift_keys, unpack
 from .errors import InternalConsistencyError
@@ -238,46 +239,13 @@ def _absent(keys: np.ndarray, other: np.ndarray) -> np.ndarray:
     return keys[other[at] != keys]
 
 
-_MM_BLOCK = 1 << 15
-
-
-def _digit_table(dim: int) -> np.ndarray:
-    """The decimal digits of 1 .. dim as a (dim, width) uint8 table of
-    ASCII codes: row v - 1 spells v right-aligned, its leading zeros NUL."""
-    width = len(str(dim))
-    v = np.arange(1, dim + 1, dtype=np.int64)
-    table = np.empty((dim, width), dtype=np.uint8)
-    for col in range(width - 1, -1, -1):
-        table[:, col] = np.where(v > 0, v % 10 + ord("0"), 0)
-        v //= 10
-    return table
-
-
 def to_matrix_market(m: SparseBooleanMatrix, fh) -> None:
     """The matrix as Matrix Market coordinate text, one "p q 1" line per
     entry, 1-based, in row-major order, written into ``fh`` as the header
-    and then one block of _MM_BLOCK lines at a time, so the whole text is
-    never held."""
+    and then by write_rows, so the whole text is never held."""
     nnz = len(m.entries)
     fh.write(f"%%MatrixMarket matrix coordinate integer general\n{m.dim} {m.dim} {nnz}\n")
-    # every line "p q 1\n" is one fixed-width row of a reused byte buffer:
-    # the digit rows of p and q, NUL-padded, around the constant separators;
-    # one mask per block drops the NULs
-    digits = _digit_table(m.dim)
-    w = digits.shape[1]
-    number = np.dtype(f"V{w}")  # one table row as a single item
-    line = np.dtype({"names": ["p", "q"], "formats": [number, number],
-                     "offsets": [0, w + 1], "itemsize": 2 * w + 4})
-    buf = np.zeros((min(nnz, _MM_BLOCK), line.itemsize), dtype=np.uint8)
-    buf[:, w] = ord(" ")
-    buf[:, 2 * w + 1 :] = np.frombuffer(b" 1\n", dtype=np.uint8)
-    rows, fields = digits.view(number).ravel(), buf.view(line).ravel()
-    for s in range(0, nnz, _MM_BLOCK):
-        p, q = m.entries[s : s + _MM_BLOCK].T
-        f = fields[: len(p)]
-        f["p"], f["q"] = rows[p], rows[q]
-        b = buf[: len(p)].ravel()
-        fh.write(b[b != 0].tobytes().decode("ascii"))
+    write_rows(fh, "{} {} 1\n", m.entries.T, m.dim, base=1)
 
 
 def to_csv(m: SparseBooleanMatrix, fh) -> None:

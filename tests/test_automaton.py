@@ -6,10 +6,11 @@ import io
 import json
 import os
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
@@ -977,9 +978,35 @@ class TestExports:
     @pytest.mark.parametrize("write, ref", [(to_json, ref_json), (to_dot, ref_dot)])
     def test_arrow_blocks_join_seamlessly(self, build_cached, monkeypatch, n, write, ref):
         # 1 to 515 arrows: one block of at most 7 up to 74 of them
-        monkeypatch.setattr(am, "_ARROW_BLOCK", 7)
+        monkeypatch.setattr(am, "_WRITE_BLOCK", 7)
         a = build_cached(n)
         assert write(a) == ref(a)
+
+    @pytest.mark.parametrize("write, ref", [(to_json, ref_json), (to_dot, ref_dot)])
+    def test_arrow_blocks_of_one(self, build_cached, monkeypatch, write, ref):
+        # every arrow its own block: each separator, the first one's too,
+        # falls on a block boundary
+        monkeypatch.setattr(am, "_WRITE_BLOCK", 1)
+        a = build_cached(3)
+        assert write(a) == ref(a)
+
+    @settings(deadline=None, max_examples=60)
+    @given(data=st.data(), top=st.sampled_from([0, 9, 10, 99, 100, 10**5]),
+           base=st.sampled_from([0, 1]), sep=st.sampled_from(["", ",\n"]),
+           block=st.sampled_from([1, 3, am._WRITE_BLOCK]))
+    def test_write_rows_equals_the_per_row_format(self, data, top, base, sep, block):
+        # tops at and around a change of digit width, in one block or many
+        assume(base <= top)
+        value = st.integers(0, top - base)
+        rows = data.draw(st.lists(st.tuples(value, value, value), max_size=40))
+        template = data.draw(st.sampled_from(["{} {} {}\n", "[{},{}]{}", "{}{}{}"]))
+        columns = np.array(rows, dtype=np.int64).reshape(-1, 3).T
+        fh = io.StringIO()
+        with mock.patch.object(am, "_WRITE_BLOCK", block):
+            am.write_rows(fh, template, columns, top, base=base, sep=sep)
+        assert fh.getvalue() == sep.join(
+            template.format(*(v + base for v in row)) for row in rows
+        )
 
     @pytest.mark.parametrize("write", [am.write_json, am.write_dot])
     def test_writers_hold_no_copy_of_the_whole(self, build_cached, write):

@@ -403,26 +403,27 @@ class TestDiffAndExport:
         m = mg.build_R_direct(4)  # 94 entries: 19 blocks of at most 5
         lines = [f"{p + 1} {q + 1} 1\n" for p, q in m.entries.tolist()]
         want = f"%%MatrixMarket matrix coordinate integer general\n38 38 {len(lines)}\n"
-        monkeypatch.setattr(mg, "_MM_BLOCK", 5)
+        monkeypatch.setattr(am, "_WRITE_BLOCK", 5)
         assert to_matrix_market(m) == want + "".join(lines)
 
     @settings(deadline=None, max_examples=60)
     @given(data=st.data(), dim=st.sampled_from([1, 9, 10, 99, 100, 101, 10**5]),
-           block=st.sampled_from([1, 3, mg._MM_BLOCK]))
+           block=st.sampled_from([1, 3, am._WRITE_BLOCK]))
     def test_matrix_market_equals_the_per_entry_format(self, data, dim, block):
         # dims at and around a change of digit width, in one block or many
         index = st.integers(0, dim - 1)
         entries = data.draw(st.sets(st.tuples(index, index), max_size=40))
         m = am.SparseBooleanMatrix(dim, sorted(entries))
-        with mock.patch.object(mg, "_MM_BLOCK", block):
+        with mock.patch.object(am, "_WRITE_BLOCK", block):
             assert to_matrix_market(m) == ref_to_matrix_market(m)
 
     def test_digit_table_spells_every_index(self):
-        for dim in (1, 9, 10, 11, 99, 100, 1000, 1001):
-            table = mg._digit_table(dim)
-            assert table.shape == (dim, len(str(dim)))
+        # 0 too: it is one "0", not an all-NUL row
+        for top in (0, 1, 9, 10, 11, 99, 100, 1000, 1001):
+            table = am._digit_table(top)
+            assert table.shape == (top + 1, len(str(top)))
             assert [row[row != 0].tobytes().decode() for row in table] == [
-                str(v) for v in range(1, dim + 1)
+                str(v) for v in range(top + 1)
             ]
 
     def test_n9_matrix_market_digests(self, build_cached):
