@@ -616,7 +616,7 @@ def ending_letter_counts(a: Automaton, k: int, counts: list[int]) -> dict[int, i
 # exports
 # ---------------------------------------------------------------------------
 
-_WRITE_BLOCK = 1 << 15
+_WRITE_BLOCK = 1 << 13
 
 
 def _digit_table(top: int) -> np.ndarray:
@@ -624,11 +624,12 @@ def _digit_table(top: int) -> np.ndarray:
     ASCII codes: row v spells v right-aligned, its leading zeros NUL."""
     width = len(str(top))
     v = np.arange(top + 1, dtype=np.int64)
-    table = np.zeros((top + 1, width), dtype=np.uint8)
+    table = np.empty((top + 1, width), dtype=np.uint8)
     for col in range(width - 1, -1, -1):
-        table[:, col] = np.where(v > 0, v % 10 + ord("0"), 0)
+        table[:, col] = v % 10 + ord("0")
         v //= 10
-    table[0, -1] = ord("0")
+    for col in range(width - 1):  # its leading zeros are the rows below a power of 10
+        table[: 10 ** (width - 1 - col), col] = 0
     return table
 
 
