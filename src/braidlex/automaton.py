@@ -27,7 +27,6 @@ width b is the widest of 56, 48, 40 and 32 bits whose S is at least 2, and
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import accumulate
 from math import comb
 
 import numpy as np
@@ -635,27 +634,22 @@ def _digit_table(top: int) -> np.ndarray:
 
 def write_rows(fh, template: str, columns, top: int, base: int = 0, sep: str = "") -> None:
     """``template`` once per row t, its i-th ``{}`` spelling
-    columns[i][t] + base (at most ``top``), the rows joined by ``sep`` and
-    written into ``fh`` one block of _WRITE_BLOCK rows at a time, so the
-    whole text is never held."""
-    # every row is one fixed-width row of a reused byte buffer: the digit
-    # rows of its values, NUL-padded, between the template's constant
-    # pieces, and sep last; one mask per block drops the NULs
+    columns[i][t] + base (at most ``top``), the rows joined by ``sep``.
+    Each row is one fixed-width row of a reused byte buffer: the digit rows
+    of its values, NUL-padded, between the template's pieces, ``sep`` last;
+    one mask per block of _WRITE_BLOCK rows drops the NULs before the block
+    is written into ``fh``, so the whole text is never held."""
     digits = _digit_table(top)
     w = digits.shape[1]
-    number = np.dtype(f"V{w}")  # one table row as a single item
+    spell = digits.view(f"V{w}").ravel()[base:]  # one table row as a single item
     pieces = template.split("{}")
-    pieces[-1] += sep
-    starts = list(accumulate((len(p) + w for p in pieces[:-1]), initial=0))
-    offsets = [at - w for at in starts[1:]]
-    row = np.dtype({"names": [f"f{i}" for i in range(len(offsets))],
-                    "formats": [number] * len(offsets), "offsets": offsets,
-                    "itemsize": starts[-1] + len(pieces[-1])})
+    blank = np.frombuffer((("\0" * w).join(pieces) + sep).encode("ascii"), dtype=np.uint8)
+    offsets = [sum(map(len, pieces[: i + 1])) + i * w for i in range(len(pieces) - 1)]
+    row = np.dtype({"names": [f"f{i}" for i in range(len(offsets))], "offsets": offsets,
+                    "formats": [spell.dtype] * len(offsets), "itemsize": len(blank)})
     total = len(columns[0])
-    buf = np.zeros((min(total, _WRITE_BLOCK), row.itemsize), dtype=np.uint8)
-    for p, at in zip(pieces, starts):
-        buf[:, at : at + len(p)] = np.frombuffer(p.encode("ascii"), dtype=np.uint8)
-    spell, fields = digits.view(number).ravel()[base:], buf.view(row).ravel()
+    buf = np.tile(blank, (min(total, _WRITE_BLOCK), 1))
+    fields = buf.view(row).ravel()
     for s in range(0, total, _WRITE_BLOCK):
         f = fields[: min(total - s, _WRITE_BLOCK)]
         for name, col in zip(row.names, columns):
@@ -669,9 +663,8 @@ def write_json(a: Automaton, fh) -> None:
     """The automaton as the text json.dump writes at indent=2 for
     {"n", "initial": 0, "states": [{"i", "j", "k", "S", "final_letter"}],
     "transitions": [[source, letter, target]]}, written into ``fh`` one
-    state and one block of arrows at a time, so neither the document nor
-    the text is held.  Every record holds only integers, so each state is
-    one f-string and each arrow one row of write_rows."""
+    state (one f-string) and one block of arrows (write_rows) at a time, so
+    neither the document nor the text is held."""
     fh.write(f'{{\n  "n": {a.n},\n  "initial": 0,\n  "states": [')
     sep = "\n"
     for c in map(unpack, a.keys.tolist()):
@@ -690,9 +683,8 @@ def write_json(a: Automaton, fh) -> None:
 
 
 def write_dot(a: Automaton, fh) -> None:
-    """The automaton as a DOT digraph, written into ``fh`` a state line at
-    a time and the arrow lines by write_rows; the last line, ``}``, has no
-    newline."""
+    """The automaton as a DOT digraph, written into ``fh`` a state line or
+    a block of arrow lines (write_rows) at a time; the last, ``}``, has no newline."""
     fh.write("digraph automaton {\n  rankdir=LR;\n")
     for s, c in enumerate(map(unpack, a.keys.tolist())):
         shape = "doublecircle" if s == 0 else "circle"

@@ -243,8 +243,7 @@ def to_matrix_market(m: SparseBooleanMatrix, fh) -> None:
     """The matrix as Matrix Market coordinate text, one "p q 1" line per
     entry, 1-based, in row-major order, written into ``fh`` as the header
     and then by write_rows, so the whole text is never held."""
-    nnz = len(m.entries)
-    fh.write(f"%%MatrixMarket matrix coordinate integer general\n{m.dim} {m.dim} {nnz}\n")
+    fh.write(f"%%MatrixMarket matrix coordinate integer general\n{m.dim} {m.dim} {len(m.entries)}\n")
     write_rows(fh, "{} {} 1\n", m.entries.T, m.dim, base=1)
 
 
