@@ -4,8 +4,9 @@ States are segment configurations discovered by breadth-first closure from
 the initial configuration (n, n, n, {}); state 0 is the initial state and
 indices follow the order a queue would give.  The BFS walks one level at a
 time on packed uint64 keys (configs.pack) with the array rule
-configs.successors, and sorts each level's targets once, so that every
-lookup among the keys seen so far runs in key order.  An Automaton holds a
+configs.successors, sorts each level's targets once, and finds them by one
+search of the canonical keys (configs.canonical_keys), sorted once, whose
+count the closed form s_n must give.  An Automaton holds a
 key array and a flat int32 (state, letter) table, each allocated once, and
 nothing else: recurrent_states proves the recurrent split from the table
 on every call.  Readers of i or j take them from the keys, and a reader that
@@ -32,7 +33,7 @@ from math import comb
 import numpy as np
 from scipy.sparse import csr_matrix
 
-from .configs import MAX_KEY_N, initial_config, key_fields, pack, successors, unpack
+from .configs import MAX_KEY_N, canonical_keys, initial_config, key_fields, pack, successors, unpack
 from .errors import BraidWordError, BuildLimitError, InternalConsistencyError
 
 
@@ -123,27 +124,37 @@ def check_build_limit(n: int) -> None:
 
 def build(n: int) -> Automaton:
     """Breadth-first closure from the initial configuration, one level at
-    a time on packed keys.
+    a time on packed keys, within the s_n canonical keys
+    (configs.canonical_keys) sorted once.
 
     ``keys`` and ``transitions`` are allocated once, for the closed-form
     count s_n, and filled in place: each level reads its frontier as a
     slice of ``keys`` and writes its rows of ``transitions`` and its new
-    keys after it.  Each level's targets are sorted once, and each
-    distinct target is looked up, in key order, among the sorted keys seen
-    so far; that one search also gives where a new key goes in, and the
-    new keys join the sorted ones by one mask per level.  The new
-    ones are numbered in order of first occurrence over (source, letter):
-    the numbering a queue would give.
+    keys after it.  Each level's targets are sorted once, and its distinct
+    targets are found by one search of the canonical keys, beside which an
+    int32 array holds each key's state, -1 until the BFS reaches it.  New
+    keys are numbered in order of first occurrence over (source, letter):
+    the numbering a queue would give.  The arrows come from
+    configs.successors alone, and a closure inside the canonical keys that
+    counts s_n states is all of them, so each build proves canonical_keys.
     Raises past the guard of check_build_limit, and
-    InternalConsistencyError before a level could write past the arrays or
-    when the BFS ends short of s_n.
+    InternalConsistencyError when the canonical keys are not s_n, when the
+    BFS reaches a configuration they lack, or when it ends short of them.
     """
     check_build_limit(n)
     expected = state_count_formula(n)
+    every = np.sort(canonical_keys(n))
+    if len(every) != expected:
+        raise InternalConsistencyError(
+            f"{len(every)} canonical configurations for n={n}, formula gives {expected}"
+        )
+    ids = np.full(expected, -1, dtype=np.int32)  # the state of every[t], -1 if unreached
     keys = np.empty(expected, dtype=np.uint64)
     transitions = np.empty(expected * n, dtype=np.int32)
     keys[0] = pack(initial_config(n))
-    known, known_ids = keys[:1], np.zeros(1, dtype=np.int32)  # sorted by key
+    # letter n leads the initial state to itself, so the first level's
+    # search also finds its key among the canonical ones, or raises
+    ids[every == keys[0]] = 0
     done, count = 0, 1  # states done..count-1 are the frontier
     while done < count:
         targets = successors(keys[done:count], n).ravel()
@@ -158,46 +169,29 @@ def build(n: int) -> Automaton:
         bounds = np.flatnonzero(bound)
         start = bounds[:-1]
         uniq = cand[start]  # one per run of equal keys
-        at = np.searchsorted(known, uniq)  # also where a fresh key goes in
-        near = np.minimum(at, len(known) - 1)
-        new, ids = known[near] != uniq, known_ids[near]
-        fresh = uniq[new]
-        if count + len(fresh) > expected:
+        at = np.minimum(np.searchsorted(every, uniq), expected - 1)
+        lacking = uniq[every[at] != uniq]
+        if len(lacking):
             raise InternalConsistencyError(
-                f"BFS found more than {expected} states for n={n}, the formula's count"
+                f"BFS reached {unpack(lacking[0])}, missing from the canonical keys for n={n}"
             )
-        first = np.minimum.reduceat(live, start)[new]
-        by_first = np.argsort(first)
-        rank = np.empty(len(fresh), dtype=np.int32)
-        rank[by_first] = np.arange(count, count + len(fresh))
-        ids[new] = rank
+        state = ids[at]
+        new = np.flatnonzero(state < 0)
+        # the new runs in order of their first (source, letter)
+        new = new[np.argsort(np.minimum.reduceat(live, start)[new])]
+        state[new] = np.arange(count, count + len(new))
+        ids[at[new]] = state[new]
         row = transitions[done * n : count * n]
         row.fill(-1)
         # int32 ids straight from the runs, with no int64 index per target
-        row[live] = np.repeat(ids, np.diff(bounds))
-        keys[count : count + len(fresh)] = fresh[by_first]
-        # the fresh keys join the known ones in key order: fresh key f goes
-        # in at at[f] + f, so one mask places both arrays, with no sort
-        into = at[new] + np.arange(len(fresh))
-        old = np.ones(len(known) + len(fresh), dtype=bool)
-        old[into] = False
-        known, known_ids = _merged(known, fresh, old, into), _merged(known_ids, rank, old, into)
-        done, count = count, count + len(fresh)
+        row[live] = np.repeat(state, np.diff(bounds))
+        keys[count : count + len(new)] = uniq[new]
+        done, count = count, count + len(new)
     if count != expected:
         raise InternalConsistencyError(
             f"BFS found {count} states for n={n}, formula gives {expected}"
         )
     return Automaton(n, keys, transitions)
-
-
-def _merged(old_values: np.ndarray, new_values: np.ndarray, old: np.ndarray,
-            into: np.ndarray) -> np.ndarray:
-    """One array of len(old) holding ``old_values`` where ``old`` is set
-    and ``new_values`` at the positions ``into``."""
-    out = np.empty(len(old), dtype=old_values.dtype)
-    out[old] = old_values
-    out[into] = new_values
-    return out
 
 
 def state_after(a: Automaton, w) -> int | None:

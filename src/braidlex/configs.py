@@ -23,11 +23,12 @@ letter-transition rule that the BFS of ``automaton.build`` reads, computed
 for every letter of a whole array of keys at once, letter-major: one
 (n, rows) array pass per outcome, whose inner loop runs along the rows;
 ``shift_keys`` prepends a white circle to every key, the step from which
-matrixgen builds the canonical orderings; ``_marks(c, n)`` reads the
+``canonical_keys`` lists every state of size n in canonical order, the
+key set that the BFS numbers and proves; ``_marks(c, n)`` reads the
 diagram off (i, j, k, S), and ``psi`` and ``render_diagram`` draw from
-it; ``c.j`` is the final letter.  The
-package meets configurations only as the states that BFS reaches; the
-exhaustive enumeration of every valid configuration is a test reference.
+it; ``c.j`` is the final letter.  The package meets configurations only
+as those states; the exhaustive enumeration of every valid configuration
+is a test reference.
 """
 
 from __future__ import annotations
@@ -260,6 +261,37 @@ def shift_keys(keys: np.ndarray) -> np.ndarray:
     nonzero = segs | segs >> _U(1)
     nonzero |= nonzero >> _U(2)  # bit 0 of each nibble: the nibble is not 0
     return (keys & _U(0xFFF)) + _U(0x111) | segs + (nonzero & _SEGMENT_ONES)
+
+
+def _prepend_black(keys: np.ndarray, bar: int = 0) -> np.ndarray:
+    """Shift every key and make the new first cell black (i = 1); a
+    positive ``bar`` also adds the outer segment [1, bar] (nibble 3)."""
+    return shift_keys(keys) & ~_NIBBLE | _U(1 | bar << 12)
+
+
+def canonical_keys(n: int) -> np.ndarray:
+    """Every state of the size-n automaton as a key, in canonical order:
+    the white-shifted full order of size n-1 (the transient states), then
+    star(n), the recurrent block, so the recurrent order is the last s*_n
+    keys.  star(m) is, recursively, with each level built bottom-up:
+
+      1. (1,1,1,{}), ..., (1,1,m,{})                       (m states)
+      2. the black-shifted copy of star(m-1)                (s*_{m-1} states)
+      3. for i = 1 .. m-1: star(i) embedded under an outer segment
+         [1, i+1], followed by (1, i+1, k, {[1, i+1]}) for k = i+2 .. m.
+    """
+    stars = [np.empty(0, dtype=np.uint64)]
+    full = stars[0]
+    for m in range(1, n + 1):
+        ks = np.arange(1, m + 1, dtype=np.uint64) << _U(8)  # k = 1 .. m
+        parts = [ks | _U(0x11), _prepend_black(stars[m - 1])]
+        for i in range(1, m):
+            parts.append(_prepend_black(stars[i], i + 1))
+            # (1, i+1, k, {[1, i+1]}) for k = i+2 .. m
+            parts.append(ks[i + 1 :] | _U(1 | (i + 1) << 4 | (i + 1) << 12))
+        stars.append(np.concatenate(parts))
+        full = np.concatenate((shift_keys(full), stars[m]))
+    return full
 
 
 # ---------------------------------------------------------------------------

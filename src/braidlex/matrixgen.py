@@ -10,23 +10,12 @@ straight into the enclosing block's output.
 This module transcribes that recipe line by line (see FIDELITY.md for the
 two places where the printed pseudocode needed repair), except that each
 printed ``for`` loop of arrows is one range of pairs: an ``np.arange`` of
-sources, or a slice of H, put at once.  It also produces the
-canonical state ordering that the recipe presupposes, so the result can be
-diffed entrywise against the BFS-derived matrix of the automaton relabelled
-to it by ``automaton.relabel``.
-
-Canonical ordering of the recurrent block of size m, recursively:
-
-  1. (1,1,1,{}), ..., (1,1,m,{})                       (m states)
-  2. the black-shifted copy of the block of size m-1    (s*_{m-1} states)
-  3. for i = 1 .. m-1: the size-i block embedded under an outer segment
-     [1, i+1], followed by (1, i+1, k, {[1, i+1]}) for k = i+2 .. m.
-
-The full automaton ordering stacks the white-shifted full ordering of size
-n-1 (the transient states) before the recurrent block.  ``canonical_keys``
-builds it as one array of packed keys (configs.pack), shifting by
-configs.shift_keys; the recurrent order is its tail.  canonical_full_ordering
-pairs it with the automaton's keys by one sort of each key array.
+sources, or a slice of H, put at once.  The canonical state ordering
+that the recipe presupposes is configs.canonical_keys, and
+canonical_full_ordering pairs it with the automaton's keys by one sort of
+each key array, so the result can be diffed entrywise against the
+BFS-derived matrix of the automaton relabelled to it by
+``automaton.relabel``; the recurrent order is its tail.
 """
 
 from __future__ import annotations
@@ -46,7 +35,7 @@ from .automaton import (
     state_counts,
     write_rows,
 )
-from .configs import shift_keys, unpack
+from .configs import canonical_keys, unpack
 from .errors import InternalConsistencyError
 
 
@@ -168,44 +157,23 @@ def build_M_direct(n: int) -> SparseBooleanMatrix:
 # canonical state orderings
 # ---------------------------------------------------------------------------
 
-def _prepend_black(keys: np.ndarray, bar: int = 0) -> np.ndarray:
-    """Shift every key and make the new first cell black (i = 1); a
-    positive ``bar`` also adds the outer segment [1, bar] (nibble 3)."""
-    return shift_keys(keys) & ~np.uint64(15) | np.uint64(1 | bar << 12)
-
-
-def canonical_keys(n: int) -> np.ndarray:
-    """Every state of the size-n automaton as a key, in canonical order.
-
-    The levels are built bottom-up: star(m), the recurrent block of size
-    m, follows the recursion of the module docstring, and the full order is
-    full(m) = shift(full(m-1)) ++ star(m).  So the recurrent order is the
-    last s*_n keys.
-    """
-    stars = [np.empty(0, dtype=np.uint64)]
-    full = stars[0]
-    for m in range(1, n + 1):
-        ks = np.arange(1, m + 1, dtype=np.uint64) << np.uint64(8)  # k = 1 .. m
-        parts = [ks | np.uint64(0x11), _prepend_black(stars[m - 1])]
-        for i in range(1, m):
-            parts.append(_prepend_black(stars[i], i + 1))
-            # (1, i+1, k, {[1, i+1]}) for k = i+2 .. m
-            parts.append(ks[i + 1 :] | np.uint64(1 | (i + 1) << 4 | (i + 1) << 12))
-        stars.append(np.concatenate(parts))
-        full = np.concatenate((shift_keys(full), stars[m]))
-    return full
-
-
 def canonical_full_ordering(a: Automaton) -> np.ndarray:
     """The state index of each canonical full position (transients first),
     as an int64 array: the k-th smallest state key and the k-th smallest
     canonical key are one configuration.  Raises InternalConsistencyError
-    naming a canonical configuration that the automaton lacks."""
+    naming a canonical configuration that the automaton lacks, or else one
+    that it holds beyond them."""
     want = canonical_keys(a.n)
     by_key, by_rank = np.argsort(a.keys), np.argsort(want)
-    if not np.array_equal(a.keys[by_key], want[by_rank]):
-        c = unpack(want[~np.isin(want, a.keys)][0])
-        raise InternalConsistencyError(f"canonical config {c} missing from automaton")
+    held = a.keys[by_key]
+    if not np.array_equal(held, want[by_rank]):
+        lacking = want[~np.isin(want, held)]
+        if len(lacking):
+            c = unpack(lacking[0])
+            raise InternalConsistencyError(f"canonical config {c} missing from automaton")
+        # it holds them all, so a key of it is no canonical key or repeats the one before
+        extra = held[~np.isin(held, want) | np.r_[False, held[1:] == held[:-1]]]
+        raise InternalConsistencyError(f"config {unpack(extra[0])} held beyond the canonical ones")
     order = np.empty(len(want), dtype=np.int64)
     order[by_rank] = by_key
     return order

@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import tracemalloc
 from unittest import mock
 
@@ -17,6 +18,7 @@ from scipy.sparse.csgraph import connected_components
 from test_configs import index_of, keys_of, ref_shift, states_of
 
 from braidlex import automaton as am
+from braidlex import configs as cf
 from braidlex import matrixgen as mg
 from braidlex import oracle
 from braidlex.configs import SegmentConfig, initial_config, pack
@@ -163,14 +165,33 @@ class TestBuild:
         assert a.transitions.shape == (161 * 5,)
         assert mg.build_R_direct(5).entries.dtype == np.int32
         formula = am.state_count_formula
-        # one slot too few: refused at the level that would write the 161st
-        # key, where numpy itself would raise ValueError; one too many:
-        # refused by the count check after the last level
-        for off, message in ((-1, "BFS found more than 160 states for n=5"),
-                             (1, "BFS found 161 states for n=5, formula gives 162")):
+        # a formula one off either way: refused before the first level,
+        # since the 161 canonical keys are not its count
+        for off in (-1, 1):
             monkeypatch.setattr(am, "state_count_formula", lambda n, off=off: formula(n) + off)
+            message = f"161 canonical configurations for n=5, formula gives {161 + off}"
             with pytest.raises(InternalConsistencyError, match=message):
                 am.build(5)
+        # one slot too many, and a key no configuration reaches to fill the
+        # canonical set up to it: refused by the count check after the last level
+        keys = cf.canonical_keys(5)
+        monkeypatch.setattr(am, "canonical_keys", lambda n: np.append(keys, np.uint64(1 << 63)))
+        with pytest.raises(InternalConsistencyError,
+                           match="BFS found 161 states for n=5, formula gives 162"):
+            am.build(5)
+
+    @pytest.mark.parametrize("n", [1, 5])
+    def test_a_successor_outside_the_canonical_keys(self, monkeypatch, n):
+        # the set keeps its size, but one key every build reaches, the last
+        # one canonical_keys lists, gives way to a key none reaches; at
+        # n = 1 that is the initial state itself
+        keys = cf.canonical_keys(n)
+        lost = cf.unpack(keys[-1])
+        keys[-1] = 1 << 63
+        monkeypatch.setattr(am, "canonical_keys", lambda n: keys)
+        with pytest.raises(InternalConsistencyError, match=re.escape(
+                f"BFS reached {lost}, missing from the canonical keys for n={n}")):
+            am.build(n)
 
     # sha256 of the BFS transition table and of the states in insertion
     # order, as the queue BFS over SegmentConfig objects numbered them;
@@ -221,6 +242,8 @@ class TestBuild:
         monkeypatch.setattr(am, "successors", lambda frontier, n: np.array(
             [rule[k] for k in frontier.tolist()], dtype=np.uint64))
         monkeypatch.setattr(am, "state_count_formula", lambda n: 5)
+        made_up = np.array([k0, a, b, c, d], dtype=np.uint64)  # the rule's closure
+        monkeypatch.setattr(am, "canonical_keys", lambda n: made_up)
         if reverse_ties:
             class ReversedTies:
                 def __getattr__(self, name):
@@ -362,7 +385,7 @@ class TestRelabel:
         a = build_cached(n)
         order = mg.canonical_full_ordering(a).tolist()
         b = am.relabel(a, order)
-        assert b.keys.tolist() == mg.canonical_keys(n).tolist()
+        assert b.keys.tolist() == cf.canonical_keys(n).tolist()
         new = {s: p for p, s in enumerate(order)}
         for p, s in enumerate(order):
             for r in range(1, n + 1):

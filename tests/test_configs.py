@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from braidlex import configs as cf
-from braidlex import matrixgen as mg
 from braidlex import oracle
 from braidlex.configs import SegmentConfig
 from braidlex.errors import BraidLexError, ConfigError
@@ -427,7 +426,7 @@ class TestTransition:
         if block is not None:
             monkeypatch.setattr(cf, "_ROW_BLOCK", block)
         for n in range(1, 13):
-            keys = mg.canonical_keys(n)
+            keys = cf.canonical_keys(n)
             if block is not None:
                 keys = keys[:2000]
             assert np.array_equal(cf.successors(keys, n), ref_successors(keys, n)), n
@@ -436,7 +435,7 @@ class TestTransition:
     def test_successors_at_the_top_nibbles(self, monkeypatch, n):
         # n = 14's keys use nibble 15, the segment starting at 13: every 7th
         # key, then a slice in row blocks of 7
-        keys = mg.canonical_keys(n)
+        keys = cf.canonical_keys(n)
         assert np.array_equal(cf.successors(keys[::7], n), ref_successors(keys[::7], n))
         monkeypatch.setattr(cf, "_ROW_BLOCK", 7)
         assert np.array_equal(cf.successors(keys[:2000], n), ref_successors(keys[:2000], n))

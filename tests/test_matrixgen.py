@@ -219,7 +219,7 @@ class TestBuildRDirect:
 
 def canonical_configs(n):
     """(full, recurrent) canonical orders of size n as configurations."""
-    full = [cf.unpack(key) for key in mg.canonical_keys(n)]
+    full = [cf.unpack(key) for key in cf.canonical_keys(n)]
     return full, full[len(full) - am.state_counts(n).s_star[n] :]
 
 
@@ -243,7 +243,7 @@ class TestCanonicalOrdering:
     def test_initial_state_comes_first(self):
         # relabel keeps state 0, the initial state, at position 0
         for n in range(1, 15):
-            assert mg.canonical_keys(n)[0] == pack(initial_config(n))
+            assert cf.canonical_keys(n)[0] == pack(initial_config(n))
 
     def test_n3_first_block(self):
         order = canonical_configs(3)[1]
@@ -258,7 +258,7 @@ class TestCanonicalOrdering:
         # the recurrent states (i = 1) are exactly the last s*_n keys
         for n in range(1, 9):
             counts = am.state_counts(n)
-            i = cf.key_fields(mg.canonical_keys(n))[0]
+            i = cf.key_fields(cf.canonical_keys(n))[0]
             assert len(i) == counts.s[n]
             assert (i[: counts.s[n - 1]] > 1).all() and (i[counts.s[n - 1] :] == 1).all()
 
@@ -273,7 +273,7 @@ class TestCanonicalOrdering:
 
     def test_keys_equal_the_config_reference(self):
         for n in range(1, 11):
-            keys = mg.canonical_keys(n)
+            keys = cf.canonical_keys(n)
             assert keys.dtype == np.uint64
             assert keys.tolist() == keys_of(ref_full_configs(n)).tolist()
             star = keys_of(ref_star_configs(n))
@@ -282,11 +282,11 @@ class TestCanonicalOrdering:
     def test_black_shift_and_bar_embed_match_the_reference(self):
         for n in range(1, 9):
             configs = list(ref_all_configs(n))
-            black = mg._prepend_black(keys_of(configs))
+            black = cf._prepend_black(keys_of(configs))
             assert black.tolist() == [cf.pack(ref_shift_black(c, n + 1)) for c in configs]
             # a bar embedding wraps a recurrent configuration of size n
             rec = [c for c in configs if c.i == 1]
-            barred = mg._prepend_black(keys_of(rec), n + 1)
+            barred = cf._prepend_black(keys_of(rec), n + 1)
             assert barred.tolist() == [cf.pack(ref_bar_embed(c, n)) for c in rec]
 
     def test_n12_full_ordering_is_pinned(self, build_cached):
@@ -305,6 +305,13 @@ class TestCanonicalOrdering:
         lost = re.escape(f"canonical config {cf.unpack(a.keys[-1])} missing from automaton")
         with pytest.raises(InternalConsistencyError, match=lost):
             mg.canonical_full_ordering(am.Automaton(2, keys, a.transitions))
+        # every canonical key and one more, the initial state of n = 3 or a
+        # repeated one: named, where the lookup of a missing key finds none
+        for more in (pack(initial_config(3)), a.keys[2]):
+            extra = am.Automaton(2, np.append(a.keys, np.uint64(more)), a.transitions)
+            held = re.escape(f"config {cf.unpack(more)} held beyond the canonical ones")
+            with pytest.raises(InternalConsistencyError, match=held):
+                mg.canonical_full_ordering(extra)
 
 
 class TestEmbeddingLemmas:
@@ -315,7 +322,7 @@ class TestEmbeddingLemmas:
     def test_white_shift(self, n):
         # letter r + 1 on a shifted state is the shift of letter r, or
         # forbidden exactly when r is; letter 1 goes to t11 = (1,1,1,{})
-        keys = mg.canonical_keys(n)
+        keys = cf.canonical_keys(n)
         succ = cf.successors(keys, n)
         shifted = cf.successors(cf.shift_keys(keys), n + 1)
         assert (shifted[:, 0] == pack(SegmentConfig(1, 1, 1))).all()
@@ -328,12 +335,12 @@ class TestEmbeddingLemmas:
         # is forbidden on s*_{n-1} of them and leads to one of the n states
         # (1,2,k,{[1-2]}), k = 2..n+1, on the rest
         s_star = am.state_counts(n).s_star
-        star = mg.canonical_keys(n)[-s_star[n] :]
+        star = cf.canonical_keys(n)[-s_star[n] :]
         succ = cf.successors(star, n)
-        black = cf.successors(mg._prepend_black(star), n + 1)
+        black = cf.successors(cf._prepend_black(star), n + 1)
         assert not black[:, 0].any()
         assert np.array_equal(black[:, 2:],
-                              np.where(succ[:, 1:] == 0, 0, mg._prepend_black(succ[:, 1:])))
+                              np.where(succ[:, 1:] == 0, 0, cf._prepend_black(succ[:, 1:])))
         second = black[:, 1]
         assert (second == 0).sum() == s_star[n - 1]
         bars = {pack(SegmentConfig(1, 2, k, ((1, 2),))) for k in range(2, n + 2)}
