@@ -1,28 +1,26 @@
 """BFS construction of the representative automaton, counting, matrices.
 
 States are segment configurations discovered by breadth-first closure from
-the initial configuration (n, n, n, {}); state 0 is the initial state and
-indices follow the order a queue would give.  The BFS walks one level at a
-time on packed uint64 keys (configs.pack) with the array rule
-configs.successors, sorts each level's targets once, and finds them by one
-search of the canonical keys (configs.canonical_keys), sorted once, whose
-count the closed form s_n must give.  An Automaton holds a
-key array and a flat int32 (state, letter) table, each allocated once, and
-nothing else: recurrent_states proves the recurrent split from the table
-on every call.  Readers of i or j take them from the keys, and a reader that
-needs a SegmentConfig (export, the psi check of ``verify``) unpacks each
-key where it reads it.  A key holds n <= 14.  A reader that needs another
-state order, such as the canonical order, ``relabel``s the automaton once
-and reads it in index order.  Counting is exact: count_words keeps each
-state's count as a row of int64 limbs holding base-2^b digits, in one
-C-order array, and advances all of them by int64 products with the sparse
-M^T, or, on small automata, by float64 BLAS products with a dense power of
-M^T whose every sum stays below 2^53.  One carry pass along the flat array
-leaves every digit below 2^b + ((2^63 - 1) >> b), and the int64 steps carry
-once every S, S the most steps whose paths into one state, times such a
-digit, stay below 2^63, so it returns arbitrary precision integers.  The
-width b is the widest of 56, 48, 40 and 32 bits whose S is at least 2, and
-32 bits on the dense block.
+the initial configuration (n, n, n, {}), and state c is the configuration
+at position c of the canonical keys (configs.canonical_keys), whose count
+the closed form s_n must give; state 0 is the initial state, and the
+recurrent states are the last s*_n.  The BFS walks one level at a time on
+packed uint64 keys (configs.pack) with the array rule configs.successors,
+and finds its sorted targets by one search of the canonical keys, sorted
+once.  An Automaton holds a key array and a flat int32 (state, letter)
+table, and nothing else: recurrent_states proves the recurrent split from
+the table on every call.  Readers of i or j take them from the keys, and a
+reader that needs a SegmentConfig (export, the psi check of ``verify``)
+unpacks each key where it reads it.  A key holds n <= 14.  Counting is
+exact: count_words keeps each state's count as a row of int64 limbs holding
+base-2^b digits, in one C-order array, and advances all of them by int64
+products with the sparse M^T, or, on small automata, by float64 BLAS
+products with a dense power of M^T whose every sum stays below 2^53.  One
+carry pass along the flat array leaves every digit below
+2^b + ((2^63 - 1) >> b), and the int64 steps carry once every S, S the most
+steps whose paths into one state, times such a digit, stay below 2^63, so
+it returns arbitrary precision integers.  The width b is the widest of 56,
+48, 40 and 32 bits whose S is at least 2, and 32 bits on the dense block.
 """
 
 from __future__ import annotations
@@ -93,7 +91,7 @@ def state_counts(n: int) -> StateCounts:
 @dataclass(eq=False)
 class Automaton:
     """States are packed configuration keys (configs.pack), numbered by
-    build in BFS order or as relabel permutes them, the initial state 0
+    build in canonical order (configs.canonical_keys), the initial state 0
     first; ``transitions`` is the flat (state, letter) table: entry
     s * n + r - 1 is the state that letter r sends state s to, -1 if r is
     forbidden there.  build makes it int32, which holds every state index
@@ -122,76 +120,78 @@ def check_build_limit(n: int) -> None:
         )
 
 
-def build(n: int) -> Automaton:
-    """Breadth-first closure from the initial configuration, one level at
-    a time on packed keys, within the s_n canonical keys
-    (configs.canonical_keys) sorted once.
+#: the rows of a block: of a BFS level's frontier in build, of text in write_rows
+_WRITE_BLOCK = 1 << 13
 
-    ``keys`` and ``transitions`` are allocated once, for the closed-form
-    count s_n, and filled in place: each level reads its frontier as a
-    slice of ``keys`` and writes its rows of ``transitions`` and its new
-    keys after it.  Each level's targets are sorted once, and its distinct
-    targets are found by one search of the canonical keys, beside which an
-    int32 array holds each key's state, -1 until the BFS reaches it.  New
-    keys are numbered in order of first occurrence over (source, letter):
-    the numbering a queue would give.  The arrows come from
-    configs.successors alone, and a closure inside the canonical keys that
-    counts s_n states is all of them, so each build proves canonical_keys.
-    Raises past the guard of check_build_limit, and
-    InternalConsistencyError when the canonical keys are not s_n, when the
-    BFS reaches a configuration they lack, or when it ends short of them.
+
+def build(n: int) -> Automaton:
+    """Breadth-first closure from the initial configuration on packed keys,
+    state c being position c of configs.canonical_keys(n), the key array.
+
+    The canonical keys are sorted once, beside each sorted key's position.
+    Each level's frontier is walked _WRITE_BLOCK states at a time: their
+    targets are sorted once, each run of equal targets is found by one
+    search of the sorted keys and numbered by its canonical position, and
+    their rows of the int32 table, allocated once for s_n, are written at
+    once.  The arrows come from configs.successors alone, and a closure
+    inside the canonical keys that counts s_n states is all of them, so each
+    build proves canonical_keys.  Raises past the guard of check_build_limit,
+    and InternalConsistencyError when the canonical keys are not s_n, when
+    position 0, where state_after and count_words start, is not the initial
+    configuration, when the BFS reaches a configuration they lack, or when
+    it ends short of them.
     """
     check_build_limit(n)
     expected = state_count_formula(n)
-    every = np.sort(canonical_keys(n))
-    if len(every) != expected:
+    keys = canonical_keys(n)
+    if len(keys) != expected:
         raise InternalConsistencyError(
-            f"{len(every)} canonical configurations for n={n}, formula gives {expected}"
+            f"{len(keys)} canonical configurations for n={n}, formula gives {expected}"
         )
-    ids = np.full(expected, -1, dtype=np.int32)  # the state of every[t], -1 if unreached
-    keys = np.empty(expected, dtype=np.uint64)
-    transitions = np.empty(expected * n, dtype=np.int32)
-    keys[0] = pack(initial_config(n))
-    # letter n leads the initial state to itself, so the first level's
-    # search also finds its key among the canonical ones, or raises
-    ids[every == keys[0]] = 0
-    done, count = 0, 1  # states done..count-1 are the frontier
-    while done < count:
-        targets = successors(keys[done:count], n).ravel()
-        live = np.flatnonzero(targets)
-        # every lookup in key order; the default argsort is not stable, so
-        # a key's first (source, letter) is the least position of its run
-        live = live[np.argsort(targets[live])]
-        cand = targets[live]
-        # the bounds of the runs of equal keys: each run's start, then len(cand)
-        bound = np.ones(len(cand) + 1, dtype=bool)
-        np.not_equal(cand[1:], cand[:-1], out=bound[1:-1])
-        bounds = np.flatnonzero(bound)
-        start = bounds[:-1]
-        uniq = cand[start]  # one per run of equal keys
-        at = np.minimum(np.searchsorted(every, uniq), expected - 1)
-        lacking = uniq[every[at] != uniq]
-        if len(lacking):
-            raise InternalConsistencyError(
-                f"BFS reached {unpack(lacking[0])}, missing from the canonical keys for n={n}"
-            )
-        state = ids[at]
-        new = np.flatnonzero(state < 0)
-        # the new runs in order of their first (source, letter)
-        new = new[np.argsort(np.minimum.reduceat(live, start)[new])]
-        state[new] = np.arange(count, count + len(new))
-        ids[at[new]] = state[new]
-        row = transitions[done * n : count * n]
-        row.fill(-1)
-        # int32 ids straight from the runs, with no int64 index per target
-        row[live] = np.repeat(state, np.diff(bounds))
-        keys[count : count + len(new)] = uniq[new]
-        done, count = count, count + len(new)
+    if keys[0] != pack(initial_config(n)):
+        raise InternalConsistencyError(
+            f"canonical position 0 is not the initial configuration {initial_config(n)}"
+        )
+    position = np.argsort(keys).astype(np.int32)  # the canonical position of every[t]
+    every = keys[position]
+    table = np.empty((expected, n), dtype=np.int32)
+    reached = np.zeros(expected, dtype=bool)
+    reached[0] = True
+    frontier = np.zeros(1, dtype=np.intp)
+    while len(frontier):
+        fresh = []
+        for s in range(0, len(frontier), _WRITE_BLOCK):
+            block = frontier[s : s + _WRITE_BLOCK]
+            targets = successors(keys[block], n).ravel()
+            live = np.flatnonzero(targets)
+            live = live[np.argsort(targets[live])]  # every lookup in key order
+            cand = targets[live]
+            # the bounds of the runs of equal keys: each run's start, then len(cand)
+            bound = np.ones(len(cand) + 1, dtype=bool)
+            np.not_equal(cand[1:], cand[:-1], out=bound[1:-1])
+            bounds = np.flatnonzero(bound)
+            uniq = cand[bounds[:-1]]  # one per run of equal keys
+            at = np.minimum(np.searchsorted(every, uniq), expected - 1)
+            lacking = uniq[every[at] != uniq]
+            if len(lacking):
+                raise InternalConsistencyError(
+                    f"BFS reached {unpack(lacking[0])}, missing from the canonical keys for n={n}"
+                )
+            state = position[at]
+            rows = np.full(len(block) * n, -1, dtype=np.int32)
+            # int32 states straight from the runs, with no int64 index per target
+            rows[live] = np.repeat(state, np.diff(bounds))
+            table[block] = rows.reshape(-1, n)
+            new = state[~reached[state]]
+            reached[new] = True
+            fresh.append(new)
+        frontier = np.sort(np.concatenate(fresh))
+    count = np.count_nonzero(reached)
     if count != expected:
         raise InternalConsistencyError(
             f"BFS found {count} states for n={n}, formula gives {expected}"
         )
-    return Automaton(n, keys, transitions)
+    return Automaton(n, keys, table.ravel())
 
 
 def state_after(a: Automaton, w) -> int | None:
@@ -214,17 +214,6 @@ def _targets(a: Automaton, order) -> np.ndarray:
     pos = np.full(m + 1, -1, dtype=np.int32)
     pos[order] = np.arange(len(order))
     return pos[a.transitions.reshape(m, a.n)[order]]
-
-
-def relabel(a: Automaton, order) -> Automaton:
-    """The automaton with state order[p] renumbered p.  Raises ValueError
-    unless ``order`` is a permutation of all states that keeps state 0,
-    where count_words and state_after start, first.  The result holds new
-    arrays, and ``a`` is left as it was."""
-    order = np.asarray(order)
-    if not (np.array_equal(np.sort(order), np.arange(len(a))) and order[0] == 0):
-        raise ValueError("order must be a permutation of all state indices with 0 first")
-    return Automaton(a.n, a.keys[order], _targets(a, order).ravel())
 
 
 # ---------------------------------------------------------------------------
@@ -403,8 +392,9 @@ def boolean_primitive(m: SparseBooleanMatrix) -> bool:
 
 
 def recurrent_matrix(a: Automaton) -> SparseBooleanMatrix:
-    """Incidence matrix restricted to the recurrent states in index order,
-    the canonical order on a relabelled automaton.
+    """Incidence matrix restricted to the recurrent states in index order:
+    on a built automaton, the canonical recurrent order, so it equals
+    matrixgen.build_R_direct(n) entry for entry.
 
     The result is checked to be primitive, and the check is one loop:
     recurrent_states has proved the block strongly connected, so the
@@ -608,9 +598,6 @@ def ending_letter_counts(a: Automaton, k: int, counts: list[int]) -> dict[int, i
 # ---------------------------------------------------------------------------
 # exports
 # ---------------------------------------------------------------------------
-
-_WRITE_BLOCK = 1 << 13
-
 
 def _digit_table(top: int) -> np.ndarray:
     """The decimal digits of 0 .. top as a (top + 1, width) uint8 table of

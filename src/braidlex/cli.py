@@ -115,7 +115,6 @@ def cmd_matrix(args) -> int:
     m = mg.build_M_direct(n) if args.which == "M" else mg.build_R_direct(n)
     if args.check:
         a = am.build(n)
-        a = am.relabel(a, mg.canonical_full_ordering(a))
         bfs = am.incidence_matrix(a) if args.which == "M" else am.recurrent_matrix(a)
         del a  # free the automaton before the diff
         diffs = mg.diff_matrices(m, bfs)
@@ -129,9 +128,7 @@ def cmd_matrix(args) -> int:
 
 
 def cmd_count(args) -> int:
-    am.check_build_limit(args.n)
     a = am.build(args.n)
-    a = am.relabel(a, mg.canonical_full_ordering(a))
     counts, total = am.count_words(a, args.k)
     print(f"total {total}")
     print("per-state", " ".join(map(str, counts)))
@@ -143,7 +140,6 @@ def cmd_count(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
-    am.check_build_limit(args.n)
     an = sp.analyze(am.build(args.n), tol=args.tol)
     row = an.row
     print(f"n {args.n}")
@@ -252,7 +248,6 @@ def cmd_show_state(args) -> int:
 
 def cmd_export(args) -> int:
     """Stream the automaton into --out, or into stdout and one newline."""
-    am.check_build_limit(args.n)
     a = am.build(args.n)
     write = am.write_json if args.format == "json" else am.write_dot
     _stream(write, a, args.out, end="\n")
@@ -264,9 +259,7 @@ def cmd_seed_docs(args) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     for name, m in (("m2.csv", mg.build_M_direct(2)), ("r2.csv", mg.build_R_direct(2))):
         _stream(mg.to_csv, m, outdir / name)
-    a = am.build(2)
-    a = am.relabel(a, mg.canonical_full_ordering(a))
-    counts, total = am.count_words(a, 50)
+    counts, total = am.count_words(am.build(2), 50)
     (outdir / "m2_pow50_first_row.txt").write_text(" ".join(map(str, counts)) + f"\ntotal {total}\n")
     print(f"wrote m2.csv, r2.csv, m2_pow50_first_row.txt to {outdir}")
     return EXIT_OK

@@ -11,11 +11,9 @@ This module transcribes that recipe line by line (see FIDELITY.md for the
 two places where the printed pseudocode needed repair), except that each
 printed ``for`` loop of arrows is one range of pairs: an ``np.arange`` of
 sources, or a slice of H, put at once.  The canonical state ordering
-that the recipe presupposes is configs.canonical_keys, and
-canonical_full_ordering pairs it with the automaton's keys by one sort of
-each key array, so the result can be diffed entrywise against the
-BFS-derived matrix of the automaton relabelled to it by
-``automaton.relabel``; the recurrent order is its tail.
+that the recipe presupposes is configs.canonical_keys, the order in which
+automaton.build numbers its states, so the result can be diffed entrywise
+against the BFS-derived matrix as built; the recurrent order is its tail.
 """
 
 from __future__ import annotations
@@ -160,7 +158,8 @@ def build_M_direct(n: int) -> SparseBooleanMatrix:
 def canonical_full_ordering(a: Automaton) -> np.ndarray:
     """The state index of each canonical full position (transients first),
     as an int64 array: the k-th smallest state key and the k-th smallest
-    canonical key are one configuration.  Raises InternalConsistencyError
+    canonical key are one configuration: arange on a built automaton, kept
+    only because perfbench traces it by name.  Raises InternalConsistencyError
     naming a canonical configuration that the automaton lacks, or else one
     that it holds beyond them."""
     want = canonical_keys(a.n)

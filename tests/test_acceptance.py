@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from test_automaton import canonical, dense
+from test_automaton import dense
 from test_configs import ref_all_configs
 from test_spectral import resolvent_nonneg_check
 
@@ -92,7 +92,7 @@ def test_criterion_01_state_counts(build_cached):
 
 def test_criterion_02_printed_matrices(build_cached):
     t0 = time.monotonic()
-    a = canonical(build_cached(2))
+    a = build_cached(2)
     m2 = am.incidence_matrix(a)
     assert dense(m2) == M2_DENSE
     r2 = am.recurrent_matrix(a)
@@ -104,8 +104,7 @@ def test_criterion_03_matrix_power_row(build_cached):
     t0 = time.monotonic()
     a = build_cached(2)
     counts, total = am.count_words(a, 50)
-    row = [counts[s] for s in mg.canonical_full_ordering(a)]
-    assert row == M2_POW50_FIRST_ROW
+    assert counts == M2_POW50_FIRST_ROW
     assert total == sum(M2_POW50_FIRST_ROW)
     _passed(3, time.monotonic() - t0, 1, "first row of M_2^50 reproduced in exact integers")
 
@@ -125,7 +124,7 @@ def test_criterion_05_golden_ratio(build_cached, spectral_store):
     t0 = time.monotonic()
     lam = _analysis(spectral_store, build_cached, 2).result.lam
     assert abs(lam - PHI) < 1e-12
-    res = sp.perron(am.recurrent_matrix(canonical(build_cached(2))))
+    res = sp.perron(am.recurrent_matrix(build_cached(2)))
     scaled = res.v / res.v[1]
     assert np.max(np.abs(scaled - np.array([PHI, 1.0, 1.0, PHI]))) < 1e-10
     _passed(5, time.monotonic() - t0, 5, "lambda_2 = golden ratio, eigenvector prop. to (phi,1,1,phi)")
@@ -170,7 +169,7 @@ def test_criterion_08_generator_fidelity(build_cached):
     assert mg.compute_H(3) == (0, 1, 6, 7)
     assert mg.compute_H(4) == (0, 1, 6, 7, 21, 22, 27, 28)
     for n in range(1, 10):
-        a = canonical(build_cached(n))
+        a = build_cached(n)
         bfs = am.recurrent_matrix(a)
         diffs = mg.diff_matrices(mg.build_R_direct(n), bfs)
         assert diffs == [], (n, diffs[:5])

@@ -63,9 +63,32 @@ def target(a, s, r):
     return int(a.transitions[s * a.n + r - 1])
 
 
-def canonical(a):
-    """The automaton relabelled to the canonical full order."""
-    return am.relabel(a, mg.canonical_full_ordering(a))
+def relabel(a, order):
+    """The automaton with state order[p] renumbered p.  Raises ValueError
+    unless ``order`` is a permutation of all states that keeps state 0,
+    where count_words and state_after start, first.  The result holds new
+    arrays, and ``a`` is left as it was."""
+    order = np.asarray(order)
+    if not (np.array_equal(np.sort(order), np.arange(len(a))) and order[0] == 0):
+        raise ValueError("order must be a permutation of all state indices with 0 first")
+    return am.Automaton(a.n, a.keys[order], am._targets(a, order).ravel())
+
+
+def queue_order(a):
+    """The states in the order a queue from state 0 meets them: each
+    state's new targets in letter order, the states in the order listed."""
+    order, seen = [0], {0}
+    for s in order:  # the list grows while it is read
+        for t in a.transitions[s * a.n : (s + 1) * a.n].tolist():
+            if t >= 0 and t not in seen:
+                seen.add(t)
+                order.append(t)
+    return order
+
+
+def same_matrix(m, other):
+    """True iff two SparseBooleanMatrix values are equal entry for entry."""
+    return m.dim == other.dim and np.array_equal(m.entries, other.entries)
 
 
 def ref_accepts(a, w):
@@ -84,10 +107,11 @@ def col_sums(m):
 
 
 def oracle_transitions(n):
-    """build's flat (state, letter) table, rebuilt by a queue BFS over words
-    that never calls configs.successors: a state is the set of minimal
-    forbidden prefixes of its first word, letter r is forbidden there iff
-    (r,) is in that set, and states are numbered as the queue meets them."""
+    """build's flat (state, letter) table relabelled to queue_order, rebuilt
+    by a queue BFS over words that never calls configs.successors: a state
+    is the set of minimal forbidden prefixes of its first word, letter r is
+    forbidden there iff (r,) is in that set, and states are numbered as the
+    queue meets them."""
     start = oracle.minimal_forbidden_prefixes((), n)
     index, queue, table = {start: 0}, [((), start)], []
     for w, forbidden in queue:  # the queue grows while it is read
@@ -184,79 +208,42 @@ class TestBuild:
     def test_a_successor_outside_the_canonical_keys(self, monkeypatch, n):
         # the set keeps its size, but one key every build reaches, the last
         # one canonical_keys lists, gives way to a key none reaches; at
-        # n = 1 that is the initial state itself
+        # n = 1 that is the initial state itself, refused before the BFS
         keys = cf.canonical_keys(n)
         lost = cf.unpack(keys[-1])
         keys[-1] = 1 << 63
         monkeypatch.setattr(am, "canonical_keys", lambda n: keys)
-        with pytest.raises(InternalConsistencyError, match=re.escape(
-                f"BFS reached {lost}, missing from the canonical keys for n={n}")):
+        if n == 1:
+            message = f"canonical position 0 is not the initial configuration {lost}"
+        else:
+            message = f"BFS reached {lost}, missing from the canonical keys for n={n}"
+        with pytest.raises(InternalConsistencyError, match=re.escape(message)):
             am.build(n)
 
-    # sha256 of the BFS transition table and of the states in insertion
-    # order, as the queue BFS over SegmentConfig objects numbered them;
-    # export and `matrix --which M` rely on this order
-    BFS_DIGESTS = {
-        9: (
-            "6f306daeb766d328bcfbeb1ddd51b38537c54159eb8d21812322881ed3203b91",
-            "6cc6c8c8449baaafff54da127e69fa1e98390ad8e260efc676cfc1bd0fde9888",
-        ),
-        10: (
-            "d1d8e76d4fe49749f10a36bcad71dd0f17a44ea562fc13777fd2ee35f6f097f8",
-            "902b0ebf7b18b32205492e881ea04b39eeec8561b3f06586b859b49fac17d5c5",
-        ),
-        12: (
-            "c0c65ef3b211fa3299f3188aab7a93b37b0d0225e0b80896d93278e46fccffd6",
-            "71365c22af2faa4ec9eb2d1d33549a8b115af964f0aa4e8ea4b67e504cc0f97d",
-        ),
-    }
+    def test_position_0_must_be_the_initial_configuration(self, monkeypatch):
+        # every canonical key, rotated by one: the set is whole, but state 0,
+        # where count_words and state_after start, would be another one
+        keys = np.roll(cf.canonical_keys(3), 1)
+        monkeypatch.setattr(am, "canonical_keys", lambda n: keys)
+        with pytest.raises(InternalConsistencyError, match=re.escape(
+                "canonical position 0 is not the initial configuration (3,3,3,{})")):
+            am.build(3)
 
-    @pytest.mark.parametrize("n", sorted(BFS_DIGESTS))
+    @pytest.mark.parametrize("n", range(1, 13))
     def test_bfs_order_is_pinned(self, build_cached, n):
+        # build numbers its states in canonical order: its keys are
+        # canonical_keys(n), and its matrices are the direct generator's
+        # entry for entry; export and `matrix --check` rely on this order
         a = build_cached(n)
-        transitions = ",".join(map(str, a.transitions.tolist()))
-        configs = states_of(a)
-        states = "\n".join(map(str, configs))
-        assert (
-            hashlib.sha256(transitions.encode()).hexdigest(),
-            hashlib.sha256(states.encode()).hexdigest(),
-        ) == self.BFS_DIGESTS[n]
-        assert all(type(c) is SegmentConfig for c in configs)
-        index = index_of(a)
-        assert [index[key] for key in keys_of(configs).tolist()] == list(range(len(a)))
+        assert np.array_equal(a.keys, cf.canonical_keys(n))
+        assert same_matrix(am.incidence_matrix(a), mg.build_M_direct(n))
+        assert same_matrix(am.recurrent_matrix(a), mg.build_R_direct(n))
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_oracle_rebuilds_the_table(self, build_cached, n):
-        assert oracle_transitions(n) == build_cached(n).transitions.tolist()
-
-    @pytest.mark.parametrize("reverse_ties", [False, True])
-    def test_fresh_keys_numbered_by_first_occurrence(self, monkeypatch, reverse_ties):
-        # a made-up successor rule on n = 2: level 1 meets c at (b, 1) and
-        # (a, 2), and d at (b, 2) and (a, 1). c comes first, though its key
-        # is the larger and its last occurrence comes after d's. The
-        # default argsort is not stable; with every run of equal keys
-        # reversed, the first element of c's run is its last occurrence
-        k0 = pack(initial_config(2))
-        a, b, d, c = k0 + 1, k0 + 2, k0 + 3, k0 + 4
-        rule = {k0: [b, a], b: [c, d], a: [d, c], c: [0, 0], d: [0, 0]}
-        monkeypatch.setattr(am, "successors", lambda frontier, n: np.array(
-            [rule[k] for k in frontier.tolist()], dtype=np.uint64))
-        monkeypatch.setattr(am, "state_count_formula", lambda n: 5)
-        made_up = np.array([k0, a, b, c, d], dtype=np.uint64)  # the rule's closure
-        monkeypatch.setattr(am, "canonical_keys", lambda n: made_up)
-        if reverse_ties:
-            class ReversedTies:
-                def __getattr__(self, name):
-                    return getattr(np, name)
-
-                @staticmethod
-                def argsort(x):
-                    return np.lexsort((-np.arange(len(x)), x))
-
-            monkeypatch.setattr(am, "np", ReversedTies())
-        built = am.build(2)
-        assert built.keys.tolist() == [k0, b, a, c, d]
-        assert built.transitions.tolist() == [1, 2, 3, 4, 4, 3, -1, -1, -1, -1]
+        # entry for entry, numbering included, in the order a queue gives
+        a = build_cached(n)
+        assert oracle_transitions(n) == relabel(a, queue_order(a)).transitions.tolist()
 
     def test_single_incoming_label(self, build_cached):
         for n in (2, 3, 4, 5):
@@ -331,7 +318,7 @@ class TestSparseBooleanMatrix:
 class TestIncidenceMatrix:
     def test_m2_in_canonical_order(self, build_cached):
         a = build_cached(2)
-        m = am.incidence_matrix(canonical(a))
+        m = am.incidence_matrix(a)
         assert dense(m) == M2_DENSE
         assert row_sums(m) == [2, 2, 1, 1, 2]
 
@@ -348,7 +335,7 @@ class TestIncidenceMatrix:
         # relabel refuses anything but a permutation of all states, 0 first
         a = build_cached(2)
         order = [0, 4, 3, 2, 1]
-        m = am.incidence_matrix(am.relabel(a, order))
+        m = am.incidence_matrix(relabel(a, order))
         assert m.dim == 5
         full = np.array(dense(am.incidence_matrix(a)))
         assert dense(m) == full[np.ix_(order, order)].tolist()
@@ -358,7 +345,7 @@ class TestIncidenceMatrix:
         )
         for order in bad:
             with pytest.raises(ValueError, match="permutation of all state indices with 0 first"):
-                am.relabel(a, order)
+                relabel(a, order)
 
     @pytest.mark.parametrize("block", [1, 7, am._EDGE_BLOCK])
     def test_edges_in_blocks_of_sources(self, build_cached, monkeypatch, block):
@@ -382,15 +369,19 @@ class TestIncidenceMatrix:
 class TestRelabel:
     @pytest.mark.parametrize("n", range(1, 7))
     def test_renumbers_every_state_and_arrow(self, build_cached, n):
+        # to the order a queue gives, and back by the canonical ordering
         a = build_cached(n)
-        order = mg.canonical_full_ordering(a).tolist()
-        b = am.relabel(a, order)
-        assert b.keys.tolist() == cf.canonical_keys(n).tolist()
+        order = queue_order(a)
+        b = relabel(a, order)
+        assert b.keys.tolist() == a.keys[order].tolist()
         new = {s: p for p, s in enumerate(order)}
         for p, s in enumerate(order):
             for r in range(1, n + 1):
                 t = target(a, s, r)
                 assert target(b, p, r) == (new[t] if t >= 0 else -1)
+        back = relabel(b, mg.canonical_full_ordering(b))
+        assert np.array_equal(back.keys, a.keys)
+        assert np.array_equal(back.transitions, a.transitions)
 
 
 class TestRecurrentStates:
@@ -463,7 +454,7 @@ class TestRecurrentStates:
 class TestRecurrentMatrix:
     def test_r2_in_canonical_order(self, build_cached):
         a = build_cached(2)
-        m = am.recurrent_matrix(canonical(a))
+        m = am.recurrent_matrix(a)
         assert dense(m) == R2_DENSE
 
     def test_n1(self, build_cached):
@@ -479,13 +470,13 @@ class TestRecurrentMatrix:
         # relabelled to; an order that drops or repeats one is refused
         a = build_cached(2)
         rec = am.recurrent_states(a)
-        m = am.recurrent_matrix(am.relabel(a, [0] + rec[::-1]))
+        m = am.recurrent_matrix(relabel(a, [0] + rec[::-1]))
         assert m.dim == len(rec)
         r = np.array(dense(am.recurrent_matrix(a)))
         assert dense(m) == r[::-1, ::-1].tolist()
         for order in (rec[:-1], rec[:-1] + rec[:1], rec[:-1] + [0]):
             with pytest.raises(ValueError, match="permutation of all state indices with 0 first"):
-                am.relabel(a, [0] + order)
+                relabel(a, [0] + order)
 
     def test_block_without_a_loop_is_refused(self):
         # the two i = 1 states form a 2-cycle: closed and strongly connected,
@@ -823,8 +814,7 @@ class TestCountWords:
     def test_m2_power_50_first_row(self, build_cached):
         a = build_cached(2)
         counts, total = am.count_words(a, 50)
-        order = mg.canonical_full_ordering(a)
-        assert [counts[s] for s in order] == [
+        assert counts == [
             1,
             16_475_640_050,
             10_182_505_536,
@@ -1063,10 +1053,11 @@ class TestExports:
         assert '[label="a1"]' in dot
 
     @pytest.mark.parametrize("export, digest", [
-        (to_json, "f89d5081911cb2a10cdd2c47fd95908f05a2889a2fd9d6cc5b568d6c74dc3e1c"),
-        (to_dot, "2cbafe8a45ff0e3bb0f7f4426db229db1de0bc8c903d3863bea2f1982017dc9f"),
+        (to_json, "e5f7abde6d9a9a04189b0d537f655a29e88be46f4d51da3be1255357730571ee"),
+        (to_dot, "a5fb3b7daf309153f62c0cb91b106590e663dee6a0fcbc935a9e18552c493458"),
     ])
     def test_n7_text_is_pinned(self, build_cached, export, digest):
-        # sha256 of the text the per-(state, letter) target loops wrote
+        # sha256 of the text the per-(state, letter) target loops write
+        # (ref_json, ref_dot) with the states in canonical order
         text = export(build_cached(7))
         assert hashlib.sha256(text.encode()).hexdigest() == digest

@@ -8,7 +8,6 @@ import sys
 from pathlib import Path
 
 import pytest
-from test_automaton import canonical
 from test_matrixgen import to_csv, to_matrix_market
 
 from braidlex import automaton as am
@@ -150,7 +149,7 @@ class TestMatrix:
     @pytest.mark.parametrize("which", ["M", "R", "R-appendix"])
     def test_r_prints_the_generated_matrix_without_the_bfs(self, capsys, monkeypatch, which, fmt):
         # the same bytes as the BFS matrix gives, with no BFS behind them
-        a = canonical(am.build(6))
+        a = am.build(6)
         write = to_csv if fmt == "csv" else to_matrix_market
         expected = write(am.incidence_matrix(a) if which == "M" else am.recurrent_matrix(a))
 
@@ -386,14 +385,17 @@ class TestTable:
         assert all(line.endswith("ok") for line in lines if line.startswith("bound"))
 
     def test_output_is_pinned(self, capsys):
-        # sha256 of the output of Perron with RRE restarts. Against plain
-        # power iteration the printed lambda and P_a1 move in the 14th-17th
-        # decimal (n = 2: 1.61803398874990867 became 1.61803398874989490)
-        # and P_1 not at all; every change of these digits must be recorded
+        # sha256 of the output of Perron with RRE restarts, summing in
+        # canonical state order. Against plain power iteration the printed
+        # lambda and P_a1 moved in the 14th-17th decimal (n = 2:
+        # 1.61803398874990867 became 1.61803398874989490), and against the
+        # BFS queue order in the 15th-17th (n = 2: 1.61803398874989468;
+        # TestCrossConstruction brackets both); every change of these
+        # digits must be recorded
         code, out, _ = run(capsys, "table", "--from", "2", "--to", "10")
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == (
-            "24d4eab4c7e877ea857d8f9af584a3d846947551b1ceb5fd8264e67405b8caef"
+            "327a2348e7ce06ad6ae065e563fc3c590f85a28d01e5bd2096171bb2715e00e1"
         )
 
     def test_empty_range_refuses_before_printing(self, capsys):
@@ -631,12 +633,26 @@ class TestBadInput:
     ] + [pytest.param(("table", "--from", "14", "--to", "15"), PAST_THE_GUARD,
                       id="table --from 14 --to 15")])
     def test_one_guard_refuses_before_building(self, capsys, monkeypatch, argv, message):
-        def never(n):
+        # count, spectrum and export meet the guard inside build, before it
+        # reads the canonical keys
+        def never(n, *args):
             raise AssertionError(f"built n={n}")
 
-        monkeypatch.setattr(am, "build", never)
+        monkeypatch.setattr(am, "canonical_keys", never)
         monkeypatch.setattr(mg, "build_R_direct", never)
         assert run(capsys, *argv) == (6, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("argv", [
+        pytest.param(argv, id=" ".join(argv))
+        for argv in (("count", "15", "1"), ("spectrum", "15"), ("export", "15"))
+    ])
+    def test_commands_that_only_build_run_the_guard_once(self, capsys, monkeypatch, argv):
+        # the guard build runs first is the only one these commands run
+        calls = []
+        guard = am.check_build_limit
+        monkeypatch.setattr(am, "check_build_limit", lambda n: calls.append(n) or guard(n))
+        assert run(capsys, *argv) == (6, "", f"error: {PAST_THE_GUARD}\n")
+        assert calls == [15]
 
     @pytest.mark.parametrize("argv", [
         ("export", "3", "--out"), ("matrix", "3", "--out"), ("seed-docs", "--outdir"),

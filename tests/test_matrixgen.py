@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_automaton import canonical, col_sums, dense, row_sums
+from test_automaton import col_sums, dense, row_sums
 from test_configs import (
     index_of,
     keys_of,
@@ -32,9 +32,6 @@ from braidlex.configs import SegmentConfig, initial_config, pack
 from braidlex.errors import BuildLimitError, InternalConsistencyError
 
 R2_ENTRIES = {(0, 0), (0, 2), (1, 0), (2, 3), (3, 1), (3, 3)}
-# sha256 of canonical_full_ordering(build(12)), comma-joined, as the
-# configuration-level ordering gave it
-N12_FULL_ORDERING = "65db084bd24c90e0a87feef1e416aec6b5b20be0b8544ca33a93237b98bf131e"
 
 
 def pairs(block) -> list[tuple[int, int]]:
@@ -204,7 +201,7 @@ class TestBuildRDirect:
     def test_matches_bfs_small(self, build_cached):
         for n in range(1, 7):
             a = build_cached(n)
-            bfs = am.recurrent_matrix(canonical(a))
+            bfs = am.recurrent_matrix(a)
             assert mg.diff_matrices(mg.build_R_direct(n), bfs) == []
 
     def test_characteristic_data_matches_bfs(self, build_cached):
@@ -241,7 +238,7 @@ class TestCanonicalOrdering:
         assert canonical_configs(1) == ([SegmentConfig(1, 1, 1)], [SegmentConfig(1, 1, 1)])
 
     def test_initial_state_comes_first(self):
-        # relabel keeps state 0, the initial state, at position 0
+        # build refuses unless state 0, the initial state, is at position 0
         for n in range(1, 15):
             assert cf.canonical_keys(n)[0] == pack(initial_config(n))
 
@@ -290,9 +287,9 @@ class TestCanonicalOrdering:
             assert barred.tolist() == [cf.pack(ref_bar_embed(c, n)) for c in rec]
 
     def test_n12_full_ordering_is_pinned(self, build_cached):
+        # build numbers its states in canonical order
         order = mg.canonical_full_ordering(build_cached(12))
-        digest = hashlib.sha256(",".join(map(str, order)).encode()).hexdigest()
-        assert digest == N12_FULL_ORDERING
+        assert np.array_equal(order, np.arange(am.state_count_formula(12)))
 
     def test_missing_config_is_reported_by_the_full_ordering(self, build_cached):
         a = build_cached(2)
@@ -388,7 +385,7 @@ class TestDiffAndExport:
         # difference: about 4.4 times the bytes of both entry arrays at any n
         a = build_cached(11)
         first = mg.build_R_direct(11)
-        second = am.recurrent_matrix(canonical(a))
+        second = am.recurrent_matrix(a)
         tracemalloc.start()
         try:
             assert mg.diff_matrices(first, second) == []
@@ -443,7 +440,7 @@ class TestDiffAndExport:
         assert digest(mg.build_R_direct(9)) == (
             "650f3147307d871025904120ad05e519880adea242338e69c4e10e242ba6b686"
         )
-        assert digest(am.incidence_matrix(canonical(a))) == (
+        assert digest(am.incidence_matrix(a)) == (
             "9ab1a12da89982a5f0944b11520b3bdf13e80aaf4c5501a118b9c8298ef69e3e"
         )
 
@@ -455,7 +452,7 @@ class TestDiffAndExport:
 
     def test_csv_equals_the_per_cell_join(self, build_cached):
         for n in range(1, 7):
-            a = canonical(build_cached(n))
+            a = build_cached(n)
             for m in (
                 am.incidence_matrix(a),
                 am.recurrent_matrix(a),

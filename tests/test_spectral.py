@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from test_automaton import canonical, dense, to_csr
+from test_automaton import dense, relabel, to_csr
 from test_configs import states_of
 
 from braidlex import automaton as am
@@ -83,7 +83,7 @@ class TestPerron:
     def test_eigenvector_shape(self, build_cached):
         # in canonical order the eigenvector is proportional to (phi, 1, 1, phi)
         a = build_cached(2)
-        res = sp.perron(am.recurrent_matrix(canonical(a)))
+        res = sp.perron(am.recurrent_matrix(a))
         scaled = res.v / res.v[1]
         assert np.max(np.abs(scaled - np.array([PHI, 1.0, 1.0, PHI]))) < 1e-10
 
@@ -194,7 +194,7 @@ class TestPerron:
     def test_eigenvalue_invariant_under_reordering(self, build_cached, data):
         a = build_cached(4)
         order = data.draw(st.permutations(range(1, len(a))))
-        lam = sp.perron(am.recurrent_matrix(am.relabel(a, [0, *order]))).lam
+        lam = sp.perron(am.recurrent_matrix(relabel(a, [0, *order]))).lam
         base = sp.perron(am.recurrent_matrix(a)).lam
         assert abs(lam - base) < 1e-12
 
@@ -322,3 +322,26 @@ class TestCrossConstruction:
             bfs = sp.perron(am.recurrent_matrix(build_cached(n))).lam
             gen = sp.perron(mg.build_R_direct(n)).lam
             assert abs(bfs - gen) < 1e-10
+
+    # lambda as `table --from 2 --to 12` printed it while build numbered its
+    # states in BFS queue order: Perron then summed in that order
+    QUEUE_ORDER_LAMBDA = {
+        2: 1.61803398874989490, 3: 2.08679122278137275, 4: 2.39485036123381834,
+        5: 2.59937733237127810, 6: 2.73962959897194169, 7: 2.83910705543065678,
+        8: 2.91185367833771247, 9: 2.96648976449780966, 10: 3.00848064448115959,
+        11: 3.04140287720029656, 12: 3.06766619187890566,
+    }
+
+    @pytest.mark.parametrize("n", sorted(QUEUE_ORDER_LAMBDA))
+    def test_lambda_inside_the_collatz_wielandt_bracket(self, build_cached, n):
+        # min (vR)_i / v_i <= lambda_n <= max (vR)_i / v_i for the positive
+        # left vector v that perron returns on the canonical R; both the
+        # lambda summed in canonical order and the queue-order one lie in
+        # it, widened by 4 ulp for the rounding of the ratios
+        r = am.recurrent_matrix(build_cached(n))
+        res = sp.perron(r)
+        ratios = (to_csr(r).T @ res.v) / res.v
+        lo, hi = ratios.min(), ratios.max()
+        lo, hi = lo - 4 * np.spacing(lo), hi + 4 * np.spacing(hi)
+        assert lo <= res.lam <= hi
+        assert lo <= self.QUEUE_ORDER_LAMBDA[n] <= hi
