@@ -152,7 +152,7 @@ def build(n: int) -> Automaton:
         raise InternalConsistencyError(
             f"canonical position 0 is not the initial configuration {initial_config(n)}"
         )
-    position = np.argsort(keys).astype(np.int32)  # the canonical position of every[t]
+    position = np.argsort(keys)  # the canonical position of every[t]
     every = keys[position]
     table = np.empty((expected, n), dtype=np.int32)
     reached = np.zeros(expected, dtype=bool)
@@ -179,7 +179,7 @@ def build(n: int) -> Automaton:
                 )
             state = position[at]
             rows = np.full(len(block) * n, -1, dtype=np.int32)
-            # int32 states straight from the runs, with no int64 index per target
+            # each target's state, repeated from its run
             rows[live] = np.repeat(state, np.diff(bounds))
             table[block] = rows.reshape(-1, n)
             new = state[~reached[state]]
